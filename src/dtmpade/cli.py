@@ -350,11 +350,12 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _preapply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Install config-file values as subparser defaults before parsing.
+def _with_config(argv: list[str]) -> tuple[list[str], list[str]]:
+    """argv with the config file's values inserted as flags after the subcommand.
 
-    Parser-level defaults lose to explicitly supplied flags, which gives the
-    documented precedence (flags win) for free.
+    The inserted --key=value tokens come before every explicit flag, so
+    argparse converts them like typed flags and a later explicit flag wins.
+    Returns the new argv and the inserted tokens.
     """
     path = None
     for i, token in enumerate(argv):
@@ -362,24 +363,11 @@ def _preapply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
             path = argv[i + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
-    if path is None:
-        return
-    sub = next((t for t in argv if not t.startswith("-")), None)
-    sp = None
-    for action in parser._subparsers._group_actions:
-        sp = action.choices.get(sub)
-        if sp is not None:
-            break
-    if sp is None:
-        return
-    actions = {a.dest: a for a in sp._actions}
-    defaults = {}
-    for key, raw in _load_config(path).items():
-        action = actions.get(key)
-        if action is None:
-            raise UsageError(f"config key {key!r} is not a flag of {sub!r}")
-        defaults[key] = action.type(raw) if action.type is not None else raw
-    sp.set_defaults(**defaults)
+    sub = next((i for i, t in enumerate(argv) if not t.startswith("-")), None)
+    if path is None or sub is None:
+        return argv, []
+    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in _load_config(path).items()]
+    return argv[:sub + 1] + tokens + argv[sub + 1:], tokens
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -412,11 +400,16 @@ def run(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _preapply_config(parser, argv)
+        argv, from_config = _with_config(argv)
+        args, extras = parser.parse_known_args(argv)
+        unknown = [t.partition("=")[0][2:] for t in extras if t in from_config]
+        if unknown:
+            raise UsageError(f"config key {unknown[0]!r} is not a flag of {args.subcommand!r}")
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args = parser.parse_args(argv)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if args.subcommand == "series" and args.check_paper:
             return _check_paper()

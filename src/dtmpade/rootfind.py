@@ -37,13 +37,15 @@ from .errors import (
 )
 from .series import TruncatedSeries, cauchy_product, differentiate
 
-DEFAULT_GUESS_FREE_CONVECTION = (0.6, -0.6)  # physically expected signs: A > 0, B < 0
-DEFAULT_GUESS_BLASIUS = (0.3,)
+# Newton starting points; free convection has the physically expected signs A > 0, B < 0
+DEFAULT_GUESS = {Problem.FREE_CONVECTION: (0.6, -0.6), Problem.BLASIUS: (0.3,)}
+FD_STEP = 1e-7  # forward-difference Jacobian step
+DAMPING = 0.5  # step shrink factor when the residual norm does not drop
 
 
 @dataclass(frozen=True)
 class ClosureConfig:
-    """Knobs for the closure equations and the Newton iteration.
+    """Knobs for the closure equations and the Newton stopping rule.
 
     series_order = None derives the order from the Pade degree: 2n+1 in
     corrected mode, 2n (the published window) in paper-fidelity mode.
@@ -53,8 +55,6 @@ class ClosureConfig:
     series_order: int | None = None
     tol: float = 1e-10
     max_iter: int = 50
-    fd_step: float = 1e-7
-    damping: float = 0.5
 
     def __post_init__(self):
         if self.pade_degree < 1:
@@ -64,12 +64,10 @@ class ClosureConfig:
                 f"series_order must be >= {2 * self.pade_degree} for an "
                 f"[{self.pade_degree}/{self.pade_degree}] fit"
             )
-        if self.tol <= 0 or self.fd_step <= 0:
-            raise ValueError("tol and fd_step must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
 
     def f_order(self, mode: RecurrenceMode) -> int:
         if self.series_order is not None:
@@ -155,13 +153,14 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     x0,
-    cfg: ClosureConfig,
+    cfg,
     settings: dict | None = None,
 ) -> SolveResult:
-    """Damped Newton with a forward-difference Jacobian.
+    """Damped Newton with a forward-difference Jacobian (step FD_STEP).
 
+    cfg is anything with tol and max_iter (a ClosureConfig or ShootConfig).
     Stops when the residual infinity-norm drops to cfg.tol. A step that does
-    not decrease the norm is shrunk by cfg.damping up to 8 times before the
+    not decrease the norm is shrunk by DAMPING up to 8 times before the
     iteration is declared stagnant.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -175,8 +174,8 @@ def newton_solve(
         jac = np.empty((d, d))
         for j in range(d):
             xp = x.copy()
-            xp[j] += cfg.fd_step
-            jac[:, j] = (np.atleast_1d(residual(xp)) - r) / cfg.fd_step
+            xp[j] += FD_STEP
+            jac[:, j] = (np.atleast_1d(residual(xp)) - r) / FD_STEP
 
         row_scale = np.max(np.abs(jac), axis=1)
         if np.any(row_scale == 0.0) or abs(np.linalg.det(jac / row_scale[:, None])) < 1e-14:
@@ -195,7 +194,7 @@ def newton_solve(
             norm_new = np.max(np.abs(r_new))
             if norm_new < norm:
                 break
-            lam *= cfg.damping
+            lam *= DAMPING
         else:
             raise NonConvergenceError(
                 f"stagnated at residual norm {norm:.3e}",
@@ -236,22 +235,17 @@ def solve_problem(
         "mode": mode.value,
         "tol": cfg.tol,
         "max_iter": cfg.max_iter,
-        "fd_step": cfg.fd_step,
-        "damping": cfg.damping,
     }
+    if x0 is None:
+        x0 = DEFAULT_GUESS[problem]
     if problem is Problem.BLASIUS:
-        if x0 is None:
-            x0 = DEFAULT_GUESS_BLASIUS
-        res = newton_solve(
+        return newton_solve(
             lambda x: np.array([blasius_closure_residual(float(x[0]), cfg)]),
             x0,
             cfg,
             settings,
         )
-        return res
 
-    if x0 is None:
-        x0 = DEFAULT_GUESS_FREE_CONVECTION
     result = newton_solve(
         lambda x: np.array(closure_residual(float(x[0]), float(x[1]), pr, cfg, mode)),
         x0,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dtm import Problem
 from .errors import BlowUpError
-from .rootfind import ClosureConfig, SolveResult, newton_solve
+from .rootfind import DEFAULT_GUESS, SolveResult, newton_solve
 
 _BLOWUP_LIMIT = 1e8
 
@@ -78,45 +78,42 @@ def _rk4_step(rhs, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate(rhs, state0: np.ndarray, eta_end: float, step: float):
-    """March to eta_end with fixed steps (shortened final step); yields (eta, state)."""
-    state = np.asarray(state0, dtype=float)
+def _march(rhs, state, stops, step: float) -> list[np.ndarray]:
+    """RK4 from eta = 0 through each stop; the state at every stop.
+
+    Each interval between stops is split into equal sub-steps no longer than
+    step, so every stop is hit exactly. A state beyond _BLOWUP_LIMIT in
+    magnitude, or not finite, raises BlowUpError.
+    """
+    state = np.asarray(state, dtype=float)
+    out = []
     eta = 0.0
-    yield eta, state
-    while eta < eta_end - 1e-12:
-        h = min(step, eta_end - eta)
-        state = _rk4_step(rhs, state, h)
-        eta += h
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > _BLOWUP_LIMIT:
-            raise BlowUpError(f"trajectory blew up near eta = {eta:.4g}", eta_reached=eta)
-        yield eta, state
-
-
-def rk4_integrate(a: float, b: float, pr: float, cfg: ShootConfig) -> Profile:
-    """Full trajectory from the wall values (0, 0, a, 1, b) out to eta_max."""
-    rows = []
-    for eta, s in _integrate(
-        lambda s: _rhs_free_convection(s, pr), [0.0, 0.0, a, 1.0, b], cfg.eta_max, cfg.step
-    ):
-        rows.append((eta, float(s[0]), float(s[1]), float(s[3])))
-    return Profile(tuple(rows))
+    for stop in stops:
+        span = stop - eta
+        if span > 0:
+            nsub = max(1, math.ceil(span / step - 1e-12))
+            h = span / nsub
+            for i in range(nsub):
+                state = _rk4_step(rhs, state, h)
+                if not np.max(np.abs(state)) <= _BLOWUP_LIMIT:
+                    reached = eta + (i + 1) * h
+                    raise BlowUpError(f"trajectory blew up near eta = {reached:.4g}",
+                                      eta_reached=reached)
+            eta = stop
+        out.append(state)
+    return out
 
 
 def boundary_residual(a: float, b: float, pr: float, cfg: ShootConfig) -> tuple[float, float]:
     """(f'(eta_max), theta(eta_max)) for trial wall derivatives (a, b)."""
-    state = None
-    for _, state in _integrate(
-        lambda s: _rhs_free_convection(s, pr), [0.0, 0.0, a, 1.0, b], cfg.eta_max, cfg.step
-    ):
-        pass
+    state = _march(lambda s: _rhs_free_convection(s, pr), [0.0, 0.0, a, 1.0, b],
+                   [cfg.eta_max], cfg.step)[-1]
     return float(state[1]), float(state[3])
 
 
 def blasius_boundary_residual(a: float, cfg: ShootConfig) -> float:
     """f'(eta_max) - 1 for the Blasius problem."""
-    state = None
-    for _, state in _integrate(_rhs_blasius, [0.0, 0.0, a], cfg.eta_max, cfg.step):
-        pass
+    state = _march(_rhs_blasius, [0.0, 0.0, a], [cfg.eta_max], cfg.step)[-1]
     return float(state[1]) - 1.0
 
 
@@ -127,7 +124,6 @@ def shoot_solve(
     problem: Problem = Problem.FREE_CONVECTION,
 ) -> SolveResult:
     """Newton on the far-boundary mismatch; returns the oracle (A, B)."""
-    newton_cfg = ClosureConfig(pade_degree=1, tol=cfg.tol, max_iter=cfg.max_iter)
     settings = {
         "problem": problem.value,
         "pr": pr,
@@ -137,22 +133,10 @@ def shoot_solve(
         "method": "shooting-rk4",
     }
     if problem is Problem.BLASIUS:
-        if x0 is None:
-            x0 = (0.3,)
-        return newton_solve(
-            lambda x: np.array([blasius_boundary_residual(float(x[0]), cfg)]),
-            x0,
-            newton_cfg,
-            settings,
-        )
-    if x0 is None:
-        x0 = (0.6, -0.6)
-    return newton_solve(
-        lambda x: np.array(boundary_residual(float(x[0]), float(x[1]), pr, cfg)),
-        x0,
-        newton_cfg,
-        settings,
-    )
+        residual = lambda x: np.array([blasius_boundary_residual(float(x[0]), cfg)])
+    else:
+        residual = lambda x: np.array(boundary_residual(float(x[0]), float(x[1]), pr, cfg))
+    return newton_solve(residual, DEFAULT_GUESS[problem] if x0 is None else x0, cfg, settings)
 
 
 def tabulate_profile(
@@ -176,27 +160,11 @@ def tabulate_profile(
         raise ValueError(f"grid must lie within [0, eta_max = {cfg.eta_max}]")
 
     if problem is Problem.BLASIUS:
-        rhs = _rhs_blasius
-        state = np.array([0.0, 0.0, a])
+        rhs, state = _rhs_blasius, [0.0, 0.0, a]
     else:
-        rhs = lambda s: _rhs_free_convection(s, pr)
-        state = np.array([0.0, 0.0, a, 1.0, b])
-
-    def row(eta, s):
-        theta = float(s[3]) if s.size == 5 else math.nan
-        return (eta, float(s[0]), float(s[1]), theta)
-
+        rhs, state = (lambda s: _rhs_free_convection(s, pr)), [0.0, 0.0, a, 1.0, b]
     rows = []
-    eta = 0.0
-    for g in grid:
-        span = g - eta
-        if span > 0:
-            nsub = max(1, math.ceil(span / cfg.step - 1e-12))
-            h = span / nsub
-            for _ in range(nsub):
-                state = _rk4_step(rhs, state, h)
-                if not np.all(np.isfinite(state)):
-                    raise BlowUpError(f"trajectory blew up near eta = {g:.4g}", eta_reached=g)
-            eta = g
-        rows.append(row(eta, state))
+    for eta, s in zip(grid, _march(rhs, state, grid, cfg.step)):
+        theta = float(s[3]) if s.size == 5 else math.nan
+        rows.append((eta, float(s[0]), float(s[1]), theta))
     return Profile(tuple(rows))

@@ -118,6 +118,12 @@ def test_profile_grid_outside_domain(capsys):
     assert run(["profile", "--a", "0.6", "--grid", "0:9:1"]) == EXIT_USAGE
 
 
+def test_profile_blow_up_exit_code(capsys):
+    code = run(["profile", "--a", "0", "--b", "0", "--grid", "0:4.29:4.29"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "blew up" in capsys.readouterr().err
+
+
 def test_compare_table_shape(capsys):
     code, payload = run_json(capsys, [
         "compare", "--pr", "1", "--pade", "3", "--mode", "paper",
@@ -149,6 +155,13 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert code == EXIT_OK
     assert payload["manifest"]["mode"] == "paper"
     assert payload["result"]["a"] == pytest.approx(0.5506447081, abs=1e-6)
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=paper\nbogus=1\n")
+    assert run(["solve", "--config", str(cfg)]) == EXIT_USAGE
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_config_file_flags_win(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dtmpade import rootfind
 from dtmpade.dtm import Problem, RecurrenceMode
 from dtmpade.errors import (
     DegenerateApproximantError,
@@ -28,8 +29,6 @@ def test_config_validation():
         ClosureConfig(pade_degree=3, series_order=5)
     with pytest.raises(ValueError):
         ClosureConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        ClosureConfig(damping=1.5)
 
 
 def test_newton_decoupled_system():
@@ -118,7 +117,7 @@ def test_basin_robustness_paper_settings():
 
 def test_jacobian_forward_vs_central():
     cfg = ClosureConfig(pade_degree=3)
-    h = cfg.fd_step
+    h = rootfind.FD_STEP
     x = np.array([0.55, -0.75])
 
     def res(v):

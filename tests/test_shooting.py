@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from dtmpade.series import evaluate as series_eval
 from dtmpade.shooting import (
     Profile,
     ShootConfig,
-    _integrate,
+    _march,
     _rk4_step,
+    blasius_boundary_residual,
     boundary_residual,
-    rk4_integrate,
     shoot_solve,
     tabulate_profile,
 )
@@ -64,7 +65,8 @@ def test_step_halving_error_ratio_on_problem():
 
 
 def test_trajectory_exists_and_theta_decays():
-    prof = rk4_integrate(OSTRACH_A, OSTRACH_B, 1.0, ShootConfig())
+    grid = [round(0.01 * k, 10) for k in range(801)]
+    prof = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, grid, ShootConfig())
     thetas = [row[3] for row in prof.rows]
     assert thetas[0] == 1.0
     assert all(b <= a + 1e-12 for a, b in zip(thetas, thetas[1:]))
@@ -84,10 +86,7 @@ def test_zero_guess_freezes_theta_then_blows_up():
     from dtmpade.shooting import _rhs_free_convection
 
     state = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    for _, state in _integrate(
-        lambda s: _rhs_free_convection(s, 1.0), state, 1.0, 0.01
-    ):
-        pass
+    state = _march(lambda s: _rhs_free_convection(s, 1.0), state, [1.0], 0.01)[-1]
     assert state[0] == pytest.approx(-1.0 / 6.0, abs=1e-3)
     assert state[1] == pytest.approx(-0.5, abs=1e-3)
     assert state[3] == pytest.approx(1.0, abs=1e-12)
@@ -105,9 +104,33 @@ def test_boundary_residual_continuity():
 
 def test_blow_up_reports_eta():
     with pytest.raises(BlowUpError) as info:
-        for _ in _integrate(lambda s: s * s, np.array([3.0]), 8.0, 0.05):
-            pass
+        _march(lambda s: s * s, np.array([3.0]), [8.0], 0.05)
     assert info.value.eta_reached is not None
+
+
+def test_tabulate_blow_up_matches_boundary_residual():
+    # the zero-guess trajectory leaves the representable range near eta = 4.29;
+    # a profile over it must fail there too, not return huge rows
+    with pytest.raises(BlowUpError):
+        tabulate_profile(0.0, 0.0, 1.0, [0.0, 4.29])
+    with pytest.raises(BlowUpError) as residual_info:
+        boundary_residual(0.0, 0.0, 1.0, ShootConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError) as profile_info:
+            tabulate_profile(0.0, 0.0, 1.0, [0.0, 4.5])
+    assert profile_info.value.eta_reached < 4.5
+    assert profile_info.value.eta_reached == residual_info.value.eta_reached
+
+
+def test_residuals_and_profile_share_one_trajectory():
+    # 8 is not a multiple of 0.03: both entry points must take the same equal sub-steps
+    cfg = ShootConfig(step=0.03)
+    r1, r2 = boundary_residual(OSTRACH_A, OSTRACH_B, 1.0, cfg)
+    (row,) = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, [8.0], cfg).rows
+    assert (r1, r2) == (row[2], row[3])
+    (row,) = tabulate_profile(0.332, 0.0, 1.0, [8.0], cfg, problem=Problem.BLASIUS).rows
+    assert blasius_boundary_residual(0.332, cfg) == row[2] - 1.0
 
 
 def test_shoot_reproduces_reference_values():
