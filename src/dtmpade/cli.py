@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: series, solve, shoot, profile, compare. Every emitted result
-embeds the fully resolved run manifest, and re-running a manifest through
-execute() reproduces the result, which is what makes output files
-self-describing. Exit codes are a contract: 0 success, 1 check failure,
+embeds the fully resolved run manifest, which is the run record:
+re-running a manifest through execute() reproduces the result, which is
+what makes output files self-describing. Exit codes are a contract: 0 success, 1 check failure,
 2 usage/precondition, 3 numerical non-convergence, 4 degenerate
 approximant.
 """
@@ -27,7 +27,7 @@ from .errors import (
 from .rootfind import ClosureConfig, solve_problem
 from .series import evaluate as series_evaluate
 from .series import differentiate
-from .shooting import Profile, ShootConfig, shoot_solve, tabulate_profile
+from .shooting import ShootConfig, shoot_solve, tabulate_profile
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -94,24 +94,20 @@ def parse_guess(spec: str) -> tuple[float, ...]:
 def execute(manifest: dict) -> dict:
     """Run the computation a manifest describes. Pure function of the manifest."""
     sub = manifest["subcommand"]
-    if sub == "series":
-        return _exec_series(manifest)
-    if sub == "solve":
-        return _exec_solve(manifest)
-    if sub == "shoot":
-        return _exec_shoot(manifest)
-    if sub == "profile":
-        return _exec_profile(manifest)
-    if sub == "compare":
-        return _exec_compare(manifest)
-    raise UsageError(f"unknown subcommand {sub!r}")
+    if sub not in _EXECUTORS:
+        raise UsageError(f"unknown subcommand {sub!r}")
+    return _EXECUTORS[sub](manifest)
 
 
-def _exec_series(m: dict) -> dict:
-    sol = generate(ProblemParams(
+def _generate(m: dict):
+    return generate(ProblemParams(
         problem=_problem(m["problem"]), pr=m["pr"], a=m["a"], b=m["b"],
         order=m["order"], mode=_mode(m["mode"]),
     ))
+
+
+def _exec_series(m: dict) -> dict:
+    sol = _generate(m)
     theta = list(sol.theta_series.coeffs) if sol.theta_series is not None else None
     return {"f_coeffs": list(sol.f_series.coeffs), "theta_coeffs": theta}
 
@@ -132,19 +128,24 @@ def _exec_solve(m: dict) -> dict:
             "iterations": res.iterations}
 
 
+def _shoot_cfg(m: dict, tol_key: str | None = "tol") -> ShootConfig:
+    """ShootConfig of a manifest; Newton tolerance from m[tol_key].
+
+    tol_key=None keeps the Newton defaults: profile runs no Newton, and the
+    tol/max_iter keys of older profile manifests are ignored.
+    """
+    newton = {} if tol_key is None else {"tol": m[tol_key], "max_iter": m["max_iter"]}
+    return ShootConfig(eta_max=m["eta_max"], step=m["step"], **newton)
+
+
 def _exec_shoot(m: dict) -> dict:
-    cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"], tol=m["tol"],
-                      max_iter=m["max_iter"])
-    res = shoot_solve(m["pr"], cfg, x0=m["guess"], problem=_problem(m["problem"]))
+    res = shoot_solve(m["pr"], _shoot_cfg(m), x0=m["guess"], problem=_problem(m["problem"]))
     return {"a": res.a, "b": res.b, "residual_norm": res.residual_norm,
             "iterations": res.iterations}
 
 
 def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
-    sol = generate(ProblemParams(
-        problem=_problem(m["problem"]), pr=m["pr"], a=m["a"], b=m["b"],
-        order=m["order"], mode=_mode(m["mode"]),
-    ))
+    sol = _generate(m)
     fp = differentiate(sol.f_series, 1)
     rows = []
     for eta in grid:
@@ -156,9 +157,7 @@ def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
 
 
 def _integrator_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
-    cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"], tol=m["tol"],
-                      max_iter=m["max_iter"])
-    prof = tabulate_profile(m["a"], m["b"], m["pr"], grid, cfg,
+    prof = tabulate_profile(m["a"], m["b"], m["pr"], grid, _shoot_cfg(m, None),
                             problem=_problem(m["problem"]))
     return [list(row) for row in prof.rows]
 
@@ -184,9 +183,7 @@ def _exec_profile(m: dict) -> dict:
 
 def _exec_compare(m: dict) -> dict:
     problem = _problem(m["problem"])
-    shoot_cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"],
-                            tol=m["shoot_tol"], max_iter=m["max_iter"])
-    oracle = shoot_solve(m["pr"], shoot_cfg, problem=problem)
+    oracle = shoot_solve(m["pr"], _shoot_cfg(m, "shoot_tol"), problem=problem)
     rows = []
     for n in m["pade"]:
         sub = dict(m, pade=n, order=None)
@@ -198,6 +195,10 @@ def _exec_compare(m: dict) -> dict:
             row.update(b=res.b, b_oracle=oracle.b, delta_b=abs(res.b - oracle.b))
         rows.append(row)
     return {"oracle": {"a": oracle.a, "b": oracle.b}, "rows": rows}
+
+
+_EXECUTORS = {"series": _exec_series, "solve": _exec_solve, "shoot": _exec_shoot,
+              "profile": _exec_profile, "compare": _exec_compare}
 
 
 # ----------------------------------------------------------------- emission
@@ -265,8 +266,8 @@ def _emit_table(manifest: dict, result: dict, stream) -> None:
 # -------------------------------------------------------------------- argv
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", default="free-convection",
-                   choices=["free-convection", "blasius"])
+    p.add_argument("--problem", default=Problem.FREE_CONVECTION.value,
+                   choices=[v.value for v in Problem])
     p.add_argument("--pr", type=float, default=1.0, help="Prandtl number")
     p.add_argument("--format", default="table", choices=["table", "csv", "json"])
     p.add_argument("--digits", type=int, default=10,
@@ -276,15 +277,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="key=value file supplying defaults; flags win")
 
 
+def _add_mode(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", default=RecurrenceMode.CORRECTED.value,
+                   choices=[v.value for v in RecurrenceMode])
+
+
+def _add_domain(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eta-max", type=float, default=ShootConfig.eta_max)
+    p.add_argument("--step", type=float, default=ShootConfig.step)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Flags of every subcommand; solver defaults come from ClosureConfig/ShootConfig."""
     parser = argparse.ArgumentParser(prog="dtmpade")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("series", help="print the recurrence coefficients")
     _add_common(p)
+    _add_mode(p)
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--mode", default="corrected", choices=["corrected", "paper"])
     p.add_argument("--a", type=float, default=1.0, help="f''(0)")
     p.add_argument("--b", type=float, default=1.0, help="theta'(0)")
     p.add_argument("--check-paper", action="store_true",
@@ -292,46 +304,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="determine (A, B) from the infinity conditions")
     _add_common(p)
-    p.add_argument("--pade", type=int, default=3, help="diagonal degree n")
+    _add_mode(p)
+    p.add_argument("--pade", type=int, default=ClosureConfig.pade_degree,
+                   help="diagonal degree n")
     p.add_argument("--order", type=int, default=None,
                    help="series truncation (derived from the degree when omitted)")
-    p.add_argument("--mode", default="corrected", choices=["corrected", "paper"])
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--tol", type=float, default=ClosureConfig.tol)
+    p.add_argument("--max-iter", type=int, default=ClosureConfig.max_iter)
     p.add_argument("--guess", type=parse_guess, default=None, help="a,b starting point")
 
     p = subs.add_parser("shoot", help="independent shooting-method oracle")
     _add_common(p)
-    p.add_argument("--eta-max", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50)
+    _add_domain(p)
+    p.add_argument("--tol", type=float, default=ShootConfig.tol)
+    p.add_argument("--max-iter", type=int, default=ShootConfig.max_iter)
     p.add_argument("--guess", type=parse_guess, default=None)
 
     p = subs.add_parser("profile", help="tabulate (eta, f, f', theta) on a grid")
     _add_common(p)
+    _add_mode(p)
+    _add_domain(p)
     p.add_argument("--source", default="integrator",
                    choices=["series", "integrator", "both"])
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--grid", default="0:1:0.1")
     p.add_argument("--order", type=int, default=12, help="series order for --source series")
-    p.add_argument("--mode", default="corrected", choices=["corrected", "paper"])
-    p.add_argument("--eta-max", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50)
 
     p = subs.add_parser("compare", help="DTM-Pade roots against the shooting oracle")
     _add_common(p)
+    _add_mode(p)
+    _add_domain(p)
     p.add_argument("--pade", type=lambda s: [int(v) for v in s.split(",")],
-                   default=[3], help="diagonal degree(s), comma separated")
-    p.add_argument("--mode", default="corrected", choices=["corrected", "paper"])
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--shoot-tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--eta-max", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=0.01)
+                   default=[ClosureConfig.pade_degree],
+                   help="diagonal degree(s), comma separated")
+    p.add_argument("--tol", type=float, default=ClosureConfig.tol)
+    p.add_argument("--shoot-tol", type=float, default=ShootConfig.tol)
+    p.add_argument("--max-iter", type=int, default=ClosureConfig.max_iter,
+                   help="Newton iteration limit of both solvers")
     p.add_argument("--guess", type=parse_guess, default=None)
     return parser
 

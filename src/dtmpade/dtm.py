@@ -24,6 +24,11 @@ from enum import Enum
 
 from .series import TruncatedSeries
 
+# r! as a float, the divisor of the paper-fidelity sum (dividing by this
+# float equals dividing by the int r!). Past r = 170, r! exceeds every float
+# and the summand is taken as 0.
+_FACTORIALS = tuple(float(math.factorial(r)) for r in range(171))
+
 
 class RecurrenceMode(Enum):
     CORRECTED = "corrected"
@@ -95,7 +100,8 @@ def advance_free_convection(
     s1 = sum((r + 1) * (k - r + 1) * f[r + 1] * f[k - r + 1] for r in range(k + 1))
     if mode is RecurrenceMode.PAPER_FIDELITY:
         s3 = sum(
-            (k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] / math.factorial(r)
+            (k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2]
+            / (_FACTORIALS[r] if r < len(_FACTORIALS) else math.inf)
             for r in range(k + 1)
         )
     else:

@@ -23,7 +23,7 @@ the condition f'(inf) = 1 becomes lim_u u * g(u)^3 = 1, imposed through an
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,11 +78,12 @@ class ClosureConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The root Newton found, its residual infinity-norm and the iterations taken."""
+
     a: float
     b: float | None
     residual_norm: float
     iterations: int
-    settings: dict = field(default_factory=dict)
 
 
 def _fprime_coeffs(sol: DtmSolution, n: int) -> TruncatedSeries:
@@ -154,7 +155,6 @@ def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     x0,
     cfg,
-    settings: dict | None = None,
 ) -> SolveResult:
     """Damped Newton with a forward-difference Jacobian (step FD_STEP).
 
@@ -170,7 +170,7 @@ def newton_solve(
 
     for it in range(cfg.max_iter):
         if norm <= cfg.tol:
-            return _result(x, norm, it, settings)
+            return _result(x, norm, it)
         jac = np.empty((d, d))
         for j in range(d):
             xp = x.copy()
@@ -205,7 +205,7 @@ def newton_solve(
         x, r, norm = x_new, r_new, norm_new
 
     if norm <= cfg.tol:
-        return _result(x, norm, cfg.max_iter, settings)
+        return _result(x, norm, cfg.max_iter)
     raise NonConvergenceError(
         f"no convergence in {cfg.max_iter} iterations (norm {norm:.3e})",
         last_iterate=tuple(x),
@@ -214,9 +214,9 @@ def newton_solve(
     )
 
 
-def _result(x: np.ndarray, norm: float, iterations: int, settings: dict | None) -> SolveResult:
+def _result(x: np.ndarray, norm: float, iterations: int) -> SolveResult:
     b = float(x[1]) if x.size > 1 else None
-    return SolveResult(float(x[0]), b, float(norm), iterations, dict(settings or {}))
+    return SolveResult(float(x[0]), b, float(norm), iterations)
 
 
 def solve_problem(
@@ -227,30 +227,15 @@ def solve_problem(
     mode: RecurrenceMode = RecurrenceMode.CORRECTED,
 ) -> SolveResult:
     """Wire the closure residuals into Newton for the chosen problem."""
-    settings = {
-        "problem": problem.value,
-        "pr": pr,
-        "pade_degree": cfg.pade_degree,
-        "series_order": cfg.f_order(mode),
-        "mode": mode.value,
-        "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
-    }
     if x0 is None:
         x0 = DEFAULT_GUESS[problem]
     if problem is Problem.BLASIUS:
         return newton_solve(
-            lambda x: np.array([blasius_closure_residual(float(x[0]), cfg)]),
-            x0,
-            cfg,
-            settings,
+            lambda x: np.array([blasius_closure_residual(float(x[0]), cfg)]), x0, cfg
         )
 
     result = newton_solve(
-        lambda x: np.array(closure_residual(float(x[0]), float(x[1]), pr, cfg, mode)),
-        x0,
-        cfg,
-        settings,
+        lambda x: np.array(closure_residual(float(x[0]), float(x[1]), pr, cfg, mode)), x0, cfg
     )
     # the physical branch has A > 0, B < 0; another root is a diagnostic, not an error
     if result.a <= 0 or (result.b is not None and result.b >= 0):

@@ -41,19 +41,6 @@ def series(coeffs: Iterable[float]) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def add(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    """Componentwise sum, truncated to the shorter order."""
-    n = min(len(s.coeffs), len(t.coeffs))
-    return TruncatedSeries(tuple(s.coeffs[k] + t.coeffs[k] for k in range(n)))
-
-
-def scale(c: float, s: TruncatedSeries) -> TruncatedSeries:
-    """Multiply every coefficient by the finite scalar c."""
-    if not math.isfinite(c):
-        raise ValueError("scale factor must be finite")
-    return TruncatedSeries(tuple(c * ck for ck in s.coeffs))
-
-
 def cauchy_product(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Convolution product, truncated to the shorter order."""
     n = min(len(s.coeffs), len(t.coeffs))

@@ -124,19 +124,11 @@ def shoot_solve(
     problem: Problem = Problem.FREE_CONVECTION,
 ) -> SolveResult:
     """Newton on the far-boundary mismatch; returns the oracle (A, B)."""
-    settings = {
-        "problem": problem.value,
-        "pr": pr,
-        "eta_max": cfg.eta_max,
-        "step": cfg.step,
-        "tol": cfg.tol,
-        "method": "shooting-rk4",
-    }
     if problem is Problem.BLASIUS:
         residual = lambda x: np.array([blasius_boundary_residual(float(x[0]), cfg)])
     else:
         residual = lambda x: np.array(boundary_residual(float(x[0]), float(x[1]), pr, cfg))
-    return newton_solve(residual, DEFAULT_GUESS[problem] if x0 is None else x0, cfg, settings)
+    return newton_solve(residual, DEFAULT_GUESS[problem] if x0 is None else x0, cfg)
 
 
 def tabulate_profile(

@@ -9,6 +9,7 @@ from dtmpade.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    UsageError,
     execute,
     parse_grid,
     run,
@@ -180,3 +181,28 @@ def test_blasius_solve_and_shoot(capsys):
     code, shot = run_json(capsys, ["shoot", "--problem", "blasius", "--eta-max", "12"])
     assert code == EXIT_OK
     assert abs(solved["result"]["a"] - shot["result"]["a"]) < 0.05
+
+
+def test_profile_has_no_newton_flags(capsys):
+    # profile runs no Newton, so it takes no Newton tolerance or iteration limit
+    for flag, value in (("--tol", "1e-8"), ("--max-iter", "5")):
+        with pytest.raises(SystemExit) as exc:
+            run(["profile", "--a", "0.6", flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_profile_manifest_with_legacy_newton_keys(capsys):
+    code, payload = run_json(capsys, [
+        "profile", "--source", "both", "--a", "0.6421", "--b", "-0.5671", "--grid", "0:1:0.25",
+    ])
+    assert code == EXIT_OK
+    manifest = payload["manifest"]
+    assert "tol" not in manifest and "max_iter" not in manifest
+    legacy = dict(manifest, tol=1e-8, max_iter=50)
+    assert execute(legacy)["rows"] == execute(manifest)["rows"] == payload["result"]["rows"]
+
+
+def test_execute_unknown_subcommand():
+    with pytest.raises(UsageError, match="bogus"):
+        execute({"subcommand": "bogus", "version": "0", "format": "json", "digits": 10})

@@ -232,3 +232,13 @@ def test_generated_length_matches_order():
     assert len(sol.f_series.coeffs) == 10
     assert len(sol.theta_series.coeffs) == 10
     assert not any(map(math.isnan, sol.f_series.coeffs))
+
+
+def test_paper_mode_beyond_float_factorials():
+    # r! leaves the float range past r = 170; those summands are 0
+    params = dict(a=0.55, b=-0.86, mode=FIDELITY)
+    high = generate(ProblemParams(order=300, **params))
+    low = generate(ProblemParams(order=172, **params))
+    for hi_s, lo_s in ((high.f_series, low.f_series), (high.theta_series, low.theta_series)):
+        assert all(map(math.isfinite, hi_s.coeffs))
+        assert [c.hex() for c in hi_s.coeffs[:173]] == [c.hex() for c in lo_s.coeffs]

@@ -145,7 +145,7 @@ def test_sign_violation_warns():
         # force a sign flip through a synthetic solve on the closed-form residual
         from dtmpade import rootfind
 
-        result = rootfind.SolveResult(-1.0, 1.0, 0.0, 0, {})
+        result = rootfind.SolveResult(-1.0, 1.0, 0.0, 0)
         orig = rootfind.newton_solve
         try:
             rootfind.newton_solve = lambda *a, **k: result
