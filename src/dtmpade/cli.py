@@ -47,6 +47,14 @@ class UsageError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as UsageError, so run() returns instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _problem(name: str) -> Problem:
     try:
         return Problem(name)
@@ -289,7 +297,7 @@ def _add_domain(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Flags of every subcommand; solver defaults come from ClosureConfig/ShootConfig."""
-    parser = argparse.ArgumentParser(prog="dtmpade")
+    parser = _ArgumentParser(prog="dtmpade")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -415,11 +423,11 @@ def run(argv=None) -> int:
         unknown = [t.partition("=")[0][2:] for t in extras if t in from_config]
         if unknown:
             raise UsageError(f"config key {unknown[0]!r} is not a flag of {args.subcommand!r}")
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if args.subcommand == "series" and args.check_paper:
             return _check_paper()

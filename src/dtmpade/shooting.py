@@ -60,32 +60,34 @@ class Profile:
             raise ValueError("eta values must be strictly increasing")
 
 
-def _rhs_free_convection(state: np.ndarray, pr: float) -> np.ndarray:
+def _rhs_free_convection(state, pr: float) -> tuple[float, ...]:
     f, fp, fpp, th, thp = state
-    return np.array([fp, fpp, 2.0 * fp * fp - th - 3.0 * f * fpp, thp, -3.0 * pr * f * thp])
+    return fp, fpp, 2.0 * fp * fp - th - 3.0 * f * fpp, thp, -3.0 * pr * f * thp
 
 
-def _rhs_blasius(state: np.ndarray) -> np.ndarray:
+def _rhs_blasius(state) -> tuple[float, ...]:
     f, fp, fpp = state
-    return np.array([fp, fpp, -0.5 * f * fpp])
+    return fp, fpp, -0.5 * f * fpp
 
 
-def _rk4_step(rhs, state: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs, state, h: float) -> list[float]:
+    # componentwise in numpy's operand order, so Python floats match float64 bit for bit
     k1 = rhs(state)
-    k2 = rhs(state + 0.5 * h * k1)
-    k3 = rhs(state + 0.5 * h * k2)
-    k4 = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs([s + 0.5 * h * k for s, k in zip(state, k1)])
+    k3 = rhs([s + 0.5 * h * k for s, k in zip(state, k2)])
+    k4 = rhs([s + h * k for s, k in zip(state, k3)])
+    return [s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _march(rhs, state, stops, step: float) -> list[np.ndarray]:
+def _march(rhs, state, stops, step: float) -> list[list[float]]:
     """RK4 from eta = 0 through each stop; the state at every stop.
 
     Each interval between stops is split into equal sub-steps no longer than
     step, so every stop is hit exactly. A state beyond _BLOWUP_LIMIT in
     magnitude, or not finite, raises BlowUpError.
     """
-    state = np.asarray(state, dtype=float)
+    state = [float(v) for v in state]
     out = []
     eta = 0.0
     for stop in stops:
@@ -95,7 +97,7 @@ def _march(rhs, state, stops, step: float) -> list[np.ndarray]:
             h = span / nsub
             for i in range(nsub):
                 state = _rk4_step(rhs, state, h)
-                if not np.max(np.abs(state)) <= _BLOWUP_LIMIT:
+                if not all(abs(v) <= _BLOWUP_LIMIT for v in state):
                     reached = eta + (i + 1) * h
                     raise BlowUpError(f"trajectory blew up near eta = {reached:.4g}",
                                       eta_reached=reached)
@@ -108,13 +110,13 @@ def boundary_residual(a: float, b: float, pr: float, cfg: ShootConfig) -> tuple[
     """(f'(eta_max), theta(eta_max)) for trial wall derivatives (a, b)."""
     state = _march(lambda s: _rhs_free_convection(s, pr), [0.0, 0.0, a, 1.0, b],
                    [cfg.eta_max], cfg.step)[-1]
-    return float(state[1]), float(state[3])
+    return state[1], state[3]
 
 
 def blasius_boundary_residual(a: float, cfg: ShootConfig) -> float:
     """f'(eta_max) - 1 for the Blasius problem."""
     state = _march(_rhs_blasius, [0.0, 0.0, a], [cfg.eta_max], cfg.step)[-1]
-    return float(state[1]) - 1.0
+    return state[1] - 1.0
 
 
 def shoot_solve(
@@ -155,8 +157,6 @@ def tabulate_profile(
         rhs, state = _rhs_blasius, [0.0, 0.0, a]
     else:
         rhs, state = (lambda s: _rhs_free_convection(s, pr)), [0.0, 0.0, a, 1.0, b]
-    rows = []
-    for eta, s in zip(grid, _march(rhs, state, grid, cfg.step)):
-        theta = float(s[3]) if s.size == 5 else math.nan
-        rows.append((eta, float(s[0]), float(s[1]), theta))
-    return Profile(tuple(rows))
+    states = _march(rhs, state, grid, cfg.step)
+    return Profile(tuple((eta, s[0], s[1], s[3] if len(s) == 5 else math.nan)
+                         for eta, s in zip(grid, states)))

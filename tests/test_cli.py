@@ -186,10 +186,29 @@ def test_blasius_solve_and_shoot(capsys):
 def test_profile_has_no_newton_flags(capsys):
     # profile runs no Newton, so it takes no Newton tolerance or iteration limit
     for flag, value in (("--tol", "1e-8"), ("--max-iter", "5")):
-        with pytest.raises(SystemExit) as exc:
-            run(["profile", "--a", "0.6", flag, value])
-        assert exc.value.code == EXIT_USAGE
+        assert run(["profile", "--a", "0.6", flag, value]) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--pade", "x"],
+    ["profile", "--a", "0.6", "--tol", "1e-8"],
+    ["shoot", "--step"],
+    ["bogus"],
+    [],
+])
+def test_usage_errors_return_exit_code(capsys, argv):
+    # argparse's own errors come back as a return code, not SystemExit
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage: dtmpade" in err and "error:" in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["shoot", "--help"])
+    assert exc.value.code == 0
+    assert "--eta-max" in capsys.readouterr().out
 
 
 def test_profile_manifest_with_legacy_newton_keys(capsys):

@@ -11,6 +11,8 @@ from dtmpade.shooting import (
     Profile,
     ShootConfig,
     _march,
+    _rhs_blasius,
+    _rhs_free_convection,
     _rk4_step,
     blasius_boundary_residual,
     boundary_residual,
@@ -54,6 +56,24 @@ def test_rk4_fourth_order_slope():
     ]
     for slope in slopes:
         assert slope == pytest.approx(4.0, abs=0.2)
+
+
+@pytest.mark.parametrize("rhs, dim", [
+    (lambda s: _rhs_free_convection(s, 0.72), 5),
+    (_rhs_blasius, 3),
+], ids=["free_convection", "blasius"])
+def test_rk4_step_matches_numpy_vector_form(rhs, dim):
+    # reference: the classical vector formula on float64 arrays; the
+    # componentwise float step must reproduce it exactly
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        state, h = rng.normal(scale=3.0, size=dim), rng.uniform(1e-3, 0.2)
+        k1 = np.array(rhs(state))
+        k2 = np.array(rhs(state + 0.5 * h * k1))
+        k3 = np.array(rhs(state + 0.5 * h * k2))
+        k4 = np.array(rhs(state + h * k3))
+        want = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert _rk4_step(rhs, state.tolist(), h) == want.tolist()
 
 
 def test_step_halving_error_ratio_on_problem():
@@ -104,8 +124,40 @@ def test_boundary_residual_continuity():
 
 def test_blow_up_reports_eta():
     with pytest.raises(BlowUpError) as info:
-        _march(lambda s: s * s, np.array([3.0]), [8.0], 0.05)
+        _march(lambda s: [v * v for v in s], np.array([3.0]), [8.0], 0.05)
     assert info.value.eta_reached is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", ["a", "b"])
+def test_non_finite_wall_values_blow_up_at_first_step(bad, position):
+    wall = {"a": OSTRACH_A, "b": OSTRACH_B, position: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError) as residual_info:
+            boundary_residual(wall["a"], wall["b"], 1.0, ShootConfig())
+        with pytest.raises(BlowUpError) as profile_info:
+            tabulate_profile(wall["a"], wall["b"], 1.0, [0.0, 1.0])
+    assert residual_info.value.eta_reached == 0.01
+    assert profile_info.value.eta_reached == 0.01
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_blow_up_check_sees_nan_in_any_position(position):
+    rhs = lambda s: [math.nan if i == position else 0.0 for i in range(3)]
+    with pytest.raises(BlowUpError) as info:
+        _march(rhs, [1.0, 2.0, 3.0], [1.0], 0.1)
+    assert info.value.eta_reached == 0.1
+
+
+def test_residuals_pinned_bit_for_bit():
+    # exact values of the RK4 trajectories; any change to the operand order
+    # of a step or of the right-hand sides shows here
+    assert boundary_residual(OSTRACH_A, OSTRACH_B, 1.0, ShootConfig()) == (
+        -0.00023685018547082664, -0.0001570421290990859)
+    assert boundary_residual(OSTRACH_A, OSTRACH_B, 0.72, ShootConfig(step=0.03)) == (
+        0.6319496161626309, -0.160541434853559)
+    assert blasius_boundary_residual(0.332, ShootConfig()) == -0.0001188470731889879
 
 
 def test_tabulate_blow_up_matches_boundary_residual():
