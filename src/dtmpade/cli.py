@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -120,36 +121,17 @@ def _exec_series(m: dict) -> dict:
     return {"f_coeffs": list(sol.f_series.coeffs), "theta_coeffs": theta}
 
 
-def _solver_cfg(m: dict) -> ClosureConfig:
-    return ClosureConfig(
-        pade_degree=m["pade"], series_order=m.get("order"),
-        tol=m["tol"], max_iter=m["max_iter"],
-    )
-
-
 def _exec_solve(m: dict) -> dict:
-    res = solve_problem(
-        _problem(m["problem"]), m["pr"], _solver_cfg(m),
-        x0=m["guess"], mode=_mode(m["mode"]),
-    )
-    return {"a": res.a, "b": res.b, "residual_norm": res.residual_norm,
-            "iterations": res.iterations}
-
-
-def _shoot_cfg(m: dict, tol_key: str | None = "tol") -> ShootConfig:
-    """ShootConfig of a manifest; Newton tolerance from m[tol_key].
-
-    tol_key=None keeps the Newton defaults: profile runs no Newton, and the
-    tol/max_iter keys of older profile manifests are ignored.
-    """
-    newton = {} if tol_key is None else {"tol": m[tol_key], "max_iter": m["max_iter"]}
-    return ShootConfig(eta_max=m["eta_max"], step=m["step"], **newton)
+    cfg = ClosureConfig(pade_degree=m["pade"], series_order=m["order"],
+                        tol=m["tol"], max_iter=m["max_iter"])
+    return asdict(solve_problem(_problem(m["problem"]), m["pr"], cfg,
+                                x0=m["guess"], mode=_mode(m["mode"])))
 
 
 def _exec_shoot(m: dict) -> dict:
-    res = shoot_solve(m["pr"], _shoot_cfg(m), x0=m["guess"], problem=_problem(m["problem"]))
-    return {"a": res.a, "b": res.b, "residual_norm": res.residual_norm,
-            "iterations": res.iterations}
+    cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"], tol=m["tol"],
+                      max_iter=m["max_iter"])
+    return asdict(shoot_solve(m["pr"], cfg, x0=m["guess"], problem=_problem(m["problem"])))
 
 
 def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
@@ -165,8 +147,9 @@ def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
 
 
 def _integrator_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
-    prof = tabulate_profile(m["a"], m["b"], m["pr"], grid, _shoot_cfg(m, None),
-                            problem=_problem(m["problem"]))
+    # profile runs no Newton; the tol/max_iter keys of older manifests are ignored
+    cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"])
+    prof = tabulate_profile(m["a"], m["b"], m["pr"], grid, cfg, problem=_problem(m["problem"]))
     return [list(row) for row in prof.rows]
 
 
@@ -190,19 +173,16 @@ def _exec_profile(m: dict) -> dict:
 
 
 def _exec_compare(m: dict) -> dict:
-    problem = _problem(m["problem"])
-    oracle = shoot_solve(m["pr"], _shoot_cfg(m, "shoot_tol"), problem=problem)
+    oracle = _exec_shoot(dict(m, tol=m["shoot_tol"], guess=None))
     rows = []
     for n in m["pade"]:
-        sub = dict(m, pade=n, order=None)
-        res = solve_problem(problem, m["pr"], _solver_cfg(sub),
-                            x0=m["guess"], mode=_mode(m["mode"]))
-        row = {"pade_degree": n, "a": res.a, "a_oracle": oracle.a,
-               "delta_a": abs(res.a - oracle.a)}
-        if res.b is not None and oracle.b is not None:
-            row.update(b=res.b, b_oracle=oracle.b, delta_b=abs(res.b - oracle.b))
+        res = _exec_solve(dict(m, pade=n, order=None))
+        row = {"pade_degree": n, "a": res["a"], "a_oracle": oracle["a"],
+               "delta_a": abs(res["a"] - oracle["a"])}
+        if res["b"] is not None and oracle["b"] is not None:
+            row.update(b=res["b"], b_oracle=oracle["b"], delta_b=abs(res["b"] - oracle["b"]))
         rows.append(row)
-    return {"oracle": {"a": oracle.a, "b": oracle.b}, "rows": rows}
+    return {"oracle": {"a": oracle["a"], "b": oracle["b"]}, "rows": rows}
 
 
 _EXECUTORS = {"series": _exec_series, "solve": _exec_solve, "shoot": _exec_shoot,

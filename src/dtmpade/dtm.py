@@ -40,6 +40,11 @@ class Problem(Enum):
     BLASIUS = "blasius"
 
 
+def check_prandtl(pr: float) -> None:
+    if not (math.isfinite(pr) and pr > 0):
+        raise ValueError(f"Prandtl number must be finite and positive, got {pr}")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Everything needed to run the recurrence for one numeric (A, B).
@@ -59,8 +64,7 @@ class ProblemParams:
     def __post_init__(self):
         if self.order < 3:
             raise ValueError(f"order must be >= 3, got {self.order}")
-        if not (math.isfinite(self.pr) and self.pr > 0):
-            raise ValueError(f"Prandtl number must be finite and positive, got {self.pr}")
+        check_prandtl(self.pr)
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("initial derivatives a, b must be finite")
 

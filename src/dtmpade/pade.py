@@ -9,6 +9,7 @@ a condition estimate beyond 1e12 raises instead of returning noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,14 @@ class RationalApproximant:
     denominator: tuple[float, ...]
 
     def __post_init__(self):
-        num = np.asarray(self.numerator, dtype=float)
-        den = np.asarray(self.denominator, dtype=float)
-        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        num = tuple(float(a) for a in self.numerator)
+        den = tuple(float(b) for b in self.denominator)
+        if not all(math.isfinite(v) for v in num + den):
             raise ValueError("approximant coefficients must be finite")
         if den[0] != 1.0:
             raise ValueError("denominator must be normalized to b0 = 1")
-        object.__setattr__(self, "numerator", tuple(float(a) for a in num))
-        object.__setattr__(self, "denominator", tuple(float(b) for b in den))
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -51,25 +52,17 @@ def build(c: TruncatedSeries, L: int, M: int) -> RationalApproximant:
         raise ValueError("degrees must be nonnegative")
     if c.order < L + M:
         raise ValueError(f"series order {c.order} is below L + M = {L + M}")
-    cc = np.asarray(c.coeffs, dtype=float)
+    cc = c.coeffs
 
-    if M == 0:
-        return RationalApproximant(tuple(cc[: L + 1]), (1.0,))
-
-    A = np.zeros((M, M))
-    rhs = np.zeros(M)
-    for k in range(1, M + 1):
-        for j in range(1, M + 1):
-            idx = L + k - j
-            A[k - 1, j - 1] = cc[idx] if idx >= 0 else 0.0
-        rhs[k - 1] = -cc[L + k]
-
-    if np.all(rhs == 0.0):
+    if not any(cc[L + 1 : L + M + 1]):
         # b = 0 satisfies the matching conditions exactly; this covers
         # degenerate blocks such as a constant series, where the Toeplitz
         # system is singular but the approximant is trivially a polynomial
-        a = cc[: L + 1]
-        return RationalApproximant(tuple(a), (1.0,) + (0.0,) * M)
+        return RationalApproximant(cc[: L + 1], (1.0,) + (0.0,) * M)
+
+    A = np.array([[cc[L + k - j] if L + k - j >= 0 else 0.0 for j in range(1, M + 1)]
+                  for k in range(1, M + 1)])
+    rhs = np.array([-cc[L + k] for k in range(1, M + 1)])
 
     try:
         cond = np.linalg.cond(A)
@@ -87,16 +80,13 @@ def build(c: TruncatedSeries, L: int, M: int) -> RationalApproximant:
     for _ in range(2):
         resid = rhs_ext - A_ext @ b_tail.astype(np.longdouble)
         b_tail = b_tail + np.linalg.solve(A, resid.astype(float))
-    b = np.concatenate(([1.0], b_tail))
-
-    a = np.array(
-        [sum(b[j] * cc[i - j] for j in range(min(i, M) + 1)) for i in range(L + 1)]
-    )
-    result = RationalApproximant(tuple(a), tuple(b))
+    b = (1.0,) + tuple(b_tail.tolist())
+    a = tuple(sum(b[j] * cc[i - j] for j in range(min(i, M) + 1)) for i in range(L + 1))
+    result = RationalApproximant(a, b)
 
     # the condition estimate alone does not guarantee the matching conditions
     # were actually met; verify the expansion against the input and fail loudly
-    scale = max(1.0, float(np.max(np.abs(cc[: L + M + 1]))))
+    scale = max(1.0, max(abs(v) for v in cc[: L + M + 1]))
     mismatch = max(
         abs(p - q) for p, q in zip(_expand(result, L + M), cc[: L + M + 1])
     )

@@ -22,9 +22,10 @@ the condition f'(inf) = 1 becomes lim_u u * g(u)^3 = 1, imposed through an
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,8 +65,8 @@ class ClosureConfig:
                 f"series_order must be >= {2 * self.pade_degree} for an "
                 f"[{self.pade_degree}/{self.pade_degree}] fit"
             )
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
 
@@ -125,7 +126,12 @@ def closure_residual(
 
 
 def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
-    """Blasius far-field residual: lim u * g(u)^3 - 1 in the cube variable."""
+    """Blasius far-field residual: lim u * g(u)^3 - 1 in the cube variable.
+
+    The series order is fixed by the degree, so cfg.series_order must be None.
+    """
+    if cfg.series_order is not None:
+        raise ValueError("the Blasius closure derives its series order from the Pade degree")
     n = cfg.pade_degree
     order = 6 * n + 2  # f' index 3*(2n)+1 needs f-coefficients up to 6n+2
     sol = generate(ProblemParams(Problem.BLASIUS, a=a, order=order))
@@ -151,72 +157,89 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
     return limit - 1.0
 
 
+def initial_guess(problem: Problem, x0: Sequence[float] | None = None) -> tuple[float, ...]:
+    """The Newton starting point: x0, or the problem's DEFAULT_GUESS when None.
+
+    Raises ValueError unless x0 holds one finite value per unknown.
+    """
+    if x0 is None:
+        return DEFAULT_GUESS[problem]
+    x = tuple(float(v) for v in x0)
+    d = len(DEFAULT_GUESS[problem])
+    if len(x) != d or not all(math.isfinite(v) for v in x):
+        raise ValueError(f"{problem.value} needs a guess of {d} finite value(s), got {x0}")
+    return x
+
+
+def _inf_norm(r: Sequence[float]) -> float:
+    """max |r_i|; NaN if any r_i is NaN, so a NaN residual never counts as converged."""
+    norm = max(abs(v) for v in r)
+    return norm if all(v == v for v in r) else math.nan
+
+
 def newton_solve(
-    residual: Callable[[np.ndarray], np.ndarray],
-    x0,
+    residual: Callable[[tuple[float, ...]], Sequence[float]],
+    x0: Sequence[float],
     cfg,
 ) -> SolveResult:
     """Damped Newton with a forward-difference Jacobian (step FD_STEP).
 
-    cfg is anything with tol and max_iter (a ClosureConfig or ShootConfig).
-    Stops when the residual infinity-norm drops to cfg.tol. A step that does
-    not decrease the norm is shrunk by DAMPING up to 8 times before the
-    iteration is declared stagnant.
+    The iterate is a tuple of floats and residual maps it to a sequence of
+    floats; numpy only solves the d x d Jacobian system. cfg is anything with
+    tol and max_iter (a ClosureConfig or ShootConfig). Stops when the residual
+    infinity-norm drops to cfg.tol. A step that does not decrease the norm is
+    shrunk by DAMPING up to 8 times before the iteration is declared stagnant.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = x.size
-    r = np.atleast_1d(np.asarray(residual(x), dtype=float))
-    norm = np.max(np.abs(r))
+    x = tuple(float(v) for v in x0)
+    d = len(x)
+    r = residual(x)
+    norm = _inf_norm(r)
 
     for it in range(cfg.max_iter):
         if norm <= cfg.tol:
-            return _result(x, norm, it)
-        jac = np.empty((d, d))
+            return SolveResult(x[0], x[1] if d > 1 else None, norm, it)
+        columns = []
         for j in range(d):
-            xp = x.copy()
+            xp = list(x)
             xp[j] += FD_STEP
-            jac[:, j] = (np.atleast_1d(residual(xp)) - r) / FD_STEP
+            columns.append([(p - q) / FD_STEP for p, q in zip(residual(tuple(xp)), r)])
+        jac = np.array(columns).T
 
         row_scale = np.max(np.abs(jac), axis=1)
         if np.any(row_scale == 0.0) or abs(np.linalg.det(jac / row_scale[:, None])) < 1e-14:
             raise SingularJacobianError(
                 "Jacobian is singular at the current iterate",
-                last_iterate=tuple(x),
+                last_iterate=x,
                 residual_norm=norm,
                 iterations=it,
             )
-        step = np.linalg.solve(jac, r)
+        step = np.linalg.solve(jac, r).tolist()
 
         lam = 1.0
         for _ in range(9):
-            x_new = x - lam * step
-            r_new = np.atleast_1d(np.asarray(residual(x_new), dtype=float))
-            norm_new = np.max(np.abs(r_new))
+            x_new = tuple(v - lam * s for v, s in zip(x, step))
+            r_new = residual(x_new)
+            norm_new = _inf_norm(r_new)
             if norm_new < norm:
                 break
             lam *= DAMPING
         else:
             raise NonConvergenceError(
                 f"stagnated at residual norm {norm:.3e}",
-                last_iterate=tuple(x),
+                last_iterate=x,
                 residual_norm=norm,
                 iterations=it,
             )
         x, r, norm = x_new, r_new, norm_new
 
     if norm <= cfg.tol:
-        return _result(x, norm, cfg.max_iter)
+        return SolveResult(x[0], x[1] if d > 1 else None, norm, cfg.max_iter)
     raise NonConvergenceError(
         f"no convergence in {cfg.max_iter} iterations (norm {norm:.3e})",
-        last_iterate=tuple(x),
+        last_iterate=x,
         residual_norm=norm,
         iterations=cfg.max_iter,
     )
-
-
-def _result(x: np.ndarray, norm: float, iterations: int) -> SolveResult:
-    b = float(x[1]) if x.size > 1 else None
-    return SolveResult(float(x[0]), b, float(norm), iterations)
 
 
 def solve_problem(
@@ -227,16 +250,11 @@ def solve_problem(
     mode: RecurrenceMode = RecurrenceMode.CORRECTED,
 ) -> SolveResult:
     """Wire the closure residuals into Newton for the chosen problem."""
-    if x0 is None:
-        x0 = DEFAULT_GUESS[problem]
+    x0 = initial_guess(problem, x0)
     if problem is Problem.BLASIUS:
-        return newton_solve(
-            lambda x: np.array([blasius_closure_residual(float(x[0]), cfg)]), x0, cfg
-        )
+        return newton_solve(lambda x: (blasius_closure_residual(x[0], cfg),), x0, cfg)
 
-    result = newton_solve(
-        lambda x: np.array(closure_residual(float(x[0]), float(x[1]), pr, cfg, mode)), x0, cfg
-    )
+    result = newton_solve(lambda x: closure_residual(x[0], x[1], pr, cfg, mode), x0, cfg)
     # the physical branch has A > 0, B < 0; another root is a diagnostic, not an error
     if result.a <= 0 or (result.b is not None and result.b >= 0):
         warnings.warn(

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dtm import Problem
+from .dtm import Problem, check_prandtl
 from .errors import BlowUpError
-from .rootfind import DEFAULT_GUESS, SolveResult, newton_solve
+from .rootfind import SolveResult, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
 
@@ -38,12 +36,13 @@ class ShootConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.eta_max < 5:
-            raise ValueError("eta_max must be >= 5; the far field is unconverged below that")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.eta_max) and self.eta_max >= 5):
+            raise ValueError(
+                "eta_max must be finite and >= 5; the far field is unconverged below that")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be finite and positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
 
@@ -126,11 +125,12 @@ def shoot_solve(
     problem: Problem = Problem.FREE_CONVECTION,
 ) -> SolveResult:
     """Newton on the far-boundary mismatch; returns the oracle (A, B)."""
+    check_prandtl(pr)
     if problem is Problem.BLASIUS:
-        residual = lambda x: np.array([blasius_boundary_residual(float(x[0]), cfg)])
+        residual = lambda x: (blasius_boundary_residual(x[0], cfg),)
     else:
-        residual = lambda x: np.array(boundary_residual(float(x[0]), float(x[1]), pr, cfg))
-    return newton_solve(residual, DEFAULT_GUESS[problem] if x0 is None else x0, cfg)
+        residual = lambda x: boundary_residual(x[0], x[1], pr, cfg)
+    return newton_solve(residual, initial_guess(problem, x0), cfg)
 
 
 def tabulate_profile(
@@ -146,6 +146,7 @@ def tabulate_profile(
     Each inter-grid interval is integrated with a whole number of sub-steps
     no larger than cfg.step, so grid points are hit without interpolation.
     """
+    check_prandtl(pr)
     cfg = cfg or ShootConfig()
     grid = [float(g) for g in grid]
     if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):

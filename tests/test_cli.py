@@ -70,6 +70,39 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_nonconvergence_report_prints_plain_floats(capsys):
+    run(["solve", "--pade", "3", "--mode", "paper", "--max-iter", "1", "--guess", "5,-9"])
+    err = capsys.readouterr().err
+    assert "last iterate: (" in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # a guess with the wrong number of values, or a value that is not finite
+    ["solve", "--guess", "0.5"],
+    ["shoot", "--guess", "0.5"],
+    ["compare", "--guess", "0.5"],
+    ["solve", "--problem", "blasius", "--guess", "0.3,0.1"],
+    ["shoot", "--guess", "nan,1"],
+    # non-finite solver settings and Prandtl numbers
+    ["solve", "--tol", "nan"],
+    ["solve", "--tol", "inf"],
+    ["shoot", "--tol", "nan"],
+    ["shoot", "--eta-max", "inf"],
+    ["shoot", "--eta-max", "nan"],
+    ["shoot", "--step", "nan"],
+    ["shoot", "--step", "inf"],
+    ["profile", "--a", "0.6", "--step", "inf"],
+    ["shoot", "--pr", "nan"],
+    ["shoot", "--pr", "0"],
+    ["profile", "--a", "0.6", "--pr", "inf"],
+    # the Blasius closure fixes its own series order
+    ["solve", "--problem", "blasius", "--pade", "4", "--order", "40"],
+])
+def test_bad_inputs_are_usage_errors(capsys, argv):
+    assert run(argv) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_degenerate_exit_code(capsys):
     # A = B = 0 freezes theta at 1; its diagonal fit is rank-deficient
     code = run(["solve", "--pade", "3", "--guess", "0,0", "--max-iter", "1"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,27 @@ def test_newton_reports_stagnation():
         newton_solve(lambda x: np.array([abs(x[0]) + 1.0]), (2.0,), ClosureConfig())
     assert info.value.last_iterate is not None
     assert info.value.residual_norm >= 1.0
+
+
+def test_newton_iterates_and_reports_are_plain_floats():
+    seen = []
+
+    def residual(x):
+        seen.append(x)
+        return closure_residual(x[0], x[1], 1.0, ClosureConfig(pade_degree=3),
+                                RecurrenceMode.PAPER_FIDELITY)
+
+    with pytest.raises(NonConvergenceError) as info:
+        newton_solve(residual, (5.0, -9.0), ClosureConfig(pade_degree=3, max_iter=1))
+    assert all(type(x) is tuple and all(type(v) is float for v in x) for x in seen)
+    assert all(type(v) is float for v in info.value.last_iterate)
+    assert type(info.value.residual_norm) is float
+
+
+def test_newton_nan_residual_never_converges():
+    # a NaN after a zero must not vanish from the norm
+    with pytest.raises(NonConvergenceError):
+        newton_solve(lambda x: [0.0, math.nan], (1.0, 1.0), ClosureConfig())
 
 
 def test_closure_residual_small_at_paper_root():
