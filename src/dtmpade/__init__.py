@@ -13,7 +13,7 @@ from .dtm import DtmSolution, Problem, ProblemParams, RecurrenceMode, generate
 from .pade import RationalApproximant, build, limit_at_infinity
 from .rootfind import ClosureConfig, SolveResult, closure_residual, newton_solve, solve_problem
 from .series import TruncatedSeries
-from .shooting import Profile, ShootConfig, boundary_residual, shoot_solve, tabulate_profile
+from .shooting import ShootConfig, boundary_residual, shoot_solve, tabulate_profile
 
 __all__ = [
     "__version__",
@@ -32,7 +32,6 @@ __all__ = [
     "newton_solve",
     "solve_problem",
     "ShootConfig",
-    "Profile",
     "boundary_residual",
     "shoot_solve",
     "tabulate_profile",

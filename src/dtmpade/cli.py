@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -56,20 +56,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _problem(name: str) -> Problem:
-    try:
-        return Problem(name)
-    except ValueError:
-        raise UsageError(f"unknown problem {name!r}")
-
-
-def _mode(name: str) -> RecurrenceMode:
-    try:
-        return RecurrenceMode(name)
-    except ValueError:
-        raise UsageError(f"unknown mode {name!r}")
-
-
 def parse_grid(spec: str) -> list[float]:
     """Parse 'start:end:step' into an inclusive grid (half-step end tolerance)."""
     parts = spec.split(":")
@@ -79,6 +65,8 @@ def parse_grid(spec: str) -> list[float]:
         start, end, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid values must be numeric, got {spec!r}")
+    if not all(math.isfinite(v) for v in (start, end, step)):
+        raise UsageError(f"grid values must be finite, got {spec!r}")
     if step <= 0 or end < start:
         raise UsageError("grid needs end >= start and step > 0")
     grid = []
@@ -98,6 +86,16 @@ def parse_guess(spec: str) -> tuple[float, ...]:
         raise UsageError(f"guess must be comma-separated reals, got {spec!r}")
 
 
+def _digits(spec: str) -> int:
+    try:
+        digits = int(spec)
+    except ValueError:
+        digits = -1
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {spec!r}")
+    return digits
+
+
 # ---------------------------------------------------------------- execution
 
 def execute(manifest: dict) -> dict:
@@ -110,8 +108,8 @@ def execute(manifest: dict) -> dict:
 
 def _generate(m: dict):
     return generate(ProblemParams(
-        problem=_problem(m["problem"]), pr=m["pr"], a=m["a"], b=m["b"],
-        order=m["order"], mode=_mode(m["mode"]),
+        problem=Problem(m["problem"]), pr=m["pr"], a=m["a"], b=m["b"],
+        order=m["order"], mode=RecurrenceMode(m["mode"]),
     ))
 
 
@@ -124,14 +122,14 @@ def _exec_series(m: dict) -> dict:
 def _exec_solve(m: dict) -> dict:
     cfg = ClosureConfig(pade_degree=m["pade"], series_order=m["order"],
                         tol=m["tol"], max_iter=m["max_iter"])
-    return asdict(solve_problem(_problem(m["problem"]), m["pr"], cfg,
-                                x0=m["guess"], mode=_mode(m["mode"])))
+    return asdict(solve_problem(Problem(m["problem"]), m["pr"], cfg,
+                                x0=m["guess"], mode=RecurrenceMode(m["mode"])))
 
 
 def _exec_shoot(m: dict) -> dict:
     cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"], tol=m["tol"],
                       max_iter=m["max_iter"])
-    return asdict(shoot_solve(m["pr"], cfg, x0=m["guess"], problem=_problem(m["problem"])))
+    return asdict(shoot_solve(m["pr"], cfg, x0=m["guess"], problem=Problem(m["problem"])))
 
 
 def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
@@ -149,8 +147,8 @@ def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
 def _integrator_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
     # profile runs no Newton; the tol/max_iter keys of older manifests are ignored
     cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"])
-    prof = tabulate_profile(m["a"], m["b"], m["pr"], grid, cfg, problem=_problem(m["problem"]))
-    return [list(row) for row in prof.rows]
+    rows = tabulate_profile(m["a"], m["b"], m["pr"], grid, cfg, problem=Problem(m["problem"]))
+    return [list(row) for row in rows]
 
 
 def _exec_profile(m: dict) -> dict:
@@ -258,7 +256,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    choices=[v.value for v in Problem])
     p.add_argument("--pr", type=float, default=1.0, help="Prandtl number")
     p.add_argument("--format", default="table", choices=["table", "csv", "json"])
-    p.add_argument("--digits", type=int, default=10,
+    p.add_argument("--digits", type=_digits, default=10,
                    help="significant digits in emitted numbers")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--config", default=None,
@@ -375,8 +373,6 @@ def _manifest(args: argparse.Namespace) -> dict:
         if key in skip or key == "subcommand":
             continue
         m[key] = value
-    if m.get("guess") is not None:
-        m["guess"] = tuple(m["guess"])
     return m
 
 
@@ -405,15 +401,16 @@ def run(argv=None) -> int:
             raise UsageError(f"config key {unknown[0]!r} is not a flag of {args.subcommand!r}")
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.subcommand == "series" and args.check_paper:
             return _check_paper()
         manifest = _manifest(args)
         result = execute(manifest)
-    except (UsageError, ValueError) as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                emit(manifest, result, fh)
+        else:
+            emit(manifest, result, sys.stdout)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonConvergenceError, BlowUpError, OverflowError) as exc:
@@ -425,14 +422,6 @@ def run(argv=None) -> int:
     except DegenerateApproximantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-
-    if args.out:
-        buf = io.StringIO()
-        emit(manifest, result, buf)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        emit(manifest, result, sys.stdout)
     return EXIT_OK
 
 

@@ -73,7 +73,6 @@ class ProblemParams:
 class DtmSolution:
     f_series: TruncatedSeries
     theta_series: TruncatedSeries | None
-    params: ProblemParams
 
 
 def init_transforms(params: ProblemParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -139,7 +138,7 @@ def generate(params: ProblemParams) -> DtmSolution:
             f.append(advance_blasius(f, k))
             if not math.isfinite(f[-1]):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
-        return DtmSolution(TruncatedSeries(tuple(f[: m + 1])), None, params)
+        return DtmSolution(TruncatedSeries(tuple(f[: m + 1])), None)
 
     for k in range(m - 1):
         f_next, theta_next = advance_free_convection(f, theta, k, params.pr, params.mode)
@@ -149,8 +148,5 @@ def generate(params: ProblemParams) -> DtmSolution:
             raise OverflowError(f"non-finite theta-coefficient at index {k + 2}")
         f.append(f_next)
         theta.append(theta_next)
-    return DtmSolution(
-        TruncatedSeries(tuple(f[: m + 1])),
-        TruncatedSeries(tuple(theta[: m + 1])),
-        params,
-    )
+    return DtmSolution(TruncatedSeries(tuple(f[: m + 1])),
+                       TruncatedSeries(tuple(theta[: m + 1])))

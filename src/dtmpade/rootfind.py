@@ -108,21 +108,18 @@ def closure_residual(
 ) -> tuple[float, float]:
     """Free-convection far-field residuals (limit of f'-fit, limit of theta-fit)."""
     n = cfg.pade_degree
-    order = max(cfg.f_order(mode), 2 * n, 3)
+    # the recurrence needs order >= 3; validation already keeps f_order >= 2n
+    order = max(cfg.f_order(mode), 3)
     sol = generate(
         ProblemParams(Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=order, mode=mode)
     )
-    try:
-        r_fprime = pade.build(_fprime_coeffs(sol, n), n, n)
-        r1 = pade.limit_at_infinity(r_fprime)
-    except DegenerateApproximantError as exc:
-        raise DegenerateApproximantError(f"f'-approximant: {exc}") from exc
-    try:
-        r_theta = pade.build(sol.theta_series, n, n)
-        r2 = pade.limit_at_infinity(r_theta)
-    except DegenerateApproximantError as exc:
-        raise DegenerateApproximantError(f"theta-approximant: {exc}") from exc
-    return r1, r2
+    limits = []
+    for label, coeffs in (("f'", _fprime_coeffs(sol, n)), ("theta", sol.theta_series)):
+        try:
+            limits.append(pade.limit_at_infinity(pade.build(coeffs, n, n)))
+        except DegenerateApproximantError as exc:
+            raise DegenerateApproximantError(f"{label}-approximant: {exc}") from exc
+    return tuple(limits)
 
 
 def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
@@ -195,9 +192,16 @@ def newton_solve(
     r = residual(x)
     norm = _inf_norm(r)
 
-    for it in range(cfg.max_iter):
+    for it in range(cfg.max_iter + 1):
         if norm <= cfg.tol:
             return SolveResult(x[0], x[1] if d > 1 else None, norm, it)
+        if it == cfg.max_iter:
+            raise NonConvergenceError(
+                f"no convergence in {cfg.max_iter} iterations (norm {norm:.3e})",
+                last_iterate=x,
+                residual_norm=norm,
+                iterations=it,
+            )
         columns = []
         for j in range(d):
             xp = list(x)
@@ -232,15 +236,6 @@ def newton_solve(
             )
         x, r, norm = x_new, r_new, norm_new
 
-    if norm <= cfg.tol:
-        return SolveResult(x[0], x[1] if d > 1 else None, norm, cfg.max_iter)
-    raise NonConvergenceError(
-        f"no convergence in {cfg.max_iter} iterations (norm {norm:.3e})",
-        last_iterate=x,
-        residual_norm=norm,
-        iterations=cfg.max_iter,
-    )
-
 
 def solve_problem(
     problem: Problem,
@@ -256,7 +251,7 @@ def solve_problem(
 
     result = newton_solve(lambda x: closure_residual(x[0], x[1], pr, cfg, mode), x0, cfg)
     # the physical branch has A > 0, B < 0; another root is a diagnostic, not an error
-    if result.a <= 0 or (result.b is not None and result.b >= 0):
+    if result.a <= 0 or result.b >= 0:
         warnings.warn(
             f"converged root (A={result.a:.6g}, B={result.b:.6g}) violates the "
             "expected signs A > 0, B < 0",

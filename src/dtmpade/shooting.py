@@ -47,18 +47,6 @@ class ShootConfig:
             raise ValueError("max_iter must be a positive integer")
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Rows of (eta, f, f', theta) at strictly increasing eta."""
-
-    rows: tuple[tuple[float, float, float, float], ...]
-
-    def __post_init__(self):
-        etas = [row[0] for row in self.rows]
-        if any(b <= a for a, b in zip(etas, etas[1:])):
-            raise ValueError("eta values must be strictly increasing")
-
-
 def _rhs_free_convection(state, pr: float) -> tuple[float, ...]:
     f, fp, fpp, th, thp = state
     return fp, fpp, 2.0 * fp * fp - th - 3.0 * f * fpp, thp, -3.0 * pr * f * thp
@@ -140,8 +128,8 @@ def tabulate_profile(
     grid,
     cfg: ShootConfig | None = None,
     problem: Problem = Problem.FREE_CONVECTION,
-) -> Profile:
-    """Profile rows at exactly the requested eta values.
+) -> tuple[tuple[float, float, float, float], ...]:
+    """(eta, f, f', theta) rows at exactly the requested eta values.
 
     Each inter-grid interval is integrated with a whole number of sub-steps
     no larger than cfg.step, so grid points are hit without interpolation.
@@ -159,5 +147,5 @@ def tabulate_profile(
     else:
         rhs, state = (lambda s: _rhs_free_convection(s, pr)), [0.0, 0.0, a, 1.0, b]
     states = _march(rhs, state, grid, cfg.step)
-    return Profile(tuple((eta, s[0], s[1], s[3] if len(s) == 5 else math.nan)
-                         for eta, s in zip(grid, states)))
+    return tuple((eta, s[0], s[1], s[3] if len(s) == 5 else math.nan)
+                 for eta, s in zip(grid, states))

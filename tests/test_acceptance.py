@@ -128,7 +128,7 @@ def test_criterion_6_series_vs_integrator():
     grid = [0.05 * k for k in range(1, 11)]
     prof = tabulate_profile(oracle.a, oracle.b, 1.0, grid, ShootConfig(step=0.005))
     worst = 0.0
-    for eta, f, _, theta in prof.rows:
+    for eta, f, _, theta in prof:
         worst = max(worst,
                     abs(series_eval(sol.f_series, eta) - f),
                     abs(series_eval(sol.theta_series, eta) - theta))
@@ -142,10 +142,10 @@ def test_criterion_7_profile_shape():
     ok = True
     for a, b in ((PAPER_A, PAPER_B), (0.6421, -0.5671)):
         prof = tabulate_profile(a, b, 1.0, grid)
-        ok = ok and len(prof.rows) == 11
-        ok = ok and prof.rows[0] == (0.0, 0.0, 0.0, 1.0)
-        fs = [row[1] for row in prof.rows]
-        thetas = [row[3] for row in prof.rows]
+        ok = ok and len(prof) == 11
+        ok = ok and prof[0] == (0.0, 0.0, 0.0, 1.0)
+        fs = [row[1] for row in prof]
+        thetas = [row[3] for row in prof]
         ok = ok and all(y >= x for x, y in zip(fs, fs[1:]))
         ok = ok and all(y <= x for x, y in zip(thetas, thetas[1:]))
     report(7, ok, "11 profile rows on [0,1], exact boundary row, f nondecreasing "

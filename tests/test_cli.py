@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dtmpade import __version__
 from dtmpade.cli import (
     EXIT_DEGENERATE,
     EXIT_NO_CONVERGENCE,
@@ -27,6 +28,13 @@ def test_parse_grid_inclusive_end():
     grid = parse_grid("0:1:0.1")
     assert len(grid) == 11
     assert grid[0] == 0.0 and grid[-1] == 1.0
+
+
+@pytest.mark.parametrize("spec", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1"])
+def test_parse_grid_rejects_non_finite(spec):
+    # checked before the loop, so an infinite end cannot grow the grid without bound
+    with pytest.raises(UsageError, match="finite"):
+        parse_grid(spec)
 
 
 def test_series_command_prints_published_coefficients(capsys):
@@ -97,10 +105,32 @@ def test_nonconvergence_report_prints_plain_floats(capsys):
     ["profile", "--a", "0.6", "--pr", "inf"],
     # the Blasius closure fixes its own series order
     ["solve", "--problem", "blasius", "--pade", "4", "--order", "40"],
+    # a negative precision, refused before any output is written
+    ["series", "--digits", "-1"],
 ])
 def test_bad_inputs_are_usage_errors(capsys, argv):
     assert run(argv) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_file_errors_are_usage_errors(tmp_path, capsys):
+    assert run(["series", "--out", str(tmp_path / "missing" / "x.json")]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"mode=paper\n\xff\xfe=1\n")  # not UTF-8
+    assert run(["solve", "--config", str(cfg)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_order_only_chooses_the_window(capsys):
+    # every order >= 2n+1 fits the same 2n+1 coefficients, so the root is the default one
+    _, default = run_json(capsys, ["solve", "--pade", "3"])
+    for order in ("7", "9"):
+        code, payload = run_json(capsys, ["solve", "--pade", "3", "--order", order])
+        assert code == EXIT_OK
+        assert payload["result"] == default["result"]
+    # order 2n zero-pads f', whose [3/3] fit diverges at infinity
+    assert run(["solve", "--pade", "3", "--order", "6"]) == EXIT_DEGENERATE
 
 
 def test_solve_degenerate_exit_code(capsys):
@@ -258,3 +288,32 @@ def test_profile_manifest_with_legacy_newton_keys(capsys):
 def test_execute_unknown_subcommand():
     with pytest.raises(UsageError, match="bogus"):
         execute({"subcommand": "bogus", "version": "0", "format": "json", "digits": 10})
+
+
+@pytest.mark.parametrize("argv, columns, nrows", [
+    (["series"], ["k", "f_coeff", "theta_coeff"], 7),
+    (["series", "--problem", "blasius", "--order", "8"], ["k", "f_coeff"], 9),
+    (["solve"], ["a", "b", "residual_norm", "iterations"], 1),
+    (["shoot"], ["a", "b", "residual_norm", "iterations"], 1),
+    (["compare", "--pade", "3,5"],
+     ["pade_degree", "a", "a_oracle", "delta_a", "b", "b_oracle", "delta_b"], 2),
+    # Blasius rows have no b columns
+    (["compare", "--problem", "blasius", "--pade", "3,4"],
+     ["pade_degree", "a", "a_oracle", "delta_a"], 2),
+])
+def test_table_and_csv_shapes(capsys, argv, columns, nrows):
+    # table is the default format: title, settings, then a header and one line per row
+    assert run(argv) == EXIT_OK
+    title, settings, *table = capsys.readouterr().out.splitlines()
+    assert title == f"dtmpade {__version__} :: {argv[0]}"
+    assert settings.startswith("  [") and "format=" not in settings
+    cells = [line.split() for line in table]
+    assert cells[0] == columns
+    assert len(cells) == 1 + nrows and all(len(row) == len(columns) for row in cells)
+
+    assert run(argv + ["--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# subcommand={argv[0]}" and "# format=csv" in lines
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert rows[0] == columns
+    assert len(rows) == 1 + nrows and all(len(row) == len(columns) for row in rows)

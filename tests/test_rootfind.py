@@ -18,6 +18,7 @@ from dtmpade.rootfind import (
     newton_solve,
     solve_problem,
 )
+from dtmpade.shooting import ShootConfig
 
 PAPER_A = 0.5506447081
 PAPER_B = -0.8654409691
@@ -61,6 +62,15 @@ def test_newton_reports_stagnation():
         newton_solve(lambda x: np.array([abs(x[0]) + 1.0]), (2.0,), ClosureConfig())
     assert info.value.last_iterate is not None
     assert info.value.residual_norm >= 1.0
+
+
+def test_newton_converging_on_the_last_iteration():
+    # the last allowed step is still checked for convergence
+    res = newton_solve(lambda x: (x[0] - 1.0,), (0.0,), ShootConfig(tol=1e-8, max_iter=1))
+    assert res.iterations == 1 and abs(res.a - 1.0) <= 1e-8
+    with pytest.raises(NonConvergenceError) as info:
+        newton_solve(lambda x: (x[0] - 1.0,), (0.0,), ShootConfig(tol=1e-10, max_iter=1))
+    assert info.value.iterations == 1
 
 
 def test_newton_iterates_and_reports_are_plain_floats():

@@ -8,7 +8,6 @@ from dtmpade.dtm import Problem, ProblemParams, RecurrenceMode, generate
 from dtmpade.errors import BlowUpError
 from dtmpade.series import evaluate as series_eval
 from dtmpade.shooting import (
-    Profile,
     ShootConfig,
     _march,
     _rhs_blasius,
@@ -32,8 +31,9 @@ def test_config_validation():
 
 
 def test_profile_requires_increasing_eta():
-    with pytest.raises(ValueError):
-        Profile(((0.0, 0, 0, 1), (0.0, 1, 1, 1)))
+    for grid in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tabulate_profile(0.5, -0.5, 1.0, grid)
 
 
 def test_rk4_self_test_exponential():
@@ -87,7 +87,7 @@ def test_step_halving_error_ratio_on_problem():
 def test_trajectory_exists_and_theta_decays():
     grid = [round(0.01 * k, 10) for k in range(801)]
     prof = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, grid, ShootConfig())
-    thetas = [row[3] for row in prof.rows]
+    thetas = [row[3] for row in prof]
     assert thetas[0] == 1.0
     assert all(b <= a + 1e-12 for a, b in zip(thetas, thetas[1:]))
     assert abs(thetas[-1]) < 5e-3
@@ -179,9 +179,9 @@ def test_residuals_and_profile_share_one_trajectory():
     # 8 is not a multiple of 0.03: both entry points must take the same equal sub-steps
     cfg = ShootConfig(step=0.03)
     r1, r2 = boundary_residual(OSTRACH_A, OSTRACH_B, 1.0, cfg)
-    (row,) = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, [8.0], cfg).rows
+    (row,) = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, [8.0], cfg)
     assert (r1, r2) == (row[2], row[3])
-    (row,) = tabulate_profile(0.332, 0.0, 1.0, [8.0], cfg, problem=Problem.BLASIUS).rows
+    (row,) = tabulate_profile(0.332, 0.0, 1.0, [8.0], cfg, problem=Problem.BLASIUS)
     assert blasius_boundary_residual(0.332, cfg) == row[2] - 1.0
 
 
@@ -210,15 +210,15 @@ def test_blasius_oracle():
 
 def test_tabulate_single_origin():
     prof = tabulate_profile(0.5, -0.5, 1.0, [0.0])
-    assert prof.rows == ((0.0, 0.0, 0.0, 1.0),)
+    assert prof == ((0.0, 0.0, 0.0, 1.0),)
 
 
 def test_tabulate_profile_shape():
     grid = [round(0.1 * k, 10) for k in range(11)]
     prof = tabulate_profile(0.5506447081, -0.8654409691, 1.0, grid)
-    assert len(prof.rows) == 11
-    fs = [row[1] for row in prof.rows]
-    thetas = [row[3] for row in prof.rows]
+    assert len(prof) == 11
+    fs = [row[1] for row in prof]
+    thetas = [row[3] for row in prof]
     assert all(b >= a for a, b in zip(fs, fs[1:]))
     assert all(b <= a for a, b in zip(thetas, thetas[1:]))
 
@@ -233,7 +233,7 @@ def test_series_matches_integrator_inside_radius():
     sol = generate(ProblemParams(a=res.a, b=res.b, order=14, mode=RecurrenceMode.CORRECTED))
     grid = [0.1 * k for k in range(1, 11)]
     prof = tabulate_profile(res.a, res.b, 1.0, grid, ShootConfig(step=0.005))
-    for (eta, f, _, theta) in prof.rows:
+    for (eta, f, _, theta) in prof:
         if eta > 1.0 + 1e-9:
             continue
         tol = 1e-4 if eta > 0.5 else 1e-6
