@@ -5,7 +5,7 @@ embeds the fully resolved run manifest, which is the run record:
 re-running a manifest through execute() reproduces the result, which is
 what makes output files self-describing. Exit codes are a contract: 0 success, 1 check failure,
 2 usage/precondition, 3 numerical non-convergence, 4 degenerate
-approximant.
+approximant, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -35,6 +36,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEGENERATE = 4
+EXIT_BROKEN_PIPE = 141  # the shell's code for a writer killed by SIGPIPE
+
+# errors of a solve that run() maps to exit 3 or 4
+_NUMERICAL_ERRORS = (NonConvergenceError, BlowUpError, OverflowError,
+                     DegenerateApproximantError)
 
 # golden coefficients of the published order-6 series at A = B = 1,
 # kept as exact rationals and evaluated at runtime
@@ -171,15 +177,28 @@ def _exec_profile(m: dict) -> dict:
 
 
 def _exec_compare(m: dict) -> dict:
+    """One row per Pade rung, each with its status; a rung that fails
+    numerically leaves its row's roots null and the ladder goes on. Raises
+    the first rung's error when no rung converged."""
     oracle = _exec_shoot(dict(m, tol=m["shoot_tol"], guess=None))
-    rows = []
+    rows, errors = [], []
     for n in m["pade"]:
-        res = _exec_solve(dict(m, pade=n, order=None))
-        row = {"pade_degree": n, "a": res["a"], "a_oracle": oracle["a"],
-               "delta_a": abs(res["a"] - oracle["a"])}
-        if res["b"] is not None and oracle["b"] is not None:
-            row.update(b=res["b"], b_oracle=oracle["b"], delta_b=abs(res["b"] - oracle["b"]))
+        row = {"pade_degree": n, "status": "ok", "a": None, "a_oracle": oracle["a"],
+               "delta_a": None}
+        if oracle["b"] is not None:
+            row.update(b=None, b_oracle=oracle["b"], delta_b=None)
+        try:
+            res = _exec_solve(dict(m, pade=n, order=None))
+        except _NUMERICAL_ERRORS as exc:
+            row["status"] = str(exc)
+            errors.append(exc)
+        else:
+            row.update(a=res["a"], delta_a=abs(res["a"] - oracle["a"]))
+            if oracle["b"] is not None:
+                row.update(b=res["b"], delta_b=abs(res["b"] - oracle["b"]))
         rows.append(row)
+    if len(errors) == len(rows):
+        raise errors[0]
     return {"oracle": {"a": oracle["a"], "b": oracle["b"]}, "rows": rows}
 
 
@@ -410,6 +429,9 @@ def run(argv=None) -> int:
                 emit(manifest, result, fh)
         else:
             emit(manifest, result, sys.stdout)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -426,7 +448,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if code == EXIT_BROKEN_PIPE:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not raise BrokenPipeError again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .dtm import Problem, check_prandtl
 from .errors import BlowUpError
@@ -47,32 +48,76 @@ class ShootConfig:
             raise ValueError("max_iter must be a positive integer")
 
 
-def _rhs_free_convection(state, pr: float) -> tuple[float, ...]:
-    f, fp, fpp, th, thp = state
-    return fp, fpp, 2.0 * fp * fp - th - 3.0 * f * fpp, thp, -3.0 * pr * f * thp
+def _rhs_free_convection(f, fp, fpp, th, thp, m):
+    # m = -3 Pr, so m * f * thp groups as the (-3.0 * pr) * f * thp of the ODE
+    return fp, fpp, 2.0 * fp * fp - th - 3.0 * f * fpp, thp, m * f * thp
 
 
-def _rhs_blasius(state) -> tuple[float, ...]:
-    f, fp, fpp = state
+def _rhs_blasius(f, fp, fpp):
     return fp, fpp, -0.5 * f * fpp
 
 
-def _rk4_step(rhs, state, h: float) -> list[float]:
-    # componentwise in numpy's operand order, so Python floats match float64 bit for bit
-    k1 = rhs(state)
-    k2 = rhs([s + 0.5 * h * k for s, k in zip(state, k1)])
-    k3 = rhs([s + 0.5 * h * k for s, k in zip(state, k2)])
-    k4 = rhs([s + h * k for s, k in zip(state, k3)])
-    return [s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+def _blown_up(reached: float) -> BlowUpError:
+    return BlowUpError(f"trajectory blew up near eta = {reached:.4g}", eta_reached=reached)
 
 
-def _march(rhs, state, stops, step: float) -> list[list[float]]:
+# The steppers run nsub classical RK4 steps of length h from eta on local
+# floats. Every stage sum keeps the operand order of the vector formula
+# s + (h / 6) * (k1 + 2 k2 + 2 k3 + k4) with stages s + (h / 2) * k, so the
+# trajectories match float64 arrays bit for bit. A component beyond
+# _BLOWUP_LIMIT in magnitude, or NaN, after any step raises BlowUpError.
+
+def _advance_free_convection(state, eta: float, h: float, nsub: int, pr: float) -> list[float]:
+    f, fp, fpp, th, thp = state
+    m = -3.0 * pr
+    hh = 0.5 * h
+    h6 = h / 6.0
+    rhs = _rhs_free_convection
+    for i in range(nsub):
+        a1, b1, c1, d1, e1 = rhs(f, fp, fpp, th, thp, m)
+        a2, b2, c2, d2, e2 = rhs(f + hh * a1, fp + hh * b1, fpp + hh * c1,
+                                 th + hh * d1, thp + hh * e1, m)
+        a3, b3, c3, d3, e3 = rhs(f + hh * a2, fp + hh * b2, fpp + hh * c2,
+                                 th + hh * d2, thp + hh * e2, m)
+        a4, b4, c4, d4, e4 = rhs(f + h * a3, fp + h * b3, fpp + h * c3,
+                                 th + h * d3, thp + h * e3, m)
+        f = f + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        fp = fp + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        fpp = fpp + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        th = th + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        thp = thp + h6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        if not (abs(f) <= _BLOWUP_LIMIT and abs(fp) <= _BLOWUP_LIMIT
+                and abs(fpp) <= _BLOWUP_LIMIT and abs(th) <= _BLOWUP_LIMIT
+                and abs(thp) <= _BLOWUP_LIMIT):
+            raise _blown_up(eta + (i + 1) * h)
+    return [f, fp, fpp, th, thp]
+
+
+def _advance_blasius(state, eta: float, h: float, nsub: int) -> list[float]:
+    f, fp, fpp = state
+    hh = 0.5 * h
+    h6 = h / 6.0
+    rhs = _rhs_blasius
+    for i in range(nsub):
+        a1, b1, c1 = rhs(f, fp, fpp)
+        a2, b2, c2 = rhs(f + hh * a1, fp + hh * b1, fpp + hh * c1)
+        a3, b3, c3 = rhs(f + hh * a2, fp + hh * b2, fpp + hh * c2)
+        a4, b4, c4 = rhs(f + h * a3, fp + h * b3, fpp + h * c3)
+        f = f + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        fp = fp + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        fpp = fpp + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        if not (abs(f) <= _BLOWUP_LIMIT and abs(fp) <= _BLOWUP_LIMIT
+                and abs(fpp) <= _BLOWUP_LIMIT):
+            raise _blown_up(eta + (i + 1) * h)
+    return [f, fp, fpp]
+
+
+def _march(advance, state, stops, step: float) -> list[list[float]]:
     """RK4 from eta = 0 through each stop; the state at every stop.
 
     Each interval between stops is split into equal sub-steps no longer than
-    step, so every stop is hit exactly. A state beyond _BLOWUP_LIMIT in
-    magnitude, or not finite, raises BlowUpError.
+    step, so every stop is hit exactly; advance(state, eta, h, nsub) takes
+    them in one call and raises BlowUpError on a blow-up.
     """
     state = [float(v) for v in state]
     out = []
@@ -81,13 +126,7 @@ def _march(rhs, state, stops, step: float) -> list[list[float]]:
         span = stop - eta
         if span > 0:
             nsub = max(1, math.ceil(span / step - 1e-12))
-            h = span / nsub
-            for i in range(nsub):
-                state = _rk4_step(rhs, state, h)
-                if not all(abs(v) <= _BLOWUP_LIMIT for v in state):
-                    reached = eta + (i + 1) * h
-                    raise BlowUpError(f"trajectory blew up near eta = {reached:.4g}",
-                                      eta_reached=reached)
+            state = advance(state, eta, span / nsub, nsub)
             eta = stop
         out.append(state)
     return out
@@ -95,14 +134,14 @@ def _march(rhs, state, stops, step: float) -> list[list[float]]:
 
 def boundary_residual(a: float, b: float, pr: float, cfg: ShootConfig) -> tuple[float, float]:
     """(f'(eta_max), theta(eta_max)) for trial wall derivatives (a, b)."""
-    state = _march(lambda s: _rhs_free_convection(s, pr), [0.0, 0.0, a, 1.0, b],
+    state = _march(partial(_advance_free_convection, pr=pr), [0.0, 0.0, a, 1.0, b],
                    [cfg.eta_max], cfg.step)[-1]
     return state[1], state[3]
 
 
 def blasius_boundary_residual(a: float, cfg: ShootConfig) -> float:
     """f'(eta_max) - 1 for the Blasius problem."""
-    state = _march(_rhs_blasius, [0.0, 0.0, a], [cfg.eta_max], cfg.step)[-1]
+    state = _march(_advance_blasius, [0.0, 0.0, a], [cfg.eta_max], cfg.step)[-1]
     return state[1] - 1.0
 
 
@@ -143,9 +182,9 @@ def tabulate_profile(
         raise ValueError(f"grid must lie within [0, eta_max = {cfg.eta_max}]")
 
     if problem is Problem.BLASIUS:
-        rhs, state = _rhs_blasius, [0.0, 0.0, a]
+        advance, state = _advance_blasius, [0.0, 0.0, a]
     else:
-        rhs, state = (lambda s: _rhs_free_convection(s, pr)), [0.0, 0.0, a, 1.0, b]
-    states = _march(rhs, state, grid, cfg.step)
+        advance, state = partial(_advance_free_convection, pr=pr), [0.0, 0.0, a, 1.0, b]
+    states = _march(advance, state, grid, cfg.step)
     return tuple((eta, s[0], s[1], s[3] if len(s) == 5 else math.nan)
                  for eta, s in zip(grid, states))

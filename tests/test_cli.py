@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dtmpade import __version__
 from dtmpade.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DEGENERATE,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -201,6 +206,41 @@ def test_compare_table_shape(capsys):
     assert row["delta_a"] == pytest.approx(abs(row["a"] - row["a_oracle"]), abs=1e-12)
 
 
+def test_compare_keeps_going_past_a_failed_rung(capsys):
+    # paper-mode [2/2] is rank-deficient; the [3/3] rung alone gives the published root
+    code, payload = run_json(capsys, ["compare", "--pade", "2,3", "--mode", "paper"])
+    assert code == EXIT_OK
+    failed, solved = payload["result"]["rows"]
+    assert failed["pade_degree"] == 2 and "rank-deficient" in failed["status"]
+    assert [failed[k] for k in ("a", "delta_a", "b", "delta_b")] == [None] * 4
+    assert failed["a_oracle"] == solved["a_oracle"] == payload["result"]["oracle"]["a"]
+    assert solved["status"] == "ok"
+    assert solved["a"] == pytest.approx(0.5506447081, abs=1e-6)
+    assert solved["b"] == pytest.approx(-0.8654409691, abs=1e-6)
+    # with no rung converged, compare fails with the first rung's code and message
+    assert run(["compare", "--pade", "2", "--mode", "paper"]) == EXIT_DEGENERATE
+    assert "rank-deficient" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # ~1 MB of JSON, far more than a pipe buffer holds, so the CLI is still
+    # writing when the reader closes its end after 10 bytes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dtmpade.cli", "profile", "--a", "0.6421", "--b", "-0.5671",
+         "--grid", "0:8:0.001", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert head == b'{\n  "manif'
+    assert err == b""
+
+
 def test_manifest_round_trip(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = run(["solve", "--pade", "3", "--mode", "paper",
@@ -296,10 +336,10 @@ def test_execute_unknown_subcommand():
     (["solve"], ["a", "b", "residual_norm", "iterations"], 1),
     (["shoot"], ["a", "b", "residual_norm", "iterations"], 1),
     (["compare", "--pade", "3,5"],
-     ["pade_degree", "a", "a_oracle", "delta_a", "b", "b_oracle", "delta_b"], 2),
+     ["pade_degree", "status", "a", "a_oracle", "delta_a", "b", "b_oracle", "delta_b"], 2),
     # Blasius rows have no b columns
     (["compare", "--problem", "blasius", "--pade", "3,4"],
-     ["pade_degree", "a", "a_oracle", "delta_a"], 2),
+     ["pade_degree", "status", "a", "a_oracle", "delta_a"], 2),
 ])
 def test_table_and_csv_shapes(capsys, argv, columns, nrows):
     # table is the default format: title, settings, then a header and one line per row

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from dtmpade.dtm import Problem, ProblemParams, RecurrenceMode, generate
 from dtmpade.errors import BlowUpError
 from dtmpade.series import evaluate as series_eval
 from dtmpade.shooting import (
+    _BLOWUP_LIMIT,
     ShootConfig,
+    _advance_blasius,
+    _advance_free_convection,
     _march,
-    _rhs_blasius,
-    _rhs_free_convection,
-    _rk4_step,
     blasius_boundary_residual,
     boundary_residual,
     shoot_solve,
@@ -36,44 +37,66 @@ def test_profile_requires_increasing_eta():
             tabulate_profile(0.5, -0.5, 1.0, grid)
 
 
+# reference: the classical vector formula on float64 arrays, with the array
+# right-hand sides the steppers replaced; a stepper must reproduce it exactly
+def _array_rhs_free_convection(state, pr):
+    f, fp, fpp, th, thp = state
+    return np.array([fp, fpp, 2.0 * fp * fp - th - 3.0 * f * fpp, thp, -3.0 * pr * f * thp])
+
+
+def _array_rhs_blasius(state):
+    f, fp, fpp = state
+    return np.array([fp, fpp, -0.5 * f * fpp])
+
+
+def _vector_rk4_step(rhs, state, h):
+    state = np.array(state, dtype=float)
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * h * k1)
+    k3 = rhs(state + 0.5 * h * k2)
+    k4 = rhs(state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+STEPPERS = {
+    "free_convection": (partial(_advance_free_convection, pr=0.72),
+                        partial(_array_rhs_free_convection, pr=0.72), 5),
+    "blasius": (_advance_blasius, _array_rhs_blasius, 3),
+}
+
+
 def test_rk4_self_test_exponential():
-    # y' = y, y(0) = 1, step 0.1: classical RK4 lands on e to about 2e-6
-    state = np.array([1.0])
-    for _ in range(10):
-        state = _rk4_step(lambda s: s, state, 0.1)
-    assert state[0] == pytest.approx(math.e, abs=3e-6)
+    # a tiny perturbation of a frozen flow obeys y' = y in one component:
+    # Blasius f''' = -0.5 f f'' with f = -2, and the free-convection
+    # theta'' = -3 Pr f theta' with Pr = 1, f = -1/3. Ten classical RK4 steps
+    # of 0.1 land on e to about 2e-6; the coupling moves it by ~eps only
+    eps = 1e-9
+    fpp = _advance_blasius([-2.0, 0.0, eps], 0.0, 0.1, 10)[2]
+    thp = _advance_free_convection([-1.0 / 3.0, 0.0, 0.0, 0.0, eps], 0.0, 0.1, 10, 1.0)[4]
+    for y in (fpp, thp):
+        assert y / eps == pytest.approx(math.e, abs=3e-6)
 
 
 def test_rk4_fourth_order_slope():
-    errors = []
-    for h in (0.1, 0.05, 0.025):
-        state = np.array([1.0])
-        for _ in range(round(1.0 / h)):
-            state = _rk4_step(lambda s: s, state, h)
-        errors.append(abs(state[0] - math.e))
-    slopes = [
-        math.log(e1 / e2) / math.log(2.0) for e1, e2 in zip(errors, errors[1:])
-    ]
-    for slope in slopes:
-        assert slope == pytest.approx(4.0, abs=0.2)
+    # error at eta = 2 against a 64x finer run; halving h divides it by 2^4
+    for advance, state in ((partial(_advance_free_convection, pr=1.0),
+                            [0.0, 0.0, OSTRACH_A, 1.0, OSTRACH_B]),
+                           (_advance_blasius, [0.0, 0.0, 0.332])):
+        ref = _march(advance, state, [2.0], 0.05 / 64)[-1]
+        errors = [max(abs(v - r) for v, r in zip(_march(advance, state, [2.0], h)[-1], ref))
+                  for h in (0.2, 0.1, 0.05)]
+        for e1, e2 in zip(errors, errors[1:]):
+            assert math.log(e1 / e2) / math.log(2.0) == pytest.approx(4.0, abs=0.2)
 
 
-@pytest.mark.parametrize("rhs, dim", [
-    (lambda s: _rhs_free_convection(s, 0.72), 5),
-    (_rhs_blasius, 3),
-], ids=["free_convection", "blasius"])
-def test_rk4_step_matches_numpy_vector_form(rhs, dim):
-    # reference: the classical vector formula on float64 arrays; the
-    # componentwise float step must reproduce it exactly
+@pytest.mark.parametrize("problem", ["free_convection", "blasius"])
+def test_rk4_step_matches_numpy_vector_form(problem):
+    advance, rhs, dim = STEPPERS[problem]
     rng = np.random.default_rng(7)
     for _ in range(200):
         state, h = rng.normal(scale=3.0, size=dim), rng.uniform(1e-3, 0.2)
-        k1 = np.array(rhs(state))
-        k2 = np.array(rhs(state + 0.5 * h * k1))
-        k3 = np.array(rhs(state + 0.5 * h * k2))
-        k4 = np.array(rhs(state + h * k3))
-        want = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert _rk4_step(rhs, state.tolist(), h) == want.tolist()
+        want = _vector_rk4_step(rhs, state, h)
+        assert advance(state.tolist(), 0.0, h, 1) == want.tolist()
 
 
 def test_step_halving_error_ratio_on_problem():
@@ -103,10 +126,8 @@ def test_zero_guess_freezes_theta_then_blows_up():
     # with f''(0) = theta'(0) = 0 the temperature stays pinned at 1 while f
     # turns increasingly negative, and the trajectory leaves the representable
     # range before eta = 5, so the full-domain residual is unreachable
-    from dtmpade.shooting import _rhs_free_convection
-
     state = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    state = _march(lambda s: _rhs_free_convection(s, 1.0), state, [1.0], 0.01)[-1]
+    state = _march(partial(_advance_free_convection, pr=1.0), state, [1.0], 0.01)[-1]
     assert state[0] == pytest.approx(-1.0 / 6.0, abs=1e-3)
     assert state[1] == pytest.approx(-0.5, abs=1e-3)
     assert state[3] == pytest.approx(1.0, abs=1e-12)
@@ -123,9 +144,15 @@ def test_boundary_residual_continuity():
 
 
 def test_blow_up_reports_eta():
-    with pytest.raises(BlowUpError) as info:
-        _march(lambda s: [v * v for v in s], np.array([3.0]), [8.0], 0.05)
-    assert info.value.eta_reached is not None
+    # the free-convection zero guess and a Blasius f''(0) < 0 both leave the
+    # limit before eta = 5; eta_reached is the end of the failing step
+    for advance, state in ((partial(_advance_free_convection, pr=1.0), [0.0, 0.0, 0.0, 1.0, 0.0]),
+                           (_advance_blasius, [0.0, 0.0, -10.0])):
+        with pytest.raises(BlowUpError) as info:
+            _march(advance, state, [8.0], 0.05)
+        reached = info.value.eta_reached
+        assert 1.0 < reached < 5.0
+        assert reached == round(reached / 0.05) * 0.05
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -144,10 +171,35 @@ def test_non_finite_wall_values_blow_up_at_first_step(bad, position):
 
 @pytest.mark.parametrize("position", range(3))
 def test_blow_up_check_sees_nan_in_any_position(position):
-    rhs = lambda s: [math.nan if i == position else 0.0 for i in range(3)]
+    # abs(nan) <= limit is false, so a NaN anywhere ends the march at the first step
+    state = [math.nan if i == position else v for i, v in enumerate([0.0, 1.0, 0.332])]
     with pytest.raises(BlowUpError) as info:
-        _march(rhs, [1.0, 2.0, 3.0], [1.0], 0.1)
+        _march(_advance_blasius, state, [1.0], 0.1)
     assert info.value.eta_reached == 0.1
+
+
+L = _BLOWUP_LIMIT
+
+
+# each component in turn starts on the limit, and one step of h takes it,
+# and only it, past the limit; the vector step confirms that
+@pytest.mark.parametrize("problem, component, start, h", [
+    ("free_convection", 0, [L, 1.0, 0.0, 0.0, 0.0], 1e-6),
+    ("free_convection", 1, [0.0, L, 0.0, 0.0, 0.0], 1e-9),
+    ("free_convection", 2, [0.0, 1.0, L, 0.0, 0.0], 1e-6),
+    ("free_convection", 3, [0.0, 0.0, 0.0, L, 1.0], 1e-6),
+    ("free_convection", 4, [-1.0, 0.0, 0.0, 0.0, L], 1e-6),
+    ("blasius", 0, [L, 1.0, 0.0], 1e-6),
+    ("blasius", 1, [0.0, L, 1.0], 1e-6),
+    ("blasius", 2, [-1.0, 0.0, L], 1e-6),
+])
+def test_blow_up_check_sees_each_component(problem, component, start, h):
+    advance, rhs, dim = STEPPERS[problem]
+    after = _vector_rk4_step(rhs, start, h)
+    assert [abs(v) > L for v in after] == [i == component for i in range(dim)]
+    with pytest.raises(BlowUpError) as info:
+        _march(advance, start, [h], h)
+    assert info.value.eta_reached == h
 
 
 def test_residuals_pinned_bit_for_bit():
