@@ -209,6 +209,9 @@ _EXECUTORS = {"series": _exec_series, "solve": _exec_solve, "shoot": _exec_shoot
 # ----------------------------------------------------------------- emission
 
 def _fmt(x, digits: int) -> str:
+    """One csv or table cell; a missing value (JSON null) is an empty field."""
+    if x is None:
+        return ""
     if isinstance(x, float):
         return f"{x:.{digits}g}"
     return str(x)

@@ -5,14 +5,15 @@ M x M linear system that zeroes the series coefficients of degrees
 L+1..L+M of (denominator * series - numerator); the a-coefficients then
 fall out by convolution. Pade systems are notoriously ill-conditioned, so
 a condition estimate beyond 1e12 raises instead of returning noise.
+
+numpy solves that system and is imported by build() alone, so the
+commands that never build an approximant start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateApproximantError, DegenerateLimitError, PoleError
 from .series import TruncatedSeries
@@ -59,6 +60,8 @@ def build(c: TruncatedSeries, L: int, M: int) -> RationalApproximant:
         # degenerate blocks such as a constant series, where the Toeplitz
         # system is singular but the approximant is trivially a polynomial
         return RationalApproximant(cc[: L + 1], (1.0,) + (0.0,) * M)
+
+    import numpy as np
 
     A = np.array([[cc[L + k - j] if L + k - j >= 0 else 0.0 for j in range(1, M + 1)]
                   for k in range(1, M + 1)])

@@ -23,11 +23,11 @@ the condition f'(inf) = 1 becomes lim_u u * g(u)^3 = 1, imposed through an
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import pade
 from .dtm import DtmSolution, Problem, ProblemParams, RecurrenceMode, generate
@@ -42,6 +42,7 @@ from .series import TruncatedSeries, cauchy_product, differentiate
 DEFAULT_GUESS = {Problem.FREE_CONVECTION: (0.6, -0.6), Problem.BLASIUS: (0.3,)}
 FD_STEP = 1e-7  # forward-difference Jacobian step
 DAMPING = 0.5  # step shrink factor when the residual norm does not drop
+SINGULAR_DET = 1e-14  # |det| of the row-scaled Jacobian below which it counts as singular
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,116 @@ def _inf_norm(r: Sequence[float]) -> float:
     return norm if all(v == v for v in r) else math.nan
 
 
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: cuts a double into two 26-bit halves
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as the fused multiply-add of the BLAS kernels.
+
+    math.fma needs Python 3.13. Dekker's two-product gives a * b = p + e
+    exactly and fsum rounds p + e + c once; far from 1, where the split
+    would overflow or e underflow, exact rationals do the same.
+    """
+    if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c  # the product is exact: zero, infinite or NaN
+    if not math.isfinite(c):
+        return c
+    p = a * b
+    if (2.0**-960 < abs(p) < 2.0**990 and abs(c) < 2.0**1020
+            and abs(a) < 2.0**995 and abs(b) < 2.0**995):
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        return math.fsum((p, e, c))
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _lu(m):
+    """dgetrf on the 2x2 matrix m, as the OpenBLAS that numpy ships runs it.
+
+    Returns (swap, u11, u12, l, u22), or None where dgetrf reports a zero
+    pivot (numpy's det is then 0 and its solve raises). The pivot is the
+    first entry of largest magnitude in column 1, so a tie or a NaN keeps
+    row 1. A normal pivot scales the multiplier by its reciprocal (by 0
+    exactly when the pivot is infinite); a zero, subnormal or NaN pivot
+    leaves column 1 unswapped and unscaled, while column 2 is swapped.
+    """
+    (a11, a12), (a21, a22) = m
+    swap = abs(a21) > abs(a11)
+    if swap:
+        a12, a22 = a22, a12
+    pivot, below = (a21, a11) if swap else (a11, a21)
+    if abs(pivot) >= sys.float_info.min:
+        inv = 1.0 / pivot
+        u11, l = pivot, (below * inv if inv else 0.0)
+    else:
+        u11, l = a11, a21
+    u22 = a22 - l * a12
+    if u22 == 0.0 or (u11 == 0.0 and not swap):
+        return None
+    return swap, u11, a12, l, u22
+
+
+def _row_scaled_det(jac) -> float:
+    """|det| of jac with each row divided by its largest magnitude.
+
+    numpy's det: exp(log|u11| + log|u22|) from dgetrf, 0 on a zero pivot.
+    A NaN entry makes its row's scale NaN, as numpy's max does. The scaled
+    entries are at most 1 in magnitude, so the exponent cannot overflow.
+    """
+    rows = []
+    for row in jac:
+        scale = max(abs(v) for v in row) if all(v == v for v in row) else math.nan
+        if scale == 0.0:
+            return 0.0
+        rows.append([v / scale for v in row])
+    if len(rows) == 1:
+        return abs(rows[0][0])  # 1.0, or NaN: exp(log 1) is 1 exactly
+    lu = _lu(rows)
+    if lu is None:
+        return 0.0
+    _, u11, _, _, u22 = lu
+    return math.exp(sum(math.log(abs(u)) if u else -math.inf for u in (u11, u22)))
+
+
+def _solve(jac, r) -> list[float]:
+    """x with jac x = r, as numpy.linalg.solve computes it (dgetrf, dgetrs).
+
+    Raises ValueError("Singular matrix") where numpy raises its
+    LinAlgError, a ValueError too, on a zero pivot.
+    """
+    if len(jac) == 1:
+        return [r[0] / jac[0][0]]
+    lu = _lu(jac)
+    if lu is None:
+        raise ValueError("Singular matrix")
+    swap, u11, u12, l, u22 = lu
+    r1, r2 = (r[1], r[0]) if swap else r
+    x2 = _fma(-l, r1, r2) / u22
+    y1 = _fma(-u12, x2, r1)
+    if u11 == 0.0:  # left by an unswapped subnormal pivot: y1 / ±0 as IEEE divides
+        return [y1 * math.copysign(math.inf, u11), x2]
+    return [y1 / u11, x2]
+
+
+def _jacobian(residual, x: tuple[float, ...], r: list[float]) -> list[tuple[float, ...]]:
+    """Forward-difference Jacobian (step FD_STEP), one row per residual."""
+    columns = []
+    for j in range(len(x)):
+        xp = list(x)
+        xp[j] += FD_STEP
+        columns.append([(p - q) / FD_STEP for p, q in zip(residual(tuple(xp)), r)])
+    return list(zip(*columns))
+
+
 def newton_solve(
     residual: Callable[[tuple[float, ...]], Sequence[float]],
     x0: Sequence[float],
@@ -181,15 +292,25 @@ def newton_solve(
 ) -> SolveResult:
     """Damped Newton with a forward-difference Jacobian (step FD_STEP).
 
-    The iterate is a tuple of floats and residual maps it to a sequence of
-    floats; numpy only solves the d x d Jacobian system. cfg is anything with
-    tol and max_iter (a ClosureConfig or ShootConfig). Stops when the residual
-    infinity-norm drops to cfg.tol. A step that does not decrease the norm is
-    shrunk by DAMPING up to 8 times before the iteration is declared stagnant.
+    One or two unknowns. The iterate is a tuple of floats and residual maps
+    it to a sequence of numbers (a numpy array too), which are taken as
+    Python floats. The Jacobian counts as singular when its row-scaled
+    determinant is below SINGULAR_DET; otherwise the step is solved in
+    floats, bit for bit as numpy.linalg.solve does. cfg is anything with
+    tol and max_iter (a ClosureConfig or ShootConfig). Stops when the
+    residual infinity-norm drops to cfg.tol. A step that does not decrease
+    the norm is shrunk by DAMPING up to 8 times before the iteration is
+    declared stagnant.
     """
     x = tuple(float(v) for v in x0)
     d = len(x)
-    r = residual(x)
+    if not 1 <= d <= 2:
+        raise ValueError(f"newton_solve takes one or two unknowns, got {d}")
+
+    def floats(x: tuple[float, ...]) -> list[float]:
+        return [float(v) for v in residual(x)]
+
+    r = floats(x)
     norm = _inf_norm(r)
 
     for it in range(cfg.max_iter + 1):
@@ -202,27 +323,20 @@ def newton_solve(
                 residual_norm=norm,
                 iterations=it,
             )
-        columns = []
-        for j in range(d):
-            xp = list(x)
-            xp[j] += FD_STEP
-            columns.append([(p - q) / FD_STEP for p, q in zip(residual(tuple(xp)), r)])
-        jac = np.array(columns).T
-
-        row_scale = np.max(np.abs(jac), axis=1)
-        if np.any(row_scale == 0.0) or abs(np.linalg.det(jac / row_scale[:, None])) < 1e-14:
+        jac = _jacobian(floats, x, r)
+        if _row_scaled_det(jac) < SINGULAR_DET:
             raise SingularJacobianError(
                 "Jacobian is singular at the current iterate",
                 last_iterate=x,
                 residual_norm=norm,
                 iterations=it,
             )
-        step = np.linalg.solve(jac, r).tolist()
+        step = _solve(jac, r)
 
         lam = 1.0
         for _ in range(9):
             x_new = tuple(v - lam * s for v, s in zip(x, step))
-            r_new = residual(x_new)
+            r_new = floats(x_new)
             norm_new = _inf_norm(r_new)
             if norm_new < norm:
                 break

@@ -241,6 +241,37 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["series"],
+    ["series", "--problem", "blasius"],
+    ["profile", "--source", "integrator", "--a", "0.6421", "--b", "-0.5671"],
+    ["shoot"],
+    ["shoot", "--problem", "blasius"],
+])
+def test_commands_run_without_numpy(capsys, argv):
+    # only pade.build imports numpy: these commands give the same output in an
+    # interpreter where importing numpy fails
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    blocked = ("import runpy, sys; sys.modules['numpy'] = None; "
+               "runpy.run_module('dtmpade.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", blocked, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    if argv == ["--version"]:
+        assert proc.stdout == f"{__version__}\n"
+        return
+    assert run(argv) == EXIT_OK
+    assert proc.stdout == capsys.readouterr().out
+    if argv == ["shoot"]:
+        # the DTM-Pade solve builds approximants and so needs numpy
+        proc = subprocess.run([sys.executable, "-c", blocked, "solve"], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode != EXIT_OK and "numpy" in proc.stderr
+
+
 def test_manifest_round_trip(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = run(["solve", "--pade", "3", "--mode", "paper",
@@ -340,16 +371,22 @@ def test_execute_unknown_subcommand():
     # Blasius rows have no b columns
     (["compare", "--problem", "blasius", "--pade", "3,4"],
      ["pade_degree", "status", "a", "a_oracle", "delta_a"], 2),
+    # missing values: the b of Blasius, the roots of a failed rung
+    (["shoot", "--problem", "blasius"], ["a", "b", "residual_norm", "iterations"], 1),
+    (["solve", "--problem", "blasius", "--pade", "4"],
+     ["a", "b", "residual_norm", "iterations"], 1),
+    (["compare", "--pade", "2,3", "--mode", "paper"],
+     ["pade_degree", "status", "a", "a_oracle", "delta_a", "b", "b_oracle", "delta_b"], 2),
 ])
 def test_table_and_csv_shapes(capsys, argv, columns, nrows):
-    # table is the default format: title, settings, then a header and one line per row
+    # table is the default format: title, settings, then a header and one line
+    # per row, every cell right-justified to its column's width
     assert run(argv) == EXIT_OK
     title, settings, *table = capsys.readouterr().out.splitlines()
     assert title == f"dtmpade {__version__} :: {argv[0]}"
     assert settings.startswith("  [") and "format=" not in settings
-    cells = [line.split() for line in table]
-    assert cells[0] == columns
-    assert len(cells) == 1 + nrows and all(len(row) == len(columns) for row in cells)
+    assert table[0].split() == columns
+    assert len(table) == 1 + nrows and len({len(line) for line in table}) == 1
 
     assert run(argv + ["--format", "csv"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -357,3 +394,7 @@ def test_table_and_csv_shapes(capsys, argv, columns, nrows):
     rows = list(csv.reader(line for line in lines if not line.startswith("#")))
     assert rows[0] == columns
     assert len(rows) == 1 + nrows and all(len(row) == len(columns) for row in rows)
+    # a missing value is an empty field, never the text None
+    assert "None" not in {cell for row in rows for cell in row}
+    if "blasius" in argv and argv[0] in ("solve", "shoot"):
+        assert rows[1][1] == ""

@@ -18,7 +18,7 @@ from dtmpade.rootfind import (
     newton_solve,
     solve_problem,
 )
-from dtmpade.shooting import ShootConfig
+from dtmpade.shooting import ShootConfig, blasius_boundary_residual, boundary_residual
 
 PAPER_A = 0.5506447081
 PAPER_B = -0.8654409691
@@ -87,11 +87,154 @@ def test_newton_iterates_and_reports_are_plain_floats():
     assert all(type(v) is float for v in info.value.last_iterate)
     assert type(info.value.residual_norm) is float
 
+    # a residual that returns numpy scalars is read as Python floats
+    seen.clear()
+
+    def array_residual(x):
+        seen.append(x)
+        return np.array([x[0] ** 2 - 2.0, x[1] - 1.0])
+
+    res = newton_solve(array_residual, (1.0, 1.0), ClosureConfig(tol=1e-12))
+    assert all(type(v) is float for v in (res.a, res.b, res.residual_norm))
+    assert all(type(v) is float for x in seen for v in x)
+    with pytest.raises(NonConvergenceError) as info:
+        newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]), (0.5,), ClosureConfig(max_iter=3))
+    assert all(type(v) is float for v in info.value.last_iterate)
+    assert type(info.value.residual_norm) is float
+
 
 def test_newton_nan_residual_never_converges():
     # a NaN after a zero must not vanish from the norm
     with pytest.raises(NonConvergenceError):
         newton_solve(lambda x: [0.0, math.nan], (1.0, 1.0), ClosureConfig())
+
+
+nan, inf = math.nan, math.inf
+
+
+# Jacobians with a zero or non-finite entry end as they did when numpy
+# solved them: a zero row or column is singular; a NaN entry makes its
+# row's scale NaN, not 0, and the NaN step stagnates; an infinite pivot
+# gives a zero multiplier. Where the LU meets an exact zero pivot after the
+# determinant check passed on a NaN, numpy raised LinAlgError("Singular
+# matrix"); the float solve raises its base class ValueError, which the CLI
+# maps to the same exit code 2.
+@pytest.mark.parametrize("residual, x0, outcome", [
+    (lambda x: (1.0 if x[1] == 1.0 else nan, 1.0 + x[1]), (0.0, 1.0), ValueError),
+    (lambda x: (x[1], 2.0 * x[1] + 1.0), (0.0, 1.0), SingularJacobianError),
+    (lambda x: (1.0, x[0] + x[1]), (0.0, 1.0), SingularJacobianError),
+    (lambda x: (1.0 if x[1] == 1.0 else nan, x[0] + x[1]), (0.0, 1.0), NonConvergenceError),
+    (lambda x: (x[1] if x[0] == 0.0 else nan, x[0] + x[1]), (0.0, 1.0), NonConvergenceError),
+    (lambda x: (x[1] + (inf if x[0] != 0.0 else 0.0), x[0] + x[1]), (0.0, 1.0), None),
+    (lambda x: (x[0] - 1.0 if x[0] == 2.0 else nan,), (2.0,), NonConvergenceError),
+    (lambda x: (x[0] - 1.0 if x[0] == 2.0 else inf,), (2.0,), NonConvergenceError),
+])
+def test_newton_on_degenerate_jacobians(residual, x0, outcome):
+    if outcome is None:
+        assert newton_solve(residual, x0, ClosureConfig()) == rootfind.SolveResult(0.0, 0.0, 0.0, 2)
+        return
+    with pytest.raises(outcome) as info:
+        newton_solve(residual, x0, ClosureConfig())
+    assert type(info.value) is outcome
+    if outcome is ValueError:
+        assert str(info.value) == "Singular matrix"
+
+
+# numpy.linalg.solve and |det| of the row-scaled matrix, captured from
+# numpy 2.4.6 with its OpenBLAS 0.3.31 (Haswell kernels). They are pinned,
+# not compared live, because another BLAS kernel may round differently.
+# Cases: d = 1, no swap, a swap, a tie |a21| == |a11| (no swap), a
+# determinant either side of SINGULAR_DET, extreme entries, and
+# forward-difference Jacobians of the real residuals.
+SOLVE_PINS = [
+    ([[3.0]], [1.0], [0.3333333333333333], 1.0),
+    ([[-0.7]], [2.5], [-3.5714285714285716], 1.0),
+    ([[0.001]], [0.1], [100.0], 1.0),
+    ([[2.0, 1.0], [1.0, 3.0]], [1.0, 2.0], [0.2, 0.6], 0.8333333333333334),
+    ([[0.1, 0.2], [0.03, 0.7]], [1 / 3, 2 / 3],
+     [1.5624999999999993, 0.8854166666666667], 0.45714285714285713),
+    ([[0.3, 1.7], [2.9, -0.4]], [0.1, -0.7],
+     [-0.2277227722772277, 0.09900990099009901], 1.024340770791075),
+    ([[-0.05, 7.0], [0.6, 0.11]], [0.9, -0.3],
+     [-0.522886695993342, 0.12483652360004756], 1.0013095238095238),
+    ([[1.5, 0.2], [-1.5, 0.9]], [0.3, 0.4],
+     [0.11515151515151516, 0.6363636363636362], 0.7333333333333333),
+    ([[0.7, -0.1], [0.7, 0.6]], [-0.2, 0.5], [-0.14285714285714288, 1.0], 1.0),
+    ([[0.001, 2.0], [0.001, 10000.0]], [1e-05, 3.0],
+     [-0.5901180236047209, 0.00030005901180236045], 0.0004999000000000003),
+    ([[1.0, 1.0], [1.0, 1.0000000000000089]], [1.0, 2.0],
+     [-112589990684261.4, 112589990684262.4], 8.881784197001224e-15),
+    ([[1.0, 1.0], [1.0, 1.000000000000011]], [1.0, 2.0],
+     [-90071992547408.92, 90071992547409.92], 1.1102230246251597e-14),
+    ([[1000.0, 2000.0], [0.001, 0.00200000000000004]], [1.0, 1.0],
+     [-5.012697181240619e+16, 2.5063485906203096e+16], 9.992007221626415e-15),
+    ([[1000.0, 2000.0], [0.001, 0.0020000000000001197]], [1.0, 1.0],
+     [-1.6708990604135396e+16, 8354495302067698.0], 2.9920510513648e-14),
+    ([[0.9, -0.90000000000009], [-0.4, 0.4]], [0.5, 0.25],
+     [-11814999022423.223, -11814999022422.598], 9.992007221626427e-14),
+    # far from 1 (the fused multiply-adds fall back on exact rationals), a
+    # subnormal pivot (left unswapped), and an infinite and a NaN pivot
+    ([[8.56946940637837e+299, 1.7691690118380745e+299],
+      [-1.3004483345192076e+299, 4.1568015438477796e+299]],
+     [1.438580456162081e+300, -2.183098473862801e+299],
+     [1.6787275710341252, 4.432826625159155e-16], 1.064587608372261),
+    ([[1.434352542334553, 0.9671479570429176], [0.29519356556569665, 1.7698011351082013]],
+     [1.6098478621098963e-295, 3.313109688229587e-296],
+     [1.122351593904318e-295, 1.6578379017606e-311], 0.8875344714243991),
+    ([[0.0, 1.0], [1e-310, 0.0]], [0.0, -1.0], [-inf, 1e-310], 1.0),
+    ([[inf, 1.0], [-inf, 2.0]], [1.0, 3.0], [-0.0, 1.5], nan),
+    ([[nan, 2.0], [1.0, 5.0]], [1.0, 1.0], [nan, 0.0], nan),
+]
+JACOBIAN_PINS = [
+    (lambda x: closure_residual(*x, 1.0, ClosureConfig(pade_degree=3),
+                                RecurrenceMode.CORRECTED), (0.6, -0.6),
+     [0.11632547074126706, -0.060452569278602514], 0.9693048090575761),
+    (lambda x: closure_residual(*x, 1.0, ClosureConfig(pade_degree=3),
+                                RecurrenceMode.CORRECTED), (0.55, -0.75),
+     [0.04026110318414474, -0.3175209279273387], 1.0819771161775649),
+    (lambda x: closure_residual(*x, 1.0, ClosureConfig(pade_degree=3),
+                                RecurrenceMode.PAPER_FIDELITY), (0.6, -0.6),
+     [-0.02212425779973655, 0.7702454084792771], 0.4383622717797516),
+    (lambda x: closure_residual(*x, 1.0, ClosureConfig(pade_degree=3),
+                                RecurrenceMode.PAPER_FIDELITY), (0.55, -0.75),
+     [-0.008557415852911282, 0.17510204685124156], 0.797513962845502),
+    (lambda x: closure_residual(*x, 1.0, ClosureConfig(pade_degree=5),
+                                RecurrenceMode.CORRECTED), (0.6, -0.6),
+     [-0.013417273095238361, -0.02570698457479783], 1.1318496387314763),
+    (lambda x: closure_residual(*x, 1.0, ClosureConfig(pade_degree=5),
+                                RecurrenceMode.CORRECTED), (0.55, -0.75),
+     [-0.1263571615668817, -0.32167669700320284], 0.8367880131779944),
+    (lambda x: boundary_residual(*x, 1.0, ShootConfig()), (0.6, -0.6),
+     [-0.04514298827404197, 0.3500665664020593], 0.029704044829465724),
+    (lambda x: boundary_residual(*x, 1.0, ShootConfig()), (0.64, -0.57),
+     [-0.002191914647310538, -0.00279607741968021], 0.9443434893152155),
+    (lambda x: boundary_residual(*x, 0.72, ShootConfig()), (0.6, -0.6),
+     [-0.0764361157692037, 0.12010925191440042], 0.12446760542102174),
+    (lambda x: boundary_residual(*x, 0.72, ShootConfig()), (0.64, -0.57),
+     [-0.03904827200194514, -0.04907699822883296], 0.8933280800749499),
+    (lambda x: (blasius_closure_residual(*x, ClosureConfig(pade_degree=4)),), (0.3,),
+     [-0.029085576743877337], 1.0),
+    (lambda x: (blasius_boundary_residual(*x, ShootConfig()),), (0.3,),
+     [-0.03151279455972102], 1.0),
+    (lambda x: (blasius_closure_residual(*x, ClosureConfig(pade_degree=4)),), (0.33,),
+     [0.0021948981917217325], 1.0),
+    (lambda x: (blasius_boundary_residual(*x, ShootConfig()),), (0.33,),
+     [-0.0020570538109833825], 1.0),
+]
+
+
+def test_float_solve_pinned_bit_for_bit():
+    cases = list(SOLVE_PINS)
+    for residual, x0, step, det in JACOBIAN_PINS:
+        r = list(residual(x0))
+        cases.append((rootfind._jacobian(residual, x0, r), r, step, det))
+    assert len(cases) == 34
+    for jac, r, step, det in cases:
+        # repr tells -0.0 from 0.0 and matches NaN
+        assert repr(rootfind._solve(jac, r)) == repr(step)
+        assert repr(rootfind._row_scaled_det(jac)) == repr(det)
+    assert [det < rootfind.SINGULAR_DET for *_, det in SOLVE_PINS[10:14]] == [
+        True, False, True, False]
 
 
 def test_closure_residual_small_at_paper_root():
