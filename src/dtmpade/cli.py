@@ -435,7 +435,7 @@ def run(argv=None) -> int:
             sys.stdout.flush()
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonConvergenceError, BlowUpError, OverflowError) as exc:

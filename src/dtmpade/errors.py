@@ -10,7 +10,7 @@ class DegenerateApproximantError(DtmPadeError):
 
 
 class DegenerateLimitError(DegenerateApproximantError):
-    """The leading denominator coefficient is too small for a meaningful limit."""
+    """The numerator's effective degree exceeds the denominator's: the limit diverges."""
 
 
 class PoleError(DtmPadeError):

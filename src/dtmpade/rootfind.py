@@ -26,7 +26,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import pade
@@ -175,36 +174,24 @@ def _inf_norm(r: Sequence[float]) -> float:
     return norm if all(v == v for v in r) else math.nan
 
 
-_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: cuts a double into two 26-bit halves
-
-
 def _fma(a: float, b: float, c: float) -> float:
     """a * b + c rounded once, as the fused multiply-add of the BLAS kernels.
 
-    math.fma needs Python 3.13. Dekker's two-product gives a * b = p + e
-    exactly and fsum rounds p + e + c once; far from 1, where the split
-    would overflow or e underflow, exact rationals do the same.
+    math.fma needs Python 3.13. The exact sum is the ratio of two integers
+    built from the operands' integer ratios, and int / int rounds it once;
+    past the largest float it is the infinity of its sign.
     """
     if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
         return a * b + c  # the product is exact: zero, infinite or NaN
     if not math.isfinite(c):
         return c
-    p = a * b
-    if (2.0**-960 < abs(p) < 2.0**990 and abs(c) < 2.0**1020
-            and abs(a) < 2.0**995 and abs(b) < 2.0**995):
-        t = _SPLIT * a
-        ah = t - (t - a)
-        al = a - ah
-        t = _SPLIT * b
-        bh = t - (t - b)
-        bl = b - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        return math.fsum((p, e, c))
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    nc, dc = c.as_integer_ratio()
+    num = na * nb * dc + nc * da * db
     try:
-        return float(exact)
+        return num / (da * db * dc)
     except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _lu(m):
@@ -242,7 +229,7 @@ def _row_scaled_det(jac) -> float:
     """
     rows = []
     for row in jac:
-        scale = max(abs(v) for v in row) if all(v == v for v in row) else math.nan
+        scale = _inf_norm(row)
         if scale == 0.0:
             return 0.0
         rows.append([v / scale for v in row])
@@ -255,17 +242,16 @@ def _row_scaled_det(jac) -> float:
     return math.exp(sum(math.log(abs(u)) if u else -math.inf for u in (u11, u22)))
 
 
-def _solve(jac, r) -> list[float]:
+def _solve(jac, r) -> list[float] | None:
     """x with jac x = r, as numpy.linalg.solve computes it (dgetrf, dgetrs).
 
-    Raises ValueError("Singular matrix") where numpy raises its
-    LinAlgError, a ValueError too, on a zero pivot.
+    None on a zero pivot, where numpy raises LinAlgError("Singular matrix").
     """
     if len(jac) == 1:
         return [r[0] / jac[0][0]]
     lu = _lu(jac)
     if lu is None:
-        raise ValueError("Singular matrix")
+        return None
     swap, u11, u12, l, u22 = lu
     r1, r2 = (r[1], r[0]) if swap else r
     x2 = _fma(-l, r1, r2) / u22
@@ -294,10 +280,11 @@ def newton_solve(
 
     One or two unknowns. The iterate is a tuple of floats and residual maps
     it to a sequence of numbers (a numpy array too), which are taken as
-    Python floats. The Jacobian counts as singular when its row-scaled
-    determinant is below SINGULAR_DET; otherwise the step is solved in
-    floats, bit for bit as numpy.linalg.solve does. cfg is anything with
-    tol and max_iter (a ClosureConfig or ShootConfig). Stops when the
+    Python floats. The step is solved in floats, bit for bit as
+    numpy.linalg.solve does; a Jacobian whose row-scaled determinant is
+    below SINGULAR_DET, or whose LU meets a zero pivot (a NaN determinant
+    passes the first test), raises SingularJacobianError. cfg is anything
+    with tol and max_iter (a ClosureConfig or ShootConfig). Stops when the
     residual infinity-norm drops to cfg.tol. A step that does not decrease
     the norm is shrunk by DAMPING up to 8 times before the iteration is
     declared stagnant.
@@ -324,14 +311,14 @@ def newton_solve(
                 iterations=it,
             )
         jac = _jacobian(floats, x, r)
-        if _row_scaled_det(jac) < SINGULAR_DET:
+        step = None if _row_scaled_det(jac) < SINGULAR_DET else _solve(jac, r)
+        if step is None:
             raise SingularJacobianError(
                 "Jacobian is singular at the current iterate",
                 last_iterate=x,
                 residual_norm=norm,
                 iterations=it,
             )
-        step = _solve(jac, r)
 
         lam = 1.0
         for _ in range(9):

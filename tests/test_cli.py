@@ -266,10 +266,14 @@ def test_commands_run_without_numpy(capsys, argv):
     assert run(argv) == EXIT_OK
     assert proc.stdout == capsys.readouterr().out
     if argv == ["shoot"]:
-        # the DTM-Pade solve builds approximants and so needs numpy
-        proc = subprocess.run([sys.executable, "-c", blocked, "solve"], capture_output=True,
-                              text=True, env=env, timeout=60)
-        assert proc.returncode != EXIT_OK and "numpy" in proc.stderr
+        # the DTM-Pade solves build approximants and so need numpy: a missing
+        # numpy is a one-line usage error, not a traceback
+        for command in ("solve", "compare"):
+            proc = subprocess.run([sys.executable, "-c", blocked, command], capture_output=True,
+                                  text=True, env=env, timeout=60)
+            assert proc.returncode == EXIT_USAGE, proc.stderr
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+            assert "numpy" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_manifest_round_trip(tmp_path, capsys):

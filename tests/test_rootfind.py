@@ -1,8 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtmpade import rootfind
 from dtmpade.dtm import Problem, RecurrenceMode
@@ -112,15 +114,14 @@ def test_newton_nan_residual_never_converges():
 nan, inf = math.nan, math.inf
 
 
-# Jacobians with a zero or non-finite entry end as they did when numpy
-# solved them: a zero row or column is singular; a NaN entry makes its
-# row's scale NaN, not 0, and the NaN step stagnates; an infinite pivot
-# gives a zero multiplier. Where the LU meets an exact zero pivot after the
-# determinant check passed on a NaN, numpy raised LinAlgError("Singular
-# matrix"); the float solve raises its base class ValueError, which the CLI
-# maps to the same exit code 2.
+# Jacobians with a zero or non-finite entry: a zero row or column is
+# singular; a NaN entry makes its row's scale NaN, not 0, and the NaN step
+# stagnates; an infinite pivot gives a zero multiplier. The first case has a
+# NaN determinant, which passes the SINGULAR_DET test, and then an exact
+# zero pivot in the LU (numpy's LinAlgError("Singular matrix")); it is the
+# same SingularJacobianError, raised before any step is taken.
 @pytest.mark.parametrize("residual, x0, outcome", [
-    (lambda x: (1.0 if x[1] == 1.0 else nan, 1.0 + x[1]), (0.0, 1.0), ValueError),
+    (lambda x: (1.0 if x[1] == 1.0 else nan, 1.0 + x[1]), (0.0, 1.0), SingularJacobianError),
     (lambda x: (x[1], 2.0 * x[1] + 1.0), (0.0, 1.0), SingularJacobianError),
     (lambda x: (1.0, x[0] + x[1]), (0.0, 1.0), SingularJacobianError),
     (lambda x: (1.0 if x[1] == 1.0 else nan, x[0] + x[1]), (0.0, 1.0), NonConvergenceError),
@@ -136,8 +137,9 @@ def test_newton_on_degenerate_jacobians(residual, x0, outcome):
     with pytest.raises(outcome) as info:
         newton_solve(residual, x0, ClosureConfig())
     assert type(info.value) is outcome
-    if outcome is ValueError:
-        assert str(info.value) == "Singular matrix"
+    if outcome is SingularJacobianError:  # met at the start, before any step
+        diagnostics = info.value.last_iterate, info.value.residual_norm, info.value.iterations
+        assert diagnostics == (x0, max(abs(v) for v in residual(x0)), 0)
 
 
 # numpy.linalg.solve and |det| of the row-scaled matrix, captured from
@@ -172,8 +174,8 @@ SOLVE_PINS = [
      [-1.6708990604135396e+16, 8354495302067698.0], 2.9920510513648e-14),
     ([[0.9, -0.90000000000009], [-0.4, 0.4]], [0.5, 0.25],
      [-11814999022423.223, -11814999022422.598], 9.992007221626427e-14),
-    # far from 1 (the fused multiply-adds fall back on exact rationals), a
-    # subnormal pivot (left unswapped), and an infinite and a NaN pivot
+    # entries near 1e300, a right-hand side near 1e-295, a subnormal pivot
+    # (left unswapped), and an infinite and a NaN pivot
     ([[8.56946940637837e+299, 1.7691690118380745e+299],
       [-1.3004483345192076e+299, 4.1568015438477796e+299]],
      [1.438580456162081e+300, -2.183098473862801e+299],
@@ -235,6 +237,46 @@ def test_float_solve_pinned_bit_for_bit():
         assert repr(rootfind._row_scaled_det(jac)) == repr(det)
     assert [det < rootfind.SINGULAR_DET for *_, det in SOLVE_PINS[10:14]] == [
         True, False, True, False]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and extremes too
+
+
+@st.composite
+def fma_operands(draw):
+    a, b = draw(finite), draw(finite)
+    # -(a * b) cancels all but the rounding error of the product
+    near = [st.just(-(a * b))] if math.isfinite(a * b) else []
+    return a, b, draw(st.one_of(finite, *near))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fma_operands())
+def test_fma_rounds_the_exact_sum_once(operands):
+    a, b, c = operands
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        want = a * b + c  # exact in floats too, with the IEEE sign of zero
+    else:
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = inf if exact > 0 else -inf
+    assert repr(rootfind._fma(a, b, c)) == repr(want)
+
+
+def test_fma_edge_cases():
+    fma = rootfind._fma
+    assert repr(fma(-0.1, 4.0, 0.4)) == "0.0"  # exact cancellation
+    assert fma(2.0, 1.5e308, -1.5e308) == 1.5e308  # a * b alone overflows
+    assert fma(1e308, 10.0, 1.0) == inf and fma(-1e308, 10.0, 1.0) == -inf
+    for a, b, c in ((inf, 2.0, 1.0), (-inf, 0.5, 3.0), (inf, 0.0, 1.0), (nan, 1.0, 1.0),
+                    (1.0, -inf, inf), (0.0, nan, 2.0), (-0.0, 5.0, -0.0)):
+        assert repr(fma(a, b, c)) == repr(a * b + c)
+    # a finite product with a non-finite c is c, also where a * b overflows
+    for c in (inf, -inf, nan):
+        assert repr(fma(1e308, 10.0, c)) == repr(c)
+        assert repr(fma(3.0, -0.25, c)) == repr(c)
 
 
 def test_closure_residual_small_at_paper_root():
