@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import __version__
 from .dtm import Problem, ProblemParams, RecurrenceMode, generate
@@ -42,12 +41,10 @@ EXIT_BROKEN_PIPE = 141  # the shell's code for a writer killed by SIGPIPE
 _NUMERICAL_ERRORS = (NonConvergenceError, BlowUpError, OverflowError,
                      DegenerateApproximantError)
 
-# golden coefficients of the published order-6 series at A = B = 1,
-# kept as exact rationals and evaluated at runtime
-GOLDEN_F = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-1, 6),
-            Fraction(-1, 24), Fraction(1, 48), Fraction(-7, 720)]
-GOLDEN_THETA = [Fraction(1), Fraction(1), Fraction(0), Fraction(0),
-                Fraction(-1, 8), Fraction(1, 40), Fraction(1, 240)]
+# golden coefficients of the published order-6 series at A = B = 1; each
+# quotient of integer literals is the float nearest the exact rational
+GOLDEN_F = [0.0, 0.0, 1 / 2, -1 / 6, -1 / 24, 1 / 48, -7 / 720]
+GOLDEN_THETA = [1.0, 1.0, 0.0, 0.0, -1 / 8, 1 / 40, 1 / 240]
 
 
 class UsageError(Exception):
@@ -157,23 +154,20 @@ def _integrator_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
     return [list(row) for row in rows]
 
 
+_PROFILE_COLUMNS = ["eta", "f", "fprime", "theta"]
+_PROFILE_ROWS = {"series": _series_profile_rows, "integrator": _integrator_profile_rows}
+
+
 def _exec_profile(m: dict) -> dict:
     grid = parse_grid(m["grid"])
     source = m["source"]
-    if source == "series":
-        return {"columns": ["eta", "f", "fprime", "theta"],
-                "rows": _series_profile_rows(m, grid)}
-    if source == "integrator":
-        return {"columns": ["eta", "f", "fprime", "theta"],
-                "rows": _integrator_profile_rows(m, grid)}
-    if source == "both":
-        s_rows = _series_profile_rows(m, grid)
-        i_rows = _integrator_profile_rows(m, grid)
-        rows = [s + i[1:] for s, i in zip(s_rows, i_rows)]
-        return {"columns": ["eta", "f_series", "fprime_series", "theta_series",
-                            "f_integrator", "fprime_integrator", "theta_integrator"],
-                "rows": rows}
-    raise UsageError(f"unknown profile source {source!r}")
+    if source in _PROFILE_ROWS:
+        return {"columns": list(_PROFILE_COLUMNS), "rows": _PROFILE_ROWS[source](m, grid)}
+    if source != "both":
+        raise UsageError(f"unknown profile source {source!r}")
+    s_rows, i_rows = (rows(m, grid) for rows in _PROFILE_ROWS.values())
+    columns = ["eta"] + [f"{c}_{s}" for s in _PROFILE_ROWS for c in _PROFILE_COLUMNS[1:]]
+    return {"columns": columns, "rows": [s + i[1:] for s, i in zip(s_rows, i_rows)]}
 
 
 def _exec_compare(m: dict) -> dict:
@@ -295,6 +289,12 @@ def _add_domain(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step", type=float, default=ShootConfig.step)
 
 
+def _add_newton(p: argparse.ArgumentParser, cfg: type[ClosureConfig | ShootConfig]) -> None:
+    p.add_argument("--tol", type=float, default=cfg.tol)
+    p.add_argument("--max-iter", type=int, default=cfg.max_iter, help="Newton iteration limit")
+    p.add_argument("--guess", type=parse_guess, default=None, help="Newton starting point")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Flags of every subcommand; solver defaults come from ClosureConfig/ShootConfig."""
     parser = _ArgumentParser(prog="dtmpade")
@@ -317,16 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="diagonal degree n")
     p.add_argument("--order", type=int, default=None,
                    help="series truncation (derived from the degree when omitted)")
-    p.add_argument("--tol", type=float, default=ClosureConfig.tol)
-    p.add_argument("--max-iter", type=int, default=ClosureConfig.max_iter)
-    p.add_argument("--guess", type=parse_guess, default=None, help="a,b starting point")
+    _add_newton(p, ClosureConfig)
 
     p = subs.add_parser("shoot", help="independent shooting-method oracle")
     _add_common(p)
     _add_domain(p)
-    p.add_argument("--tol", type=float, default=ShootConfig.tol)
-    p.add_argument("--max-iter", type=int, default=ShootConfig.max_iter)
-    p.add_argument("--guess", type=parse_guess, default=None)
+    _add_newton(p, ShootConfig)
 
     p = subs.add_parser("profile", help="tabulate (eta, f, f', theta) on a grid")
     _add_common(p)
@@ -346,11 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pade", type=lambda s: [int(v) for v in s.split(",")],
                    default=[ClosureConfig.pade_degree],
                    help="diagonal degree(s), comma separated")
-    p.add_argument("--tol", type=float, default=ClosureConfig.tol)
+    _add_newton(p, ClosureConfig)
     p.add_argument("--shoot-tol", type=float, default=ShootConfig.tol)
-    p.add_argument("--max-iter", type=int, default=ClosureConfig.max_iter,
-                   help="Newton iteration limit of both solvers")
-    p.add_argument("--guess", type=parse_guess, default=None)
     return parser
 
 
@@ -405,7 +398,7 @@ def _check_paper() -> int:
     for label, got, want in (("f", result["f_coeffs"], GOLDEN_F),
                              ("theta", result["theta_coeffs"], GOLDEN_THETA)):
         for k, (g, w) in enumerate(zip(got, want)):
-            if abs(g - float(w)) > 1e-14:
+            if abs(g - w) > 1e-14:
                 print(f"MISMATCH {label}({k}): got {g!r}, expected {w}", file=sys.stderr)
                 ok = False
     print("paper series check:", "ok" if ok else "FAILED")
@@ -438,15 +431,13 @@ def run(argv=None) -> int:
     except (UsageError, ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonConvergenceError, BlowUpError, OverflowError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonConvergenceError) and exc.last_iterate is not None:
             print(f"  last iterate: {exc.last_iterate}, residual norm "
                   f"{exc.residual_norm:.3e}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except DegenerateApproximantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        degenerate = isinstance(exc, DegenerateApproximantError)
+        return EXIT_DEGENERATE if degenerate else EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

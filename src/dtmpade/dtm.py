@@ -45,6 +45,11 @@ def check_prandtl(pr: float) -> None:
         raise ValueError(f"Prandtl number must be finite and positive, got {pr}")
 
 
+def check_mode(problem: Problem, mode: RecurrenceMode) -> None:
+    if problem is Problem.BLASIUS and mode is RecurrenceMode.PAPER_FIDELITY:
+        raise ValueError("paper mode is free convection only; Blasius has one recurrence")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Everything needed to run the recurrence for one numeric (A, B).
@@ -65,6 +70,7 @@ class ProblemParams:
         if self.order < 3:
             raise ValueError(f"order must be >= 3, got {self.order}")
         check_prandtl(self.pr)
+        check_mode(self.problem, self.mode)
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("initial derivatives a, b must be finite")
 
@@ -138,15 +144,15 @@ def generate(params: ProblemParams) -> DtmSolution:
             f.append(advance_blasius(f, k))
             if not math.isfinite(f[-1]):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
-        return DtmSolution(TruncatedSeries(tuple(f[: m + 1])), None)
+        return DtmSolution(TruncatedSeries(f), None)
 
     for k in range(m - 1):
         f_next, theta_next = advance_free_convection(f, theta, k, params.pr, params.mode)
-        if not math.isfinite(f_next):
-            raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
+        if k + 3 <= m:  # the last step's F(m+1) lies past the order
+            if not math.isfinite(f_next):
+                raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
+            f.append(f_next)
         if not math.isfinite(theta_next):
             raise OverflowError(f"non-finite theta-coefficient at index {k + 2}")
-        f.append(f_next)
         theta.append(theta_next)
-    return DtmSolution(TruncatedSeries(tuple(f[: m + 1])),
-                       TruncatedSeries(tuple(theta[: m + 1])))
+    return DtmSolution(TruncatedSeries(f), TruncatedSeries(theta))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import pade
-from .dtm import DtmSolution, Problem, ProblemParams, RecurrenceMode, generate
+from .dtm import Problem, ProblemParams, RecurrenceMode, check_mode, generate
 from .errors import (
     DegenerateApproximantError,
     NonConvergenceError,
@@ -42,6 +42,14 @@ DEFAULT_GUESS = {Problem.FREE_CONVECTION: (0.6, -0.6), Problem.BLASIUS: (0.3,)}
 FD_STEP = 1e-7  # forward-difference Jacobian step
 DAMPING = 0.5  # step shrink factor when the residual norm does not drop
 SINGULAR_DET = 1e-14  # |det| of the row-scaled Jacobian below which it counts as singular
+
+
+def check_stopping(tol: float, max_iter: int) -> None:
+    """Newton's stopping rule, shared by ClosureConfig and ShootConfig."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -60,21 +68,10 @@ class ClosureConfig:
     def __post_init__(self):
         if self.pade_degree < 1:
             raise ValueError("pade_degree must be >= 1")
-        if self.series_order is not None and self.series_order < 2 * self.pade_degree:
-            raise ValueError(
-                f"series_order must be >= {2 * self.pade_degree} for an "
-                f"[{self.pade_degree}/{self.pade_degree}] fit"
-            )
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
-
-    def f_order(self, mode: RecurrenceMode) -> int:
-        if self.series_order is not None:
-            return self.series_order
         n = self.pade_degree
-        return 2 * n if mode is RecurrenceMode.PAPER_FIDELITY else 2 * n + 1
+        if self.series_order is not None and self.series_order < 2 * n:
+            raise ValueError(f"series_order must be >= {2 * n} for an [{n}/{n}] fit")
+        check_stopping(self.tol, self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -87,18 +84,6 @@ class SolveResult:
     iterations: int
 
 
-def _fprime_coeffs(sol: DtmSolution, n: int) -> TruncatedSeries:
-    """Series of f' with enough coefficients for the [n/n] fit.
-
-    A short derivative (paper-fidelity window) is padded with zeros: the
-    generated polynomial simply has no higher terms.
-    """
-    d = list(differentiate(sol.f_series, 1).coeffs)
-    if len(d) < 2 * n + 1:
-        d += [0.0] * (2 * n + 1 - len(d))
-    return TruncatedSeries(tuple(d))
-
-
 def closure_residual(
     a: float,
     b: float,
@@ -108,13 +93,17 @@ def closure_residual(
 ) -> tuple[float, float]:
     """Free-convection far-field residuals (limit of f'-fit, limit of theta-fit)."""
     n = cfg.pade_degree
-    # the recurrence needs order >= 3; validation already keeps f_order >= 2n
-    order = max(cfg.f_order(mode), 3)
-    sol = generate(
-        ProblemParams(Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=order, mode=mode)
-    )
+    window = cfg.series_order
+    if window is None:
+        window = 2 * n if mode is RecurrenceMode.PAPER_FIDELITY else 2 * n + 1
+    sol = generate(ProblemParams(  # the recurrence needs order >= 3
+        Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=max(window, 3), mode=mode))
+    # a short derivative (the paper window) is padded with zeros to the 2n+1
+    # coefficients of the fit: the generated polynomial has no higher terms
+    fp = differentiate(sol.f_series, 1).coeffs
+    fp += (0.0,) * (2 * n + 1 - len(fp))
     limits = []
-    for label, coeffs in (("f'", _fprime_coeffs(sol, n)), ("theta", sol.theta_series)):
+    for label, coeffs in (("f'", TruncatedSeries(fp)), ("theta", sol.theta_series)):
         try:
             limits.append(pade.limit_at_infinity(pade.build(coeffs, n, n)))
         except DegenerateApproximantError as exc:
@@ -143,7 +132,10 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
     if h.coeffs[0] != 0.0 and nonzero:
         k_last, c_last = nonzero[-1]
         scale_s = (abs(h.coeffs[0]) / c_last) ** (1.0 / k_last)
-    h_scaled = TruncatedSeries(tuple(c * scale_s**k for k, c in enumerate(h.coeffs)))
+    try:
+        h_scaled = TruncatedSeries(tuple(c * scale_s**k for k, c in enumerate(h.coeffs)))
+    except OverflowError as exc:
+        raise OverflowError(f"cube-variable rescaling by s = {scale_s:.6g} overflows") from exc
     try:
         r = pade.build(h_scaled, n - 1, n)
         # multiply the numerator by v so both degrees are n, then take the limit
@@ -346,6 +338,7 @@ def solve_problem(
     mode: RecurrenceMode = RecurrenceMode.CORRECTED,
 ) -> SolveResult:
     """Wire the closure residuals into Newton for the chosen problem."""
+    check_mode(problem, mode)
     x0 = initial_guess(problem, x0)
     if problem is Problem.BLASIUS:
         return newton_solve(lambda x: (blasius_closure_residual(x[0], cfg),), x0, cfg)

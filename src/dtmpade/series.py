@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c0..cm of a power series, all finite."""
+    """Coefficients c0..cm of a power series; a non-finite one is an overflow."""
 
     coeffs: tuple[float, ...]
 
@@ -25,7 +24,7 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the constant coefficient")
         for k, c in enumerate(coeffs):
             if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient at index {k}: {c!r}")
+                raise OverflowError(f"non-finite coefficient at index {k}: {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -34,11 +33,6 @@ class TruncatedSeries:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-
-def series(coeffs: Iterable[float]) -> TruncatedSeries:
-    """Convenience constructor from any iterable of coefficients."""
-    return TruncatedSeries(tuple(coeffs))
 
 
 def cauchy_product(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:

@@ -22,7 +22,7 @@ from functools import partial
 
 from .dtm import Problem, check_prandtl
 from .errors import BlowUpError
-from .rootfind import SolveResult, initial_guess, newton_solve
+from .rootfind import SolveResult, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
 
@@ -42,10 +42,7 @@ class ShootConfig:
                 "eta_max must be finite and >= 5; the far field is unconverged below that")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError("step must be finite and positive")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
+        check_stopping(self.tol, self.max_iter)
 
 
 def _rhs_free_convection(f, fp, fpp, th, thp, m):

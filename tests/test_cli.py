@@ -20,6 +20,8 @@ from dtmpade.cli import (
     parse_grid,
     run,
 )
+from dtmpade.rootfind import ClosureConfig
+from dtmpade.shooting import ShootConfig
 
 
 def run_json(capsys, argv):
@@ -112,10 +114,57 @@ def test_nonconvergence_report_prints_plain_floats(capsys):
     ["solve", "--problem", "blasius", "--pade", "4", "--order", "40"],
     # a negative precision, refused before any output is written
     ["series", "--digits", "-1"],
+    # paper mode is a variant of the free-convection recurrence only
+    ["solve", "--problem", "blasius", "--mode", "paper"],
+    ["series", "--problem", "blasius", "--mode", "paper"],
+    ["compare", "--problem", "blasius", "--mode", "paper"],
+    ["profile", "--problem", "blasius", "--mode", "paper", "--a", "0.33", "--source", "series"],
+    ["profile", "--problem", "blasius", "--mode", "paper", "--a", "0.33", "--source", "both"],
 ])
 def test_bad_inputs_are_usage_errors(capsys, argv):
     assert run(argv) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_integrator_profile_ignores_mode(capsys):
+    # the integrator runs no recurrence, so --mode changes nothing, for either problem
+    for problem, wall in (("free-convection", ["--a", "0.64", "--b", "-0.57"]),
+                          ("blasius", ["--a", "0.33"])):
+        rows = []
+        for mode in ("corrected", "paper"):
+            code, payload = run_json(capsys, ["profile", "--problem", problem, "--mode", mode,
+                                              "--grid", "0:1:0.5", *wall])
+            assert code == EXIT_OK
+            rows.append(payload["result"]["rows"])
+        assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("argv, stage", [
+    # the cube g^3 of the Blasius closure leaves the float range
+    (["solve", "--problem", "blasius", "--pade", "1", "--guess", "1e100"], "coefficient"),
+    # the powers s**k of the cube-variable rescaling leave it
+    (["solve", "--problem", "blasius", "--pade", "2", "--guess", "1e-80"], "rescaling"),
+])
+def test_blasius_closure_overflow_exit_code(capsys, argv, stage):
+    assert run(argv) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert stage in err and "out of range" not in err
+
+
+def test_newton_flag_defaults_come_from_the_configs(capsys):
+    closure = {"tol": ClosureConfig.tol, "max_iter": ClosureConfig.max_iter}
+    expected = {
+        "solve": closure,
+        "shoot": {"tol": ShootConfig.tol, "max_iter": ShootConfig.max_iter},
+        "compare": dict(closure, shoot_tol=ShootConfig.tol),
+    }
+    for command, defaults in expected.items():
+        code, payload = run_json(capsys, [command])
+        assert code == EXIT_OK
+        manifest = payload["manifest"]
+        assert {key: manifest[key] for key in defaults} == defaults
+        assert manifest["guess"] is None
 
 
 def test_file_errors_are_usage_errors(tmp_path, capsys):

@@ -227,6 +227,21 @@ def test_generate_overflow_reports_index():
         generate(ProblemParams(a=1e150, b=1e150, order=12))
 
 
+def test_coefficient_past_the_order_is_not_checked():
+    # the last free-convection step also yields F(m+1), which overflows here
+    # while every coefficient up to the order is finite
+    sol = generate(ProblemParams(a=1e90, b=0.0, order=10))
+    low = generate(ProblemParams(a=1e90, b=0.0, order=9))
+    for s, lo in ((sol.f_series, low.f_series), (sol.theta_series, low.theta_series)):
+        assert len(s.coeffs) == 11 and all(map(math.isfinite, s.coeffs))
+        assert [c.hex() for c in s.coeffs[:10]] == [c.hex() for c in lo.coeffs]
+
+
+def test_blasius_has_no_paper_mode():
+    with pytest.raises(ValueError, match="free convection only"):
+        ProblemParams(Problem.BLASIUS, mode=FIDELITY)
+
+
 def test_generated_length_matches_order():
     sol = generate(ProblemParams(a=0.1, b=0.1, order=9))
     assert len(sol.f_series.coeffs) == 10

@@ -5,7 +5,7 @@ import pytest
 
 from dtmpade.errors import DegenerateApproximantError, DegenerateLimitError, PoleError
 from dtmpade.pade import RationalApproximant, build, evaluate, limit_at_infinity
-from dtmpade.series import series
+from dtmpade.series import TruncatedSeries
 
 
 def expand_quotient(r, order):
@@ -20,55 +20,55 @@ def expand_quotient(r, order):
 
 
 def test_geometric_series_is_exact():
-    r = build(series([1, 1, 1, 1]), 1, 1)
+    r = build(TruncatedSeries([1, 1, 1, 1]), 1, 1)
     assert r.numerator == pytest.approx((1.0, 0.0), abs=1e-14)
     assert r.denominator == pytest.approx((1.0, -1.0), abs=1e-14)
 
 
 def test_exponential_one_one():
     # b1 solves c1*b1 + c2 = 0 with c = [1, 1, 1/2]: b1 = -1/2
-    r = build(series([1, 1, 0.5]), 1, 1)
+    r = build(TruncatedSeries([1, 1, 0.5]), 1, 1)
     assert r.denominator[1] == pytest.approx(-0.5, abs=1e-14)
     assert r.numerator == pytest.approx((1.0, 0.5), abs=1e-14)
 
 
 def test_zero_denominator_degree_is_taylor():
-    r = build(series([2, 3, 4, 5]), 2, 0)
+    r = build(TruncatedSeries([2, 3, 4, 5]), 2, 0)
     assert r.numerator == (2.0, 3.0, 4.0)
     assert r.denominator == (1.0,)
 
 
 def test_build_requires_enough_coefficients():
     with pytest.raises(ValueError):
-        build(series([1, 1]), 2, 2)
+        build(TruncatedSeries([1, 1]), 2, 2)
 
 
 def test_build_degenerate_system_raises():
     # even series: the [1/1] system has c1 = 0 on its diagonal
     with pytest.raises(DegenerateApproximantError):
-        build(series([1, 0, 1]), 1, 1)
+        build(TruncatedSeries([1, 0, 1]), 1, 1)
 
 
 def test_evaluate_examples():
-    geo = build(series([1, 1, 1, 1]), 1, 1)
+    geo = build(TruncatedSeries([1, 1, 1, 1]), 1, 1)
     assert evaluate(geo, 0.5) == pytest.approx(2.0, abs=1e-14)
-    exp11 = build(series([1, 1, 0.5]), 1, 1)
+    exp11 = build(TruncatedSeries([1, 1, 0.5]), 1, 1)
     assert evaluate(exp11, 0.0) == 1.0  # a0, since b0 = 1
     assert evaluate(exp11, 1.0) == pytest.approx(3.0, abs=1e-13)
 
 
 def test_evaluate_pole_raises():
-    geo = build(series([1, 1, 1, 1]), 1, 1)  # 1/(1-x)
+    geo = build(TruncatedSeries([1, 1, 1, 1]), 1, 1)  # 1/(1-x)
     with pytest.raises(PoleError):
         evaluate(geo, 1.0)
 
 
 def test_limit_at_infinity_examples():
-    exp11 = build(series([1, 1, 0.5]), 1, 1)  # (1 + x/2)/(1 - x/2)
+    exp11 = build(TruncatedSeries([1, 1, 0.5]), 1, 1)  # (1 + x/2)/(1 - x/2)
     assert limit_at_infinity(exp11) == pytest.approx(-1.0, abs=1e-14)
 
     # zero leading numerator with a healthy denominator: the limit is just 0
-    geo = build(series([1, 1, 1, 1]), 1, 1)
+    geo = build(TruncatedSeries([1, 1, 1, 1]), 1, 1)
     assert limit_at_infinity(geo) == pytest.approx(0.0, abs=1e-14)
 
     r = RationalApproximant((1.0, 0.0, 3.0), (1.0, 0.0, 0.5))  # (3x^2+1)/(x^2/2+1)
@@ -100,7 +100,7 @@ def test_reconstruction_order_randomized():
         M = rnd.randint(1, 4)
         c = [rnd.uniform(-1, 1) for _ in range(L + M + 1)]
         try:
-            r = build(series(c), L, M)
+            r = build(TruncatedSeries(c), L, M)
         except DegenerateApproximantError:
             continue
         back = expand_quotient(r, L + M)
@@ -120,7 +120,7 @@ def test_exact_recovery_of_rational_functions():
         truth = RationalApproximant(tuple(num), tuple(den))
         c = expand_quotient(truth, L + M + 2)
         try:
-            r = build(series(c), L, M)
+            r = build(TruncatedSeries(c), L, M)
         except DegenerateApproximantError:
             continue
         assert np.allclose(r.numerator, truth.numerator, atol=1e-10)
@@ -135,7 +135,7 @@ def test_limit_agrees_with_far_evaluation():
         n = rnd.randint(1, 3)
         c = [rnd.uniform(-1, 1) for _ in range(2 * n + 1)]
         try:
-            r = build(series(c), n, n)
+            r = build(TruncatedSeries(c), n, n)
             lim = limit_at_infinity(r)
         except DegenerateApproximantError:
             continue
