@@ -19,13 +19,13 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .dtm import Problem, ProblemParams, RecurrenceMode, generate
+from .dtm import Problem, ProblemParams, RecurrenceMode, check_mode, generate
 from .errors import (
     BlowUpError,
     DegenerateApproximantError,
     NonConvergenceError,
 )
-from .rootfind import ClosureConfig, solve_problem
+from .rootfind import ClosureConfig, initial_guess, solve_problem
 from .series import evaluate as series_evaluate
 from .series import differentiate
 from .shooting import ShootConfig, shoot_solve, tabulate_profile
@@ -97,6 +97,13 @@ def _digits(spec: str) -> int:
     if digits < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {spec!r}")
     return digits
+
+
+def _degrees(spec: str) -> list[int]:
+    try:
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {spec!r}")
 
 
 # ---------------------------------------------------------------- execution
@@ -173,7 +180,13 @@ def _exec_profile(m: dict) -> dict:
 def _exec_compare(m: dict) -> dict:
     """One row per Pade rung, each with its status; a rung that fails
     numerically leaves its row's roots null and the ladder goes on. Raises
-    the first rung's error when no rung converged."""
+    the first rung's error when no rung converged. Every rung's settings
+    are checked before the oracle integrates."""
+    problem = Problem(m["problem"])
+    check_mode(problem, RecurrenceMode(m["mode"]))
+    initial_guess(problem, m["guess"])
+    for n in m["pade"]:
+        ClosureConfig(pade_degree=n, tol=m["tol"], max_iter=m["max_iter"])
     oracle = _exec_shoot(dict(m, tol=m["shoot_tol"], guess=None))
     rows, errors = [], []
     for n in m["pade"]:
@@ -339,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_mode(p)
     _add_domain(p)
-    p.add_argument("--pade", type=lambda s: [int(v) for v in s.split(",")],
+    p.add_argument("--pade", type=_degrees,
                    default=[ClosureConfig.pade_degree],
                    help="diagonal degree(s), comma separated")
     _add_newton(p, ClosureConfig)

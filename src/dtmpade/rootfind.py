@@ -23,7 +23,6 @@ the condition f'(inf) = 1 becomes lim_u u * g(u)^3 = 1, imposed through an
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -123,7 +122,10 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
     sol = generate(ProblemParams(Problem.BLASIUS, a=a, order=order))
     fp = differentiate(sol.f_series, 1).coeffs
     g = TruncatedSeries(tuple(fp[3 * j + 1] for j in range(2 * n + 1)))
-    h = cauchy_product(cauchy_product(g, g), g)
+    try:
+        h = cauchy_product(cauchy_product(g, g), g)
+    except OverflowError as exc:
+        raise OverflowError(f"cube-variable series g^3 overflows: {exc}") from exc
     # the cube-variable coefficients decay fast; rescale u = s*v to balance
     # their magnitudes, which keeps the fit's linear system well conditioned.
     # The limit transforms as lim u*H(u) = s * lim v*Ht(v).
@@ -166,91 +168,31 @@ def _inf_norm(r: Sequence[float]) -> float:
     return norm if all(v == v for v in r) else math.nan
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as the fused multiply-add of the BLAS kernels.
+def _step(jac, r) -> list[float] | None:
+    """The step s with jac s = r by Cramer's rule; None where jac counts as singular.
 
-    math.fma needs Python 3.13. The exact sum is the ratio of two integers
-    built from the operands' integer ratios, and int / int rounds it once;
-    past the largest float it is the infinity of its sign.
-    """
-    if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
-        return a * b + c  # the product is exact: zero, infinite or NaN
-    if not math.isfinite(c):
-        return c
-    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
-    nc, dc = c.as_integer_ratio()
-    num = na * nb * dc + nc * da * db
-    try:
-        return num / (da * db * dc)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def _lu(m):
-    """dgetrf on the 2x2 matrix m, as the OpenBLAS that numpy ships runs it.
-
-    Returns (swap, u11, u12, l, u22), or None where dgetrf reports a zero
-    pivot (numpy's det is then 0 and its solve raises). The pivot is the
-    first entry of largest magnitude in column 1, so a tie or a NaN keeps
-    row 1. A normal pivot scales the multiplier by its reciprocal (by 0
-    exactly when the pivot is infinite); a zero, subnormal or NaN pivot
-    leaves column 1 unswapped and unscaled, while column 2 is swapped.
-    """
-    (a11, a12), (a21, a22) = m
-    swap = abs(a21) > abs(a11)
-    if swap:
-        a12, a22 = a22, a12
-    pivot, below = (a21, a11) if swap else (a11, a21)
-    if abs(pivot) >= sys.float_info.min:
-        inv = 1.0 / pivot
-        u11, l = pivot, (below * inv if inv else 0.0)
-    else:
-        u11, l = a11, a21
-    u22 = a22 - l * a12
-    if u22 == 0.0 or (u11 == 0.0 and not swap):
-        return None
-    return swap, u11, a12, l, u22
-
-
-def _row_scaled_det(jac) -> float:
-    """|det| of jac with each row divided by its largest magnitude.
-
-    numpy's det: exp(log|u11| + log|u22|) from dgetrf, 0 on a zero pivot.
-    A NaN entry makes its row's scale NaN, as numpy's max does. The scaled
-    entries are at most 1 in magnitude, so the exponent cannot overflow.
+    That is a zero row; a row-scaled determinant (each row divided by its
+    largest magnitude) not >= SINGULAR_DET, which a NaN or infinite entry
+    makes NaN; an unscaled determinant that under- or overflows; or a step
+    that is not finite.
     """
     rows = []
     for row in jac:
         scale = _inf_norm(row)
         if scale == 0.0:
-            return 0.0
+            return None
         rows.append([v / scale for v in row])
-    if len(rows) == 1:
-        return abs(rows[0][0])  # 1.0, or NaN: exp(log 1) is 1 exactly
-    lu = _lu(rows)
-    if lu is None:
-        return 0.0
-    _, u11, _, _, u22 = lu
-    return math.exp(sum(math.log(abs(u)) if u else -math.inf for u in (u11, u22)))
-
-
-def _solve(jac, r) -> list[float] | None:
-    """x with jac x = r, as numpy.linalg.solve computes it (dgetrf, dgetrs).
-
-    None on a zero pivot, where numpy raises LinAlgError("Singular matrix").
-    """
     if len(jac) == 1:
-        return [r[0] / jac[0][0]]
-    lu = _lu(jac)
-    if lu is None:
+        det, den, num = abs(rows[0][0]), jac[0][0], [r[0]]
+    else:
+        (a, b), (c, d) = rows
+        det = abs(a * d - b * c)
+        (a, b), (c, d) = jac
+        den, num = a * d - b * c, [r[0] * d - b * r[1], a * r[1] - c * r[0]]
+    if not (det >= SINGULAR_DET and 0.0 < abs(den) < math.inf):
         return None
-    swap, u11, u12, l, u22 = lu
-    r1, r2 = (r[1], r[0]) if swap else r
-    x2 = _fma(-l, r1, r2) / u22
-    y1 = _fma(-u12, x2, r1)
-    if u11 == 0.0:  # left by an unswapped subnormal pivot: y1 / ±0 as IEEE divides
-        return [y1 * math.copysign(math.inf, u11), x2]
-    return [y1 / u11, x2]
+    step = [v / den for v in num]
+    return step if all(math.isfinite(v) for v in step) else None
 
 
 def _jacobian(residual, x: tuple[float, ...], r: list[float]) -> list[tuple[float, ...]]:
@@ -272,14 +214,13 @@ def newton_solve(
 
     One or two unknowns. The iterate is a tuple of floats and residual maps
     it to a sequence of numbers (a numpy array too), which are taken as
-    Python floats. The step is solved in floats, bit for bit as
-    numpy.linalg.solve does; a Jacobian whose row-scaled determinant is
-    below SINGULAR_DET, or whose LU meets a zero pivot (a NaN determinant
-    passes the first test), raises SingularJacobianError. cfg is anything
-    with tol and max_iter (a ClosureConfig or ShootConfig). Stops when the
-    residual infinity-norm drops to cfg.tol. A step that does not decrease
-    the norm is shrunk by DAMPING up to 8 times before the iteration is
-    declared stagnant.
+    Python floats. The step is solved by Cramer's rule; a Jacobian whose
+    row-scaled determinant is not >= SINGULAR_DET (a NaN or infinite entry
+    included), or a step that is not finite, raises SingularJacobianError.
+    cfg is anything with tol and max_iter (a ClosureConfig or ShootConfig).
+    Stops when the residual infinity-norm drops to cfg.tol. A step that does
+    not decrease the norm is shrunk by DAMPING up to 8 times before the
+    iteration is declared stagnant.
     """
     x = tuple(float(v) for v in x0)
     d = len(x)
@@ -303,7 +244,7 @@ def newton_solve(
                 iterations=it,
             )
         jac = _jacobian(floats, x, r)
-        step = None if _row_scaled_det(jac) < SINGULAR_DET else _solve(jac, r)
+        step = _step(jac, r)
         if step is None:
             raise SingularJacobianError(
                 "Jacobian is singular at the current iterate",

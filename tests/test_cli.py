@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dtmpade import __version__
+from dtmpade import __version__, cli
 from dtmpade.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DEGENERATE,
@@ -120,6 +120,9 @@ def test_nonconvergence_report_prints_plain_floats(capsys):
     ["compare", "--problem", "blasius", "--mode", "paper"],
     ["profile", "--problem", "blasius", "--mode", "paper", "--a", "0.33", "--source", "series"],
     ["profile", "--problem", "blasius", "--mode", "paper", "--a", "0.33", "--source", "both"],
+    # Pade degrees that are not comma-separated integers
+    ["compare", "--pade", "2,x"],
+    ["compare", "--pade", ""],
 ])
 def test_bad_inputs_are_usage_errors(capsys, argv):
     assert run(argv) == EXIT_USAGE
@@ -141,7 +144,8 @@ def test_integrator_profile_ignores_mode(capsys):
 
 @pytest.mark.parametrize("argv, stage", [
     # the cube g^3 of the Blasius closure leaves the float range
-    (["solve", "--problem", "blasius", "--pade", "1", "--guess", "1e100"], "coefficient"),
+    (["solve", "--problem", "blasius", "--pade", "1", "--guess", "1e100"],
+     "cube-variable series g^3"),
     # the powers s**k of the cube-variable rescaling leave it
     (["solve", "--problem", "blasius", "--pade", "2", "--guess", "1e-80"], "rescaling"),
 ])
@@ -269,6 +273,21 @@ def test_compare_keeps_going_past_a_failed_rung(capsys):
     # with no rung converged, compare fails with the first rung's code and message
     assert run(["compare", "--pade", "2", "--mode", "paper"]) == EXIT_DEGENERATE
     assert "rank-deficient" in capsys.readouterr().err
+
+
+def test_compare_validates_before_the_oracle_runs(capsys, monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the settings were checked")
+
+    monkeypatch.setattr(cli, "shoot_solve", oracle)
+    for argv in (["compare", "--pade", "0", "--step", "0.001"],
+                 ["compare", "--tol", "nan"],
+                 ["compare", "--problem", "blasius", "--mode", "paper"],
+                 ["compare", "--guess", "0.5"]):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+    assert run(["compare", "--pade", "2,x"]) == EXIT_USAGE
+    assert "must be comma-separated integers, got '2,x'" in capsys.readouterr().err
 
 
 def test_closed_stdout_pipe_exits_quietly():
