@@ -25,7 +25,7 @@ from .errors import (
     DegenerateApproximantError,
     NonConvergenceError,
 )
-from .rootfind import ClosureConfig, initial_guess, solve_problem
+from .rootfind import ClosureConfig, closure_guess, solve_problem
 from .series import evaluate as series_evaluate
 from .series import differentiate
 from .shooting import ShootConfig, shoot_solve, tabulate_profile
@@ -60,7 +60,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse 'start:end:step' into an inclusive grid (half-step end tolerance)."""
+    """Parse 'start:end:step': point i is start + i*step to 12 decimals, below end + step/2."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:end:step, got {spec!r}")
@@ -72,14 +72,10 @@ def parse_grid(spec: str) -> list[float]:
         raise UsageError(f"grid values must be finite, got {spec!r}")
     if step <= 0 or end < start:
         raise UsageError("grid needs end >= start and step > 0")
-    grid = []
-    x = start
-    while x <= end + 0.5 * step:
-        grid.append(round(x, 12))
-        x += step
-    if grid[-1] > end + 0.5 * step:
-        grid.pop()
-    return grid
+    points = (end - start) / step + 0.5  # the points less than half a step past end
+    if not points <= 1e6:
+        raise UsageError(f"grid {spec!r} has more than 10^6 points")
+    return [round(start + i * step, 12) for i in range(math.ceil(points))]
 
 
 def parse_guess(spec: str) -> tuple[float, ...]:
@@ -148,7 +144,7 @@ def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
     rows = []
     for eta in grid:
         theta = (series_evaluate(sol.theta_series, eta)
-                 if sol.theta_series is not None else float("nan"))
+                 if sol.theta_series is not None else None)
         rows.append([eta, series_evaluate(sol.f_series, eta),
                      series_evaluate(fp, eta), theta])
     return rows
@@ -184,7 +180,9 @@ def _exec_compare(m: dict) -> dict:
     are checked before the oracle integrates."""
     problem = Problem(m["problem"])
     check_mode(problem, RecurrenceMode(m["mode"]))
-    initial_guess(problem, m["guess"])
+    closure_guess(problem, m["guess"])
+    if not m["pade"]:
+        raise UsageError("compare needs at least one Pade degree")
     for n in m["pade"]:
         ClosureConfig(pade_degree=n, tol=m["tol"], max_iter=m["max_iter"])
     oracle = _exec_shoot(dict(m, tol=m["shoot_tol"], guess=None))

@@ -5,7 +5,7 @@ diagonal rational approximants of the generated series: the limit of an
 [n/n] quotient at infinity is the ratio of its leading coefficients, so
 each condition becomes one scalar equation in the unknown initial
 derivatives. A damped Newton iteration with a forward-difference Jacobian
-solves the resulting 2x2 (free convection) or 1x1 (Blasius) system.
+solves the resulting 2x2 free-convection system.
 
 Paper-fidelity mode mirrors the published computation exactly: the f-series
 is the order-2n polynomial, so its derivative is one coefficient short of
@@ -17,7 +17,10 @@ The Blasius series only contains powers 2, 5, 8, ... of the similarity
 variable, which makes every diagonal fit in that variable exactly singular.
 Its closure therefore compresses to u = eta^3: with f' = eta * g(eta^3),
 the condition f'(inf) = 1 becomes lim_u u * g(u)^3 = 1, imposed through an
-[n-1/n] fit of g^3 whose numerator is lifted by one degree.
+[n-1/n] fit of g^3 whose numerator is lifted by one degree. Toepfer's
+scaling f_A(eta) = A^(1/3) f_1(A^(1/3) eta) makes that limit A^2 times its
+value L1 at A = 1, so the Blasius root is A = L1^(-1/2) in closed form; one
+residual evaluation at that root verifies it.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class ClosureConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The root Newton found, its residual infinity-norm and the iterations taken."""
+    """The root, its residual infinity-norm and the Newton iterations taken."""
 
     a: float
     b: float | None
@@ -160,6 +163,13 @@ def initial_guess(problem: Problem, x0: Sequence[float] | None = None) -> tuple[
     if len(x) != d or not all(math.isfinite(v) for v in x):
         raise ValueError(f"{problem.value} needs a guess of {d} finite value(s), got {x0}")
     return x
+
+
+def closure_guess(problem: Problem, x0: Sequence[float] | None = None) -> tuple[float, ...]:
+    """initial_guess for a DTM-Pade solve; the closed-form Blasius root takes no guess."""
+    if problem is Problem.BLASIUS and x0 is not None:
+        raise ValueError("the Blasius DTM-Pade root is in closed form and takes no guess")
+    return initial_guess(problem, x0)
 
 
 def _inf_norm(r: Sequence[float]) -> float:
@@ -278,11 +288,17 @@ def solve_problem(
     x0=None,
     mode: RecurrenceMode = RecurrenceMode.CORRECTED,
 ) -> SolveResult:
-    """Wire the closure residuals into Newton for the chosen problem."""
+    """The Blasius root in closed form, or Newton on the free-convection closure."""
     check_mode(problem, mode)
-    x0 = initial_guess(problem, x0)
+    x0 = closure_guess(problem, x0)
     if problem is Problem.BLASIUS:
-        return newton_solve(lambda x: (blasius_closure_residual(x[0], cfg),), x0, cfg)
+        a = (blasius_closure_residual(1.0, cfg) + 1.0) ** -0.5
+        norm = abs(blasius_closure_residual(a, cfg))
+        if not norm <= cfg.tol:
+            raise NonConvergenceError(
+                f"closed-form root A = {a:.10g} has closure residual {norm:.3e} > tol",
+                last_iterate=(a,), residual_norm=norm, iterations=0)
+        return SolveResult(a, None, norm, 0)
 
     result = newton_solve(lambda x: closure_residual(x[0], x[1], pr, cfg, mode), x0, cfg)
     # the physical branch has A > 0, B < 0; another root is a diagnostic, not an error

@@ -164,8 +164,8 @@ def tabulate_profile(
     grid,
     cfg: ShootConfig | None = None,
     problem: Problem = Problem.FREE_CONVECTION,
-) -> tuple[tuple[float, float, float, float], ...]:
-    """(eta, f, f', theta) rows at exactly the requested eta values.
+) -> tuple[tuple[float, float, float, float | None], ...]:
+    """(eta, f, f', theta) rows at exactly the requested eta values; theta is None for Blasius.
 
     Each inter-grid interval is integrated with a whole number of sub-steps
     no larger than cfg.step, so grid points are hit without interpolation.
@@ -183,5 +183,5 @@ def tabulate_profile(
     else:
         advance, state = partial(_advance_free_convection, pr=pr), [0.0, 0.0, a, 1.0, b]
     states = _march(advance, state, grid, cfg.step)
-    return tuple((eta, s[0], s[1], s[3] if len(s) == 5 else math.nan)
+    return tuple((eta, s[0], s[1], s[3] if len(s) == 5 else None)
                  for eta, s in zip(grid, states))

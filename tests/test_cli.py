@@ -20,7 +20,7 @@ from dtmpade.cli import (
     parse_grid,
     run,
 )
-from dtmpade.rootfind import ClosureConfig
+from dtmpade.rootfind import ClosureConfig, blasius_closure_residual
 from dtmpade.shooting import ShootConfig
 
 
@@ -35,6 +35,20 @@ def test_parse_grid_inclusive_end():
     grid = parse_grid("0:1:0.1")
     assert len(grid) == 11
     assert grid[0] == 0.0 and grid[-1] == 1.0
+
+
+def test_parse_grid_builds_each_point_from_its_index():
+    # an accumulated sum drifted to 6.484000000001 here
+    grid = parse_grid("0:8:0.001")
+    assert grid[6484] == 6.484 and grid[-1] == 8.0 and len(grid) == 8001
+    # a step below the spacing of floats at 1e17 never advanced the sum
+    assert parse_grid("1e17:1e17:1") == [1e17]
+
+
+def test_parse_grid_rejects_too_many_points():
+    with pytest.raises(UsageError, match="more than"):
+        parse_grid("0:1:1e-12")
+    assert run(["profile", "--a", "0.6", "--grid", "0:1:1e-12"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1"])
@@ -123,6 +137,9 @@ def test_nonconvergence_report_prints_plain_floats(capsys):
     # Pade degrees that are not comma-separated integers
     ["compare", "--pade", "2,x"],
     ["compare", "--pade", ""],
+    # the Blasius DTM-Pade root is in closed form and takes no guess
+    ["solve", "--problem", "blasius", "--guess", "0.3"],
+    ["compare", "--problem", "blasius", "--guess", "0.3"],
 ])
 def test_bad_inputs_are_usage_errors(capsys, argv):
     assert run(argv) == EXIT_USAGE
@@ -142,18 +159,25 @@ def test_integrator_profile_ignores_mode(capsys):
         assert rows[0] == rows[1]
 
 
-@pytest.mark.parametrize("argv, stage", [
+@pytest.mark.parametrize("a, n, stage", [
     # the cube g^3 of the Blasius closure leaves the float range
-    (["solve", "--problem", "blasius", "--pade", "1", "--guess", "1e100"],
-     "cube-variable series g^3"),
+    (1e100, 1, "cube-variable series g^3"),
     # the powers s**k of the cube-variable rescaling leave it
-    (["solve", "--problem", "blasius", "--pade", "2", "--guess", "1e-80"], "rescaling"),
+    (1e-80, 2, "rescaling"),
 ])
-def test_blasius_closure_overflow_exit_code(capsys, argv, stage):
-    assert run(argv) == EXIT_NO_CONVERGENCE
+def test_blasius_closure_overflow(a, n, stage):
+    # an OverflowError, which the CLI maps to exit 3, naming its stage
+    with pytest.raises(OverflowError) as exc:
+        blasius_closure_residual(a, ClosureConfig(pade_degree=n))
+    assert stage in str(exc.value) and "out of range" not in str(exc.value)
+
+
+def test_overflow_exit_code(capsys):
+    # a coefficient beyond the float range exits 3 with a one-line report
+    assert run(["series", "--problem", "blasius", "--a", "1e200", "--order", "30"]) == \
+        EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert stage in err and "out of range" not in err
 
 
 def test_newton_flag_defaults_come_from_the_configs(capsys):
@@ -236,6 +260,24 @@ def test_profile_both_sources(capsys):
     assert len(payload["result"]["rows"][0]) == 7
 
 
+def test_blasius_profile_is_strict_json(capsys):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert run(["profile", "--problem", "blasius", "--source", "both", "--a", "0.332",
+                "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    columns = payload["result"]["columns"]
+    assert columns == ["eta", "f_series", "fprime_series", "theta_series",
+                       "f_integrator", "fprime_integrator", "theta_integrator"]
+    rows = payload["result"]["rows"]
+    assert len(rows) == 11 and all(row[3] is None and row[6] is None for row in rows)
+    # csv leaves the missing theta cells empty
+    assert run(["profile", "--problem", "blasius", "--a", "0.332", "--format", "csv"]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert all(row[3] == "" for row in csv.reader(lines[1:]))
+
+
 def test_profile_grid_outside_domain(capsys):
     assert run(["profile", "--a", "0.6", "--grid", "0:9:1"]) == EXIT_USAGE
 
@@ -283,11 +325,22 @@ def test_compare_validates_before_the_oracle_runs(capsys, monkeypatch):
     for argv in (["compare", "--pade", "0", "--step", "0.001"],
                  ["compare", "--tol", "nan"],
                  ["compare", "--problem", "blasius", "--mode", "paper"],
-                 ["compare", "--guess", "0.5"]):
+                 ["compare", "--guess", "0.5"],
+                 ["compare", "--problem", "blasius", "--guess", "0.3"]):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
     assert run(["compare", "--pade", "2,x"]) == EXIT_USAGE
     assert "must be comma-separated integers, got '2,x'" in capsys.readouterr().err
+
+
+def test_compare_rejects_an_empty_ladder(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the settings were checked")
+
+    monkeypatch.setattr(cli, "shoot_solve", oracle)
+    manifest = cli._manifest(cli.build_parser().parse_args(["compare", "--format", "json"]))
+    with pytest.raises(UsageError, match="at least one Pade degree"):
+        execute(dict(manifest, pade=[]))
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -309,3 +309,39 @@ def test_blasius_closure_and_solve():
     assert res.b is None
     assert abs(blasius_closure_residual(res.a, ClosureConfig(pade_degree=4))) <= 1e-8
     assert res.a == pytest.approx(0.33206, abs=0.05)
+
+
+# the Blasius roots damped Newton found from A = 0.3 before the closed form
+NEWTON_BLASIUS_ROOTS = {1: 0.25000000000000044, 2: 0.437991706195133,
+                        3: 0.31117439013579123, 4: 0.32779775583118215,
+                        5: 0.3211073682495318, 6: 0.33728007858650844}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_blasius_rung_in_closed_form(n):
+    cfg = ClosureConfig(pade_degree=n)
+    if n >= 9:  # the cube-variable fit fails the condition gate
+        with pytest.raises(DegenerateApproximantError, match="cube variable"):
+            solve_problem(Problem.BLASIUS, 1.0, cfg)
+        return
+    a = (blasius_closure_residual(1.0, cfg) + 1.0) ** -0.5
+    if n >= 7:  # the verifying residual exceeds tol
+        with pytest.raises(NonConvergenceError, match="closed-form root") as exc:
+            solve_problem(Problem.BLASIUS, 1.0, cfg)
+        assert exc.value.iterations == 0 and exc.value.last_iterate == (a,)
+        assert exc.value.residual_norm == abs(blasius_closure_residual(a, cfg)) > cfg.tol
+        return
+    res = solve_problem(Problem.BLASIUS, 1.0, cfg)
+    assert res.a == a and res.b is None and res.iterations == 0
+    assert res.residual_norm == abs(blasius_closure_residual(a, cfg)) <= cfg.tol
+    assert abs(res.a - NEWTON_BLASIUS_ROOTS[n]) <= 2e-11
+
+
+def test_blasius_rung_never_enters_newton(monkeypatch):
+    def newton(*args, **kwargs):
+        raise AssertionError("the Blasius rung ran Newton")
+
+    monkeypatch.setattr(rootfind, "newton_solve", newton)
+    for n in range(2, 7):
+        res = solve_problem(Problem.BLASIUS, 1.0, ClosureConfig(pade_degree=n))
+        assert abs(res.a - NEWTON_BLASIUS_ROOTS[n]) <= 2e-11
