@@ -60,7 +60,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse 'start:end:step': point i is start + i*step to 12 decimals, below end + step/2."""
+    """Parse 'start:end:step': point i is start + i*step to 12 decimals, below end + step/2.
+
+    Points that coincide after the rounding (a step below 1e-12, or below
+    the float spacing at start) are a usage error.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:end:step, got {spec!r}")
@@ -75,7 +79,11 @@ def parse_grid(spec: str) -> list[float]:
     points = (end - start) / step + 0.5  # the points less than half a step past end
     if not points <= 1e6:
         raise UsageError(f"grid {spec!r} has more than 10^6 points")
-    return [round(start + i * step, 12) for i in range(math.ceil(points))]
+    grid = [round(start + i * step, 12) for i in range(math.ceil(points))]
+    if any(g2 == g1 for g1, g2 in zip(grid, grid[1:])):
+        raise UsageError(f"grid {spec!r} repeats points after rounding "
+                         "to the 1e-12 point resolution")
+    return grid
 
 
 def parse_guess(spec: str) -> tuple[float, ...]:

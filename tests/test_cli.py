@@ -51,6 +51,17 @@ def test_parse_grid_rejects_too_many_points():
     assert run(["profile", "--a", "0.6", "--grid", "0:1:1e-12"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec", ["0:1e-12:1e-13", "1e17:100000000000000016:1"])
+def test_parse_grid_rejects_points_that_round_together(spec, capsys):
+    # points are rounded to 12 decimals, so a finer step, or one below the
+    # float spacing at start, would repeat points the user wrote increasing
+    with pytest.raises(UsageError, match="1e-12 point resolution"):
+        parse_grid(spec)
+    assert run(["profile", "--a", "0.6", "--grid", spec]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "1e-12 point resolution" in err and "strictly increasing" not in err
+
+
 @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1"])
 def test_parse_grid_rejects_non_finite(spec):
     # checked before the loop, so an infinite end cannot grow the grid without bound

@@ -91,12 +91,17 @@ def test_rk4_fourth_order_slope():
 
 @pytest.mark.parametrize("problem", ["free_convection", "blasius"])
 def test_rk4_step_matches_numpy_vector_form(problem):
+    # one call of nsub steps equals nsub vector steps, each fed the last; the
+    # span nsub * h stays below 0.2 so that no random start blows up
     advance, rhs, dim = STEPPERS[problem]
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        state, h = rng.normal(scale=3.0, size=dim), rng.uniform(1e-3, 0.2)
-        want = _vector_rk4_step(rhs, state, h)
-        assert advance(state.tolist(), 0.0, h, 1) == want.tolist()
+    for nsub in (1, 2, 7):
+        for _ in range(200):
+            state, h = rng.normal(scale=3.0, size=dim), rng.uniform(1e-3, 0.2) / nsub
+            want = state
+            for _ in range(nsub):
+                want = _vector_rk4_step(rhs, want, h)
+            assert advance(state.tolist(), 0.0, h, nsub) == want.tolist()
 
 
 def test_step_halving_error_ratio_on_problem():
@@ -171,7 +176,7 @@ def test_non_finite_wall_values_blow_up_at_first_step(bad, position):
 
 @pytest.mark.parametrize("position", range(3))
 def test_blow_up_check_sees_nan_in_any_position(position):
-    # abs(nan) <= limit is false, so a NaN anywhere ends the march at the first step
+    # every comparison with nan is false, so a NaN anywhere ends the march at the first step
     state = [math.nan if i == position else v for i, v in enumerate([0.0, 1.0, 0.332])]
     with pytest.raises(BlowUpError) as info:
         _march(_advance_blasius, state, [1.0], 0.1)
@@ -181,8 +186,9 @@ def test_blow_up_check_sees_nan_in_any_position(position):
 L = _BLOWUP_LIMIT
 
 
-# each component in turn starts on the limit, and one step of h takes it,
-# and only it, past the limit; the vector step confirms that
+# each component in turn starts on the limit, or on minus the limit, and
+# one step of h takes it, and only it, past that bound; the vector step
+# confirms that
 @pytest.mark.parametrize("problem, component, start, h", [
     ("free_convection", 0, [L, 1.0, 0.0, 0.0, 0.0], 1e-6),
     ("free_convection", 1, [0.0, L, 0.0, 0.0, 0.0], 1e-9),
@@ -192,6 +198,14 @@ L = _BLOWUP_LIMIT
     ("blasius", 0, [L, 1.0, 0.0], 1e-6),
     ("blasius", 1, [0.0, L, 1.0], 1e-6),
     ("blasius", 2, [-1.0, 0.0, L], 1e-6),
+    ("free_convection", 0, [-L, -1.0, 0.0, 0.0, 0.0], 1e-6),
+    ("free_convection", 1, [0.0, -L, -5e7, 0.0, 0.0], 1e-9),
+    ("free_convection", 2, [0.0, 0.0, -L, 1e5, 0.0], 1e-6),
+    ("free_convection", 3, [0.0, 0.0, 0.0, -L, -1.0], 1e-6),
+    ("free_convection", 4, [-1.0, 0.0, 0.0, 0.0, -L], 1e-6),
+    ("blasius", 0, [-L, -1.0, 0.0], 1e-6),
+    ("blasius", 1, [0.0, -L, -1.0], 1e-6),
+    ("blasius", 2, [-1.0, 0.0, -L], 1e-6),
 ])
 def test_blow_up_check_sees_each_component(problem, component, start, h):
     advance, rhs, dim = STEPPERS[problem]
@@ -210,6 +224,16 @@ def test_residuals_pinned_bit_for_bit():
     assert boundary_residual(OSTRACH_A, OSTRACH_B, 0.72, ShootConfig(step=0.03)) == (
         0.6319496161626309, -0.160541434853559)
     assert blasius_boundary_residual(0.332, ShootConfig()) == -0.0001188470731889879
+
+
+def test_bench_shoot_roots_pinned_bit_for_bit():
+    # the roots at the benchmark's shoot_oracle settings, from the default guess;
+    # any change to a trajectory or to Newton's path shows here
+    cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
+    res = shoot_solve(1.0, cfg)
+    assert (res.a, res.b, res.iterations) == (0.6421787637344606, -0.5671373996114442, 7)
+    res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
+    assert (res.a, res.iterations) == (0.3320591917502373, 3)
 
 
 def test_tabulate_blow_up_matches_boundary_residual():
