@@ -62,6 +62,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def parse_grid(spec: str) -> list[float]:
     """Parse 'start:end:step': point i is start + i*step to 12 decimals, below end + step/2.
 
+    Which points lie below end + step/2 is decided on the decimals as
+    written, so a point exactly half a step past end is never included.
     Points that coincide after the rounding (a step below 1e-12, or below
     the float spacing at start) are a usage error.
     """
@@ -69,17 +71,23 @@ def parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise UsageError(f"grid must be start:end:step, got {spec!r}")
     try:
-        start, end, step = (float(p) for p in parts)
+        values = start, end, step = tuple(float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid values must be numeric, got {spec!r}")
-    if not all(math.isfinite(v) for v in (start, end, step)):
+    if not all(math.isfinite(v) for v in values):
         raise UsageError(f"grid values must be finite, got {spec!r}")
-    if step <= 0 or end < start:
+    from fractions import Fraction  # only a grid needs it; --version starts without it
+
+    # a value that is 0 as a float counts as 0: so does 1e-400, and a huge
+    # exponent such as 0e-99999999 never becomes a power of ten
+    lo, hi, width = (Fraction(p.replace("_", "")) if v else Fraction(0)
+                     for p, v in zip(parts, values))
+    if width <= 0 or hi < lo:
         raise UsageError("grid needs end >= start and step > 0")
-    points = (end - start) / step + 0.5  # the points less than half a step past end
-    if not points <= 1e6:
+    points = math.ceil((hi - lo) / width + Fraction(1, 2))
+    if points > 10**6:
         raise UsageError(f"grid {spec!r} has more than 10^6 points")
-    grid = [round(start + i * step, 12) for i in range(math.ceil(points))]
+    grid = [round(start + i * step, 12) for i in range(points)]
     if any(g2 == g1 for g1, g2 in zip(grid, grid[1:])):
         raise UsageError(f"grid {spec!r} repeats points after rounding "
                          "to the 1e-12 point resolution")

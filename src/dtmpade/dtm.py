@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul, truediv
+from typing import NamedTuple
 
 from .series import TruncatedSeries
 
@@ -94,37 +96,68 @@ def init_transforms(params: ProblemParams) -> tuple[tuple[float, ...], tuple[flo
     return f_prefix, (1.0, params.b)
 
 
+class Weights(NamedTuple):
+    """The convolution weights of the steps k < n, as exact small-integer floats.
+
+    The last k+1 entries of desc are k+1, k, ..., 1 (the weight k-r+1 for
+    r = 0..k) and those of pair are (k+1)(k+2), ..., 1*2 (the weight
+    (k-r+1)(k-r+2)); asc is 1, 2, ..., n. divisors is r! (inf past r = 170)
+    in paper-fidelity mode and None in corrected mode.
+    """
+
+    asc: tuple[float, ...]
+    desc: tuple[float, ...]
+    pair: tuple[float, ...]
+    divisors: tuple[float, ...] | None
+
+
+def recurrence_weights(n: int, mode: RecurrenceMode = RecurrenceMode.CORRECTED) -> Weights:
+    """The weights of the steps k < n; generate builds them once per call."""
+    desc = tuple(map(float, range(n, 0, -1)))
+    pair = tuple(map(mul, desc, map(float, range(n + 1, 1, -1))))
+    divisors = None
+    if mode is RecurrenceMode.PAPER_FIDELITY:
+        divisors = _FACTORIALS[:n] + (math.inf,) * (n - len(_FACTORIALS))
+    return Weights(desc[::-1], desc, pair, divisors)
+
+
+# Each sum is a dot product run by map and sum in C: the summand
+# weight * f[r] * f[k-r+...] (divided by r! in paper mode) in the order
+# r = 0..k, as a term-by-term sum would take it. An exact float weight
+# rounds the product as the int weight does, so the coefficients are bit for
+# bit those of the term-by-term sum on the same interpreter.
+
+
 def advance_free_convection(
     f: list[float],
     theta: list[float],
     k: int,
     pr: float,
-    mode: RecurrenceMode,
+    weights: Weights,
 ) -> tuple[float, float]:
     """One recurrence step: compute F(k+3) and Theta(k+2) from lower coefficients.
 
-    Needs f[0..k+2] and theta[0..k+1]. In paper-fidelity mode the summand of
-    the third sum carries an extra 1/r! factor.
+    Needs f[0..k+2], theta[0..k+1] and the weights of some n > k. In
+    paper-fidelity mode the summand of the third sum carries an extra 1/r!
+    factor.
     """
-    s1 = sum((r + 1) * (k - r + 1) * f[r + 1] * f[k - r + 1] for r in range(k + 1))
-    if mode is RecurrenceMode.PAPER_FIDELITY:
-        s3 = sum(
-            (k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2]
-            / (_FACTORIALS[r] if r < len(_FACTORIALS) else math.inf)
-            for r in range(k + 1)
-        )
-    else:
-        s3 = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] for r in range(k + 1))
+    asc, desc, pair, divisors = weights
+    lin, quad = desc[-k - 1:], pair[-k - 1:]
+    s1 = sum(map(mul, map(mul, map(mul, asc, lin), f[1:k + 2]), f[k + 1:0:-1]))
+    terms = map(mul, map(mul, quad, f), f[k + 2:1:-1])
+    if divisors is not None:
+        terms = map(truediv, terms, divisors)
+    s3 = sum(terms)
     f_next = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
 
-    s2 = sum((k - r + 1) * f[r] * theta[k - r + 1] for r in range(k + 1))
+    s2 = sum(map(mul, map(mul, lin, f), theta[k + 1:0:-1]))
     theta_next = -3.0 * pr * s2 / ((k + 1) * (k + 2))
     return f_next, theta_next
 
 
-def advance_blasius(f: list[float], k: int) -> float:
+def advance_blasius(f: list[float], k: int, weights: Weights) -> float:
     """One step of the Blasius recurrence for f''' = -(1/2) f f''."""
-    s = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] for r in range(k + 1))
+    s = sum(map(mul, map(mul, weights.pair[-k - 1:], f), f[k + 2:1:-1]))
     return -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
 
 
@@ -138,16 +171,17 @@ def generate(params: ProblemParams) -> DtmSolution:
     f = list(f_prefix)
     theta = list(theta_prefix)
     m = params.order
+    weights = recurrence_weights(m, params.mode)
 
     if params.problem is Problem.BLASIUS:
         for k in range(m - 2):
-            f.append(advance_blasius(f, k))
+            f.append(advance_blasius(f, k, weights))
             if not math.isfinite(f[-1]):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
         return DtmSolution(TruncatedSeries(f), None)
 
     for k in range(m - 1):
-        f_next, theta_next = advance_free_convection(f, theta, k, params.pr, params.mode)
+        f_next, theta_next = advance_free_convection(f, theta, k, params.pr, weights)
         if k + 3 <= m:  # the last step's F(m+1) lies past the order
             if not math.isfinite(f_next):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")

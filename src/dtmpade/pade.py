@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DegenerateApproximantError, DegenerateLimitError, PoleError
 from .series import TruncatedSeries
@@ -84,7 +85,7 @@ def build(c: TruncatedSeries, L: int, M: int) -> RationalApproximant:
         resid = rhs_ext - A_ext @ b_tail.astype(np.longdouble)
         b_tail = b_tail + np.linalg.solve(A, resid.astype(float))
     b = (1.0,) + tuple(b_tail.tolist())
-    a = tuple(sum(b[j] * cc[i - j] for j in range(min(i, M) + 1)) for i in range(L + 1))
+    a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
     result = RationalApproximant(a, b)
 
     # the condition estimate alone does not guarantee the matching conditions
@@ -104,10 +105,11 @@ def build(c: TruncatedSeries, L: int, M: int) -> RationalApproximant:
 def _expand(r: RationalApproximant, order: int) -> list[float]:
     """Taylor coefficients of numerator/denominator up to the given degree."""
     num = list(r.numerator) + [0.0] * (order + 1)
-    den = list(r.denominator) + [0.0] * (order + 1)
+    den = list(r.denominator[1:]) + [0.0] * (order + 1)  # b1, b2, ... then zeros
     out: list[float] = []
     for k in range(order + 1):
-        out.append(num[k] - sum(den[j] * out[k - j] for j in range(1, k + 1)))
+        # b_j * out[k-j] for j = 1..k, zero-padded b_j included
+        out.append(num[k] - sum(map(mul, den, reversed(out))))
     return out
 
 

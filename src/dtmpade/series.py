@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,9 @@ class TruncatedSeries:
 
 def cauchy_product(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Convolution product, truncated to the shorter order."""
-    n = min(len(s.coeffs), len(t.coeffs))
-    out = []
-    for k in range(n):
-        out.append(sum(s.coeffs[r] * t.coeffs[k - r] for r in range(k + 1)))
-    return TruncatedSeries(tuple(out))
+    a, b = s.coeffs, t.coeffs
+    n = min(len(a), len(b))
+    return TruncatedSeries(tuple(sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n)))
 
 
 def differentiate(s: TruncatedSeries, n: int = 1) -> TruncatedSeries:
@@ -53,11 +52,8 @@ def differentiate(s: TruncatedSeries, n: int = 1) -> TruncatedSeries:
         raise ValueError("derivative order must be a positive integer")
     if s.order < n:
         raise ValueError(f"cannot differentiate an order-{s.order} series {n} times")
-    out = []
-    for k in range(s.order - n + 1):
-        fac = math.factorial(k + n) // math.factorial(k)
-        out.append(fac * s.coeffs[k + n])
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(
+        math.perm(k + n, n) * s.coeffs[k + n] for k in range(s.order - n + 1)))
 
 
 def evaluate(s: TruncatedSeries, x: float) -> float:

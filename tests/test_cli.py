@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dtmpade import __version__, cli
 from dtmpade.cli import (
@@ -60,6 +62,46 @@ def test_parse_grid_rejects_points_that_round_together(spec, capsys):
     assert run(["profile", "--a", "0.6", "--grid", spec]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "1e-12 point resolution" in err and "strictly increasing" not in err
+
+
+@given(st.integers(-10**4, 10**4), st.integers(1, 10**3), st.integers(1, 300),
+       st.integers(0, 6))
+def test_parse_grid_never_includes_a_point_half_a_step_past_end(start, step, points, digits):
+    # end = start + (points - 1/2) * step exactly, as decimals with the given digits
+    start, step = Decimal(start).scaleb(-digits), Decimal(step).scaleb(-digits)
+    end = start + (points - Decimal("0.5")) * step
+    assert len(parse_grid(f"{start}:{end}:{step}")) == points
+
+
+def test_parse_grid_ties_and_the_bench_grid():
+    # the float quotient (4.9 - 2.8) / 0.2 + 0.5 once rounded up to 11 and let 5.0 in
+    assert parse_grid("2.8:4.9:0.2") == [round(2.8 + 0.2 * i, 12) for i in range(11)]
+    assert parse_grid("0:1:0.4") == [0.0, 0.4, 0.8]
+    assert len(parse_grid("0:2:0.01")) == 201
+    # a value that underflows to 0 counts as 0; underscores are digit separators
+    assert parse_grid("0e-99999999:1:0.5") == parse_grid("1e-400:1:0.5") == [0.0, 0.5, 1.0]
+    assert parse_grid("1_0:1_1:0.5") == [10.0, 10.5, 11.0]
+    with pytest.raises(UsageError, match="step > 0"):
+        parse_grid("0:1:1e-400")
+
+
+def test_profile_prints_no_row_half_a_step_past_end(capsys):
+    code, payload = run_json(capsys, ["profile", "--a", "0.6", "--b", "-0.6", "--grid",
+                                      "2.8:4.9:0.2", "--source", "integrator"])
+    assert code == EXIT_OK
+    assert payload["result"]["rows"][-1][0] == 4.8
+
+
+def test_version_imports_neither_numpy_nor_fractions():
+    probe = ("import sys\nfrom dtmpade import cli\ntry:\n    cli.run(['--version'])\n"
+             "except SystemExit:\n    pass\nprint(sorted({'numpy', 'fractions'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1"])

@@ -2,8 +2,10 @@ import math
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from dtmpade.dtm import (
+    DtmSolution,
     Problem,
     ProblemParams,
     RecurrenceMode,
@@ -11,7 +13,9 @@ from dtmpade.dtm import (
     advance_free_convection,
     generate,
     init_transforms,
+    recurrence_weights,
 )
+from dtmpade.series import TruncatedSeries
 
 CORRECTED = RecurrenceMode.CORRECTED
 FIDELITY = RecurrenceMode.PAPER_FIDELITY
@@ -85,11 +89,12 @@ def test_advance_first_steps(mode):
     b = 0.7
     f = [0.0, 0.0, 0.5]
     theta = [1.0, b]
-    f3, t2 = advance_free_convection(f, theta, 0, 1.0, mode)
+    weights = recurrence_weights(2, mode)
+    f3, t2 = advance_free_convection(f, theta, 0, 1.0, weights)
     assert f3 == pytest.approx(-1 / 6, abs=1e-15)
     f.append(f3)
     theta.append(t2)
-    f4, t3 = advance_free_convection(f, theta, 1, 1.0, mode)
+    f4, t3 = advance_free_convection(f, theta, 1, 1.0, weights)
     assert f4 == pytest.approx(-b / 24, abs=1e-15)
 
 
@@ -141,7 +146,7 @@ def test_blasius_zero_prefix_propagates():
 
 def test_blasius_f3_zero_and_f5():
     a = 0.47
-    assert advance_blasius([0.0, 0.0, a / 2], 0) == 0.0
+    assert advance_blasius([0.0, 0.0, a / 2], 0, recurrence_weights(1)) == 0.0
     sol = generate(ProblemParams(problem=Problem.BLASIUS, a=a, order=5))
     # ansatz oracle on f''' = -f f''/2 gives c5 = -A^2/240
     c, _ = ansatz_coefficients(5, Problem.BLASIUS)
@@ -225,6 +230,15 @@ def test_prandtl_scales_theta_recurrence():
 def test_generate_overflow_reports_index():
     with pytest.raises(OverflowError, match="index"):
         generate(ProblemParams(a=1e150, b=1e150, order=12))
+    # theta first, f first in paper mode, and Blasius: the same message as the reference
+    for params, index in (
+        (ProblemParams(a=1e-3, b=1e200, order=12), "theta-coefficient at index 6"),
+        (ProblemParams(a=1e40, b=-1e30, order=60, mode=FIDELITY), "f-coefficient at index 23"),
+        (ProblemParams(Problem.BLASIUS, a=1e60, order=40), "f-coefficient at index 17"),
+    ):
+        for run in (generate, reference_generate):
+            with pytest.raises(OverflowError, match=f"^non-finite {index}$"):
+                run(params)
 
 
 def test_coefficient_past_the_order_is_not_checked():
@@ -257,3 +271,99 @@ def test_paper_mode_beyond_float_factorials():
     for hi_s, lo_s in ((high.f_series, low.f_series), (high.theta_series, low.theta_series)):
         assert all(map(math.isfinite, hi_s.coeffs))
         assert [c.hex() for c in hi_s.coeffs[:173]] == [c.hex() for c in lo_s.coeffs]
+
+
+# The term-by-term recurrence that the dot-product kernel replaced, kept
+# verbatim as the reference the kernel must equal bit for bit.
+_FACTORIALS = tuple(float(math.factorial(r)) for r in range(171))
+
+
+def reference_advance_free_convection(
+    f: list[float],
+    theta: list[float],
+    k: int,
+    pr: float,
+    mode: RecurrenceMode,
+) -> tuple[float, float]:
+    s1 = sum((r + 1) * (k - r + 1) * f[r + 1] * f[k - r + 1] for r in range(k + 1))
+    if mode is RecurrenceMode.PAPER_FIDELITY:
+        s3 = sum(
+            (k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2]
+            / (_FACTORIALS[r] if r < len(_FACTORIALS) else math.inf)
+            for r in range(k + 1)
+        )
+    else:
+        s3 = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] for r in range(k + 1))
+    f_next = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
+
+    s2 = sum((k - r + 1) * f[r] * theta[k - r + 1] for r in range(k + 1))
+    theta_next = -3.0 * pr * s2 / ((k + 1) * (k + 2))
+    return f_next, theta_next
+
+
+def reference_advance_blasius(f: list[float], k: int) -> float:
+    s = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] for r in range(k + 1))
+    return -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
+
+
+def reference_generate(params: ProblemParams) -> DtmSolution:
+    f_prefix, theta_prefix = init_transforms(params)
+    f = list(f_prefix)
+    theta = list(theta_prefix)
+    m = params.order
+
+    if params.problem is Problem.BLASIUS:
+        for k in range(m - 2):
+            f.append(reference_advance_blasius(f, k))
+            if not math.isfinite(f[-1]):
+                raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
+        return DtmSolution(TruncatedSeries(f), None)
+
+    for k in range(m - 1):
+        f_next, theta_next = reference_advance_free_convection(f, theta, k, params.pr, params.mode)
+        if k + 3 <= m:  # the last step's F(m+1) lies past the order
+            if not math.isfinite(f_next):
+                raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
+            f.append(f_next)
+        if not math.isfinite(theta_next):
+            raise OverflowError(f"non-finite theta-coefficient at index {k + 2}")
+        theta.append(theta_next)
+    return DtmSolution(TruncatedSeries(f), TruncatedSeries(theta))
+
+
+def hex_coefficients(run, params):
+    """Every coefficient's hex, or the overflow message."""
+    try:
+        sol = run(params)
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+    theta = sol.theta_series and [c.hex() for c in sol.theta_series.coeffs]
+    return [c.hex() for c in sol.f_series.coeffs], theta
+
+
+# wall values from small to ones that overflow within a few dozen orders
+wall_value = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-3, 40)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(Problem.FREE_CONVECTION, CORRECTED), (Problem.FREE_CONVECTION, FIDELITY),
+                     (Problem.BLASIUS, CORRECTED)]),
+    st.floats(1e-3, 1e3),
+    wall_value,
+    wall_value,
+    st.one_of(st.integers(3, 40), st.integers(3, 301)),
+)
+# paper mode across the last float r! (r = 170 enters at order 172, r = 171 at 173)
+@example((Problem.FREE_CONVECTION, FIDELITY), 1.0, 0.55, -0.86, 170)
+@example((Problem.FREE_CONVECTION, FIDELITY), 0.72, 0.6, -0.5, 171)
+@example((Problem.FREE_CONVECTION, FIDELITY), 1.0, 0.55, -0.86, 172)
+@example((Problem.FREE_CONVECTION, FIDELITY), 7.0, -1.3, 0.4, 173)
+def test_generate_equals_term_by_term_reference(case, pr, a, b, order):
+    problem, mode = case
+    params = ProblemParams(problem, pr, a, b, order, mode)
+    assert hex_coefficients(generate, params) == hex_coefficients(reference_generate, params)
+

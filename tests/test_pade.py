@@ -2,9 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dtmpade.errors import DegenerateApproximantError, DegenerateLimitError, PoleError
-from dtmpade.pade import RationalApproximant, build, evaluate, limit_at_infinity
+from dtmpade.pade import RationalApproximant, _expand, build, evaluate, limit_at_infinity
 from dtmpade.series import TruncatedSeries
 
 
@@ -146,3 +147,37 @@ def test_limit_agrees_with_far_evaluation():
         far = evaluate(r, 1e6)
         assert abs(far - lim) <= 1e-4 * max(1e-12, abs(lim))
         checked += 1
+
+
+def reference_expand(r, order):
+    """pade._expand in its term-by-term form, verbatim."""
+    num = list(r.numerator) + [0.0] * (order + 1)
+    den = list(r.denominator) + [0.0] * (order + 1)
+    out: list[float] = []
+    for k in range(order + 1):
+        out.append(num[k] - sum(den[j] * out[k - j] for j in range(1, k + 1)))
+    return out
+
+
+coefficients = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12)
+
+
+@given(coefficients, coefficients, st.integers(0, 30))
+def test_expand_equals_term_by_term_reference(num, den_tail, order):
+    r = RationalApproximant(tuple(num), (1.0,) + tuple(den_tail))
+    # large coefficients overflow to inf and nan, which hex() spells out too
+    assert [c.hex() for c in _expand(r, order)] == [c.hex() for c in reference_expand(r, order)]
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9), st.integers(0, 4),
+       st.integers(0, 4))
+def test_build_numerator_equals_term_by_term_convolution(c, L, M):
+    if not any(c[L + 1:L + M + 1]):
+        return  # a polynomial: build copies the numerator without a convolution
+    try:
+        r = build(TruncatedSeries(c), L, M)
+    except DegenerateApproximantError:
+        return
+    b = r.denominator
+    a = tuple(sum(b[j] * c[i - j] for j in range(min(i, M) + 1)) for i in range(L + 1))
+    assert [x.hex() for x in r.numerator] == [x.hex() for x in a]

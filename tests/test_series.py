@@ -82,3 +82,43 @@ def test_differentiate_composes():
     s = TruncatedSeries([1, 2, 3, 4, 5])
     twice = differentiate(differentiate(s, 1), 1)
     assert twice.coeffs == differentiate(s, 2).coeffs
+
+
+# The term-by-term forms that the C-level dot products replaced, verbatim.
+def reference_cauchy_product(s, t):
+    n = min(len(s.coeffs), len(t.coeffs))
+    out = []
+    for k in range(n):
+        out.append(sum(s.coeffs[r] * t.coeffs[k - r] for r in range(k + 1)))
+    return TruncatedSeries(tuple(out))
+
+
+def reference_differentiate(s, n):
+    out = []
+    for k in range(s.order - n + 1):
+        fac = math.factorial(k + n) // math.factorial(k)
+        out.append(fac * s.coeffs[k + n])
+    return TruncatedSeries(tuple(out))
+
+
+def hex_or_overflow(run, *args):
+    try:
+        return [c.hex() for c in run(*args).coeffs]
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+# magnitudes up to 1e200, so that some products overflow
+wide_series = st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=40).map(TruncatedSeries)
+
+
+@given(wide_series, wide_series)
+def test_cauchy_product_equals_term_by_term_reference(s, t):
+    assert hex_or_overflow(cauchy_product, s, t) == hex_or_overflow(reference_cauchy_product, s, t)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=200).map(TruncatedSeries),
+       st.integers(1, 5))
+def test_differentiate_equals_factorial_ratio_reference(s, n):
+    if s.order >= n:
+        assert hex_or_overflow(differentiate, s, n) == hex_or_overflow(reference_differentiate, s, n)
