@@ -5,8 +5,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+from dtmpade import shooting
 from dtmpade.dtm import Problem, ProblemParams, RecurrenceMode, generate
-from dtmpade.errors import BlowUpError
+from dtmpade.errors import BlowUpError, NonConvergenceError, SingularJacobianError
+from dtmpade.rootfind import DEFAULT_GUESS, SolveResult, newton_solve
 from dtmpade.series import evaluate as series_eval
 from dtmpade.shooting import (
     _BLOWUP_LIMIT,
@@ -228,12 +230,106 @@ def test_residuals_pinned_bit_for_bit():
 
 def test_bench_shoot_roots_pinned_bit_for_bit():
     # the roots at the benchmark's shoot_oracle settings, from the default guess;
-    # any change to a trajectory or to Newton's path shows here
+    # any change to a trajectory or to Newton's path shows here. The coarse
+    # stage at step 0.08 leaves the stage at 0.02 one iteration at Pr = 1 and
+    # none for Blasius; one-stage Newton took 7 and 3 to roots that stay close
     cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787637344606, -0.5671373996114442, 7)
+    assert (res.a, res.b, res.iterations) == (0.6421787637328251, -0.5671373996003624, 1)
+    assert abs(res.a - 0.6421787637344606) < 1e-9 and abs(res.b - -0.5671373996114442) < 1e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.3320591917502373, 3)
+    assert (res.a, res.iterations) == (0.33205919549331037, 0)
+    # the coarse root already meets tol at 0.02, within tol / |d residual / dA| of the old one
+    assert abs(res.a - 0.3320591917502373) < 5e-9
+
+
+def _record_steps(monkeypatch) -> list[float]:
+    """The step of every trajectory shoot_solve runs from here on."""
+    steps = []
+    for name in ("boundary_residual", "blasius_boundary_residual"):
+        def recorded(*args, _original=getattr(shooting, name)):
+            steps.append(args[-1].step)
+            return _original(*args)
+        monkeypatch.setattr(shooting, name, recorded)
+    return steps
+
+
+@pytest.mark.parametrize("step, stages", [(0.02, [0.08, 0.02]), (0.0175, [0.07, 0.0175]),
+                                          (0.03, [0.03]), (0.05, [0.05])])
+def test_coarse_stage_runs_up_to_the_cap(monkeypatch, step, stages):
+    # 4 * 0.02 == 0.08 is the largest coarse step; the first trajectory is
+    # the coarse stage's, the last the requested step's
+    steps = _record_steps(monkeypatch)
+    shoot_solve(1.0, ShootConfig(step=step))
+    assert sorted(set(steps), reverse=True) == stages
+    assert steps[0] == stages[0] and steps[-1] == step
+
+
+def test_step_above_cap_keeps_one_stage_newton_bits():
+    # roots of the one-stage Newton, pinned before the coarse stage existed
+    assert shoot_solve(1.0, ShootConfig(step=0.03)) == SolveResult(
+        0.642178759886459, -0.5671374011376122, 9.033035440459588e-11, 7)
+    assert shoot_solve(0.72, ShootConfig(step=0.03)) == SolveResult(
+        0.6759783308680797, -0.5046177547114779, 4.996321417575014e-14, 7)
+    assert shoot_solve(1.0, ShootConfig(step=0.03), problem=Problem.BLASIUS) == SolveResult(
+        0.3320591918118985, None, 8.326672684688674e-15, 3)
+
+
+def test_coarse_stage_failure_falls_back_to_the_callers_guess(monkeypatch):
+    # at eta_max = 12 the coarse stage (step 0.04) blows up; the stage at 0.01
+    # then starts from the default guess and returns the one-stage Newton's
+    # root, the reverse-flow one (pinned before the coarse stage existed)
+    with pytest.raises(BlowUpError):
+        shoot_solve(1.0, ShootConfig(eta_max=12.0, step=0.04))
+    steps = _record_steps(monkeypatch)
+    assert shoot_solve(1.0, ShootConfig(eta_max=12.0)) == SolveResult(
+        0.6391764853781349, -0.5539269253734782, 1.5523536878419685e-09, 10)
+    assert 0.04 in steps
+
+
+@pytest.mark.parametrize("error", [BlowUpError, NonConvergenceError, SingularJacobianError])
+def test_each_coarse_stage_error_falls_back(monkeypatch, error):
+    # a coarse trajectory that raises stands in for a coarse Newton that does;
+    # the stage at 0.02 then returns the benchmark root of one-stage Newton
+    original = shooting.boundary_residual
+
+    def coarse_fails(a, b, pr, cfg):
+        if cfg.step == 0.08:
+            raise error("coarse")
+        return original(a, b, pr, cfg)
+
+    monkeypatch.setattr(shooting, "boundary_residual", coarse_fails)
+    res = shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
+    assert (res.a, res.b, res.iterations) == (0.6421787637344606, -0.5671373996114442, 7)
+
+
+@pytest.mark.parametrize("pr, eta_max, reached", [(7.0, 8.0, 4.87), (0.1, 8.0, 4.75),
+                                                  (1.0, 10.0, 9.97), (0.72, 12.0, 5.95)])
+def test_both_stages_failing_raise_the_one_stage_error(pr, eta_max, reached):
+    # each case blew up at this eta with the one-stage Newton at step 0.01
+    with pytest.raises(BlowUpError, match=f"near eta = {reached}$") as info:
+        shoot_solve(pr, ShootConfig(eta_max=eta_max))
+    assert info.value.eta_reached == reached
+
+
+@pytest.mark.parametrize("problem, pr, eta_max, step", [
+    (Problem.FREE_CONVECTION, 0.5, 8.0, 0.02),
+    (Problem.FREE_CONVECTION, 0.72, 6.0, 0.01),
+    (Problem.FREE_CONVECTION, 1.0, 8.0, 0.005),
+    (Problem.FREE_CONVECTION, 2.0, 5.0, 0.015),
+    (Problem.BLASIUS, 1.0, 10.0, 0.02),
+])
+def test_two_stage_root_meets_tol_at_the_requested_step(problem, pr, eta_max, step):
+    cfg = ShootConfig(eta_max=eta_max, step=step)
+    res = shoot_solve(pr, cfg, problem=problem)
+    if problem is Problem.BLASIUS:
+        residual = lambda x: (blasius_boundary_residual(x[0], cfg),)
+    else:
+        residual = lambda x: boundary_residual(x[0], x[1], pr, cfg)
+    got = (res.a,) if res.b is None else (res.a, res.b)
+    assert max(abs(v) for v in residual(got)) <= cfg.tol
+    one_stage = newton_solve(residual, DEFAULT_GUESS[problem], cfg)
+    assert abs(res.a - one_stage.a) < 1e-8 and abs((res.b or 0.0) - (one_stage.b or 0.0)) < 1e-8
 
 
 def test_tabulate_blow_up_matches_boundary_residual():
