@@ -78,14 +78,20 @@ def build(c: TruncatedSeries, L: int, M: int) -> RationalApproximant:
         )
     b_tail = np.linalg.solve(A, rhs)
     # two rounds of iterative refinement with an extended-precision residual;
-    # Pade systems lose digits fast and the refinement is nearly free
+    # Pade systems lose digits fast and the refinement is nearly free. A tiny
+    # pivot (a subnormal one passes the condition gate of a 1x1 system) can
+    # overflow the solve, which the refinement turns into NaN: quietly, since
+    # the finiteness check below reports it
     A_ext = A.astype(np.longdouble)
     rhs_ext = rhs.astype(np.longdouble)
-    for _ in range(2):
-        resid = rhs_ext - A_ext @ b_tail.astype(np.longdouble)
-        b_tail = b_tail + np.linalg.solve(A, resid.astype(float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            resid = rhs_ext - A_ext @ b_tail.astype(np.longdouble)
+            b_tail = b_tail + np.linalg.solve(A, resid.astype(float))
     b = (1.0,) + tuple(b_tail.tolist())
     a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
+    if not all(math.isfinite(v) for v in a + b):
+        raise DegenerateApproximantError(f"[{L}/{M}] approximant coefficients overflow")
     result = RationalApproximant(a, b)
 
     # the condition estimate alone does not guarantee the matching conditions

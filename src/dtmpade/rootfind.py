@@ -219,6 +219,9 @@ def newton_solve(
     residual: Callable[[tuple[float, ...]], Sequence[float]],
     x0: Sequence[float],
     cfg,
+    jacobian: Sequence[Sequence[float]] | None = None,
+    *,
+    _last_jacobian: list | None = None,
 ) -> SolveResult:
     """Damped Newton with a forward-difference Jacobian (step FD_STEP).
 
@@ -231,6 +234,14 @@ def newton_solve(
     Stops when the residual infinity-norm drops to cfg.tol. A step that does
     not decrease the norm is shrunk by DAMPING up to 8 times before the
     iteration is declared stagnant.
+
+    jacobian, one row per residual, stands in for the forward differences
+    of iteration 0 only (a chord step), such as the last Jacobian of a
+    solve of a nearby problem. Where its step counts as singular, or its
+    damped trial stagnates, iteration 0 is redone with forward differences
+    at the same iterate, and from there on the solve is the one without
+    it. A list passed as _last_jacobian receives the rows of the Jacobian
+    behind each accepted step, so it holds the last one on return.
     """
     x = tuple(float(v) for v in x0)
     d = len(x)
@@ -253,32 +264,47 @@ def newton_solve(
                 residual_norm=norm,
                 iterations=it,
             )
-        jac = _jacobian(floats, x, r)
-        step = _step(jac, r)
-        if step is None:
-            raise SingularJacobianError(
-                "Jacobian is singular at the current iterate",
-                last_iterate=x,
-                residual_norm=norm,
-                iterations=it,
-            )
+        trial = None
+        if it == 0 and jacobian is not None:
+            jac = jacobian
+            step = _step(jac, r)
+            if step is not None:
+                trial = _damped_trial(floats, x, step, norm)
+        if trial is None:
+            jac = _jacobian(floats, x, r)
+            step = _step(jac, r)
+            if step is None:
+                raise SingularJacobianError(
+                    "Jacobian is singular at the current iterate",
+                    last_iterate=x,
+                    residual_norm=norm,
+                    iterations=it,
+                )
+            trial = _damped_trial(floats, x, step, norm)
+            if trial is None:
+                raise NonConvergenceError(
+                    f"stagnated at residual norm {norm:.3e}",
+                    last_iterate=x,
+                    residual_norm=norm,
+                    iterations=it,
+                )
+        if _last_jacobian is not None:
+            _last_jacobian[:] = jac
+        x, r, norm = trial
 
-        lam = 1.0
-        for _ in range(9):
-            x_new = tuple(v - lam * s for v, s in zip(x, step))
-            r_new = floats(x_new)
-            norm_new = _inf_norm(r_new)
-            if norm_new < norm:
-                break
-            lam *= DAMPING
-        else:
-            raise NonConvergenceError(
-                f"stagnated at residual norm {norm:.3e}",
-                last_iterate=x,
-                residual_norm=norm,
-                iterations=it,
-            )
-        x, r, norm = x_new, r_new, norm_new
+
+def _damped_trial(floats, x: tuple[float, ...], step: list[float], norm: float):
+    """(x_new, r_new, norm_new) of the first of x - lam * step, lam = 1,
+    DAMPING, ..., DAMPING**8, whose residual norm is below norm; None if none is."""
+    lam = 1.0
+    for _ in range(9):
+        x_new = tuple(v - lam * s for v, s in zip(x, step))
+        r_new = floats(x_new)
+        norm_new = _inf_norm(r_new)
+        if norm_new < norm:
+            return x_new, r_new, norm_new
+        lam *= DAMPING
+    return None
 
 
 def solve_problem(

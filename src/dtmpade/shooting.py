@@ -10,9 +10,12 @@ Newton runs in two stages with one stopping rule (nested iteration). The
 coarse stage solves at COARSE_FACTOR times the requested step from the
 caller's guess, with a quarter of the RK4 steps per trajectory; the fine
 stage solves at the requested step from the coarse root, so a returned root
-meets tol at that step. The coarse stage runs only while its step is at most
-COARSE_STEP_CAP. When it blows up or does not converge, the fine stage
-starts from the caller's guess, as if the coarse stage had not run.
+meets tol at that step. Its first iteration reuses the coarse stage's last
+Jacobian, which differs from the fine one only by discretisation error, in
+place of two forward-difference trajectories (newton_solve falls back to
+them where that step fails). The coarse stage runs only while its step is
+at most COARSE_STEP_CAP. When it blows up or does not converge, the fine
+stage starts from the caller's guess, as if the coarse stage had not run.
 
 Free convection integrates the first-order system of
 (f, f', f'', theta, theta') with
@@ -191,23 +194,25 @@ def shoot_solve(
     """
     check_prandtl(pr)
     x = initial_guess(problem, x0)
+    jac = []
     coarse_step = COARSE_FACTOR * cfg.step
     if coarse_step <= COARSE_STEP_CAP:
         try:
-            root = _newton(pr, replace(cfg, step=coarse_step), x, problem)
+            root = _newton(pr, replace(cfg, step=coarse_step), x, problem, _last_jacobian=jac)
             x = (root.a,) if root.b is None else (root.a, root.b)
         except (BlowUpError, NonConvergenceError):
-            pass
-    return _newton(pr, cfg, x, problem)
+            jac = []
+    return _newton(pr, cfg, x, problem, jac or None)
 
 
-def _newton(pr: float, cfg: ShootConfig, x, problem: Problem) -> SolveResult:
-    """newton_solve on the boundary residual at cfg.step from x."""
+def _newton(pr: float, cfg: ShootConfig, x, problem: Problem, *args, **kwargs) -> SolveResult:
+    """newton_solve on the boundary residual at cfg.step from x; the
+    further arguments go to newton_solve."""
     if problem is Problem.BLASIUS:
         residual = lambda x: (blasius_boundary_residual(x[0], cfg),)
     else:
         residual = lambda x: boundary_residual(x[0], x[1], pr, cfg)
-    return newton_solve(residual, x, cfg)
+    return newton_solve(residual, x, cfg, *args, **kwargs)
 
 
 def tabulate_profile(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -272,6 +273,15 @@ def test_solve_degenerate_exit_code(capsys):
     # A = B = 0 freezes theta at 1; its diagonal fit is rank-deficient
     code = run(["solve", "--pade", "3", "--guess", "0,0", "--max-iter", "1"])
     assert code in (EXIT_DEGENERATE, EXIT_NO_CONVERGENCE)
+
+
+def test_subnormal_pivot_is_degenerate_not_a_warning(capsys):
+    # the [1/1] pivot is the f'-series' A = 1e-310; its solve overflows, and
+    # the approximant is rejected as degenerate (exit 4), not as a usage error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["solve", "--pade", "1", "--guess=1e-310,-0.6"]) == EXIT_DEGENERATE
+    assert "approximant coefficients overflow" in capsys.readouterr().err
 
 
 def test_shoot_reference_values(capsys):

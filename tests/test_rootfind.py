@@ -51,6 +51,29 @@ def test_newton_linear_one_step():
     assert res.iterations <= 2
 
 
+def test_newton_starting_jacobian_stands_in_for_iteration_0_only():
+    calls = []
+
+    def residual(x):
+        calls.append(x)
+        return (2.0 * x[0] + x[1] - 3.0, x[0] - x[1])
+
+    cfg, exact = ClosureConfig(tol=1e-12), [(2.0, 1.0), (1.0, -1.0)]
+    # the exact Jacobian of a linear system: the residual and one trial step
+    last = []
+    res = newton_solve(residual, (5.0, -4.0), cfg, exact, _last_jacobian=last)
+    assert (res.a, res.b, res.residual_norm, res.iterations) == (1.0, 1.0, 0.0, 1)
+    assert len(calls) == 2 and last == exact
+    # twice the Jacobian halves the first step; each later iteration takes
+    # forward differences (two more evaluations) and hands them back
+    calls.clear()
+    res = newton_solve(residual, (5.0, -4.0), cfg, [(4.0, 2.0), (2.0, -2.0)],
+                       _last_jacobian=last)
+    assert calls[:2] == [(5.0, -4.0), (3.0, -1.5)]
+    assert res.iterations > 1 and len(calls) == 2 + 3 * (res.iterations - 1)
+    assert np.allclose(last, exact, atol=1e-6)
+
+
 def test_newton_singular_jacobian():
     # identical residual components: Jacobian rows coincide exactly
     with pytest.raises(SingularJacobianError):

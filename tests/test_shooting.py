@@ -232,11 +232,15 @@ def test_bench_shoot_roots_pinned_bit_for_bit():
     # the roots at the benchmark's shoot_oracle settings, from the default guess;
     # any change to a trajectory or to Newton's path shows here. The coarse
     # stage at step 0.08 leaves the stage at 0.02 one iteration at Pr = 1 and
-    # none for Blasius; one-stage Newton took 7 and 3 to roots that stay close
+    # none for Blasius; one-stage Newton took 7 and 3 to roots that stay close.
+    # The Pr = 1 iteration steps with the coarse stage's last Jacobian; with
+    # forward differences it gave the second pair of literals
     cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787637328251, -0.5671373996003624, 1)
-    assert abs(res.a - 0.6421787637344606) < 1e-9 and abs(res.b - -0.5671373996114442) < 1e-9
+    assert (res.a, res.b, res.iterations) == (0.6421787637326019, -0.5671373995932919, 1)
+    for a, b in ((0.6421787637328251, -0.5671373996003624),
+                 (0.6421787637344606, -0.5671373996114442)):
+        assert abs(res.a - a) < 1e-9 and abs(res.b - b) < 1e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
     assert (res.a, res.iterations) == (0.33205919549331037, 0)
     # the coarse root already meets tol at 0.02, within tol / |d residual / dA| of the old one
@@ -252,6 +256,46 @@ def _record_steps(monkeypatch) -> list[float]:
             return _original(*args)
         monkeypatch.setattr(shooting, name, recorded)
     return steps
+
+
+@pytest.mark.parametrize("pr", [0.5, 0.72, 1.0])
+@pytest.mark.parametrize("step", [0.01, 0.02])
+def test_fine_stage_steps_with_the_coarse_jacobian(monkeypatch, pr, step):
+    # the fine stage's one iteration runs the residual and the trial step;
+    # the coarse stage's last Jacobian stands in for two forward differences
+    steps = _record_steps(monkeypatch)
+    assert shoot_solve(pr, ShootConfig(step=step)).iterations == 1
+    assert steps.count(step) == 2
+
+
+def _bad_handed_on_jacobian(monkeypatch, bad):
+    """shoot_solve from here on hands bad(coarse Jacobian) to its fine stage."""
+    original = shooting.newton_solve
+
+    def solve(residual, x0, cfg, jacobian=None, **kwargs):
+        if jacobian is not None:
+            jacobian = bad(jacobian)
+        return original(residual, x0, cfg, jacobian, **kwargs)
+
+    monkeypatch.setattr(shooting, "newton_solve", solve)
+
+
+# fine-stage trajectories: the residual, the 9 damped trials of a stagnating
+# step, the two forward-difference columns and the trial of their step
+@pytest.mark.parametrize("bad, fine_trajectories", [
+    (lambda jac: [(0.0, 0.0), (0.0, 0.0)], 1 + 2 + 1),  # singular: no step to try
+    (lambda jac: [(math.nan,) * 2] * 2, 1 + 2 + 1),
+    (lambda jac: [tuple(-v for v in row) for row in jac], 1 + 9 + 2 + 1),  # an ascent step
+])
+def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, bad,
+                                                                 fine_trajectories):
+    # iteration 0 is redone with forward differences at the coarse root, so
+    # the fine stage returns the root it returned without the hand-off
+    _bad_handed_on_jacobian(monkeypatch, bad)
+    steps = _record_steps(monkeypatch)
+    res = shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
+    assert (res.a, res.b, res.iterations) == (0.6421787637328251, -0.5671373996003624, 1)
+    assert steps.count(0.02) == fine_trajectories
 
 
 @pytest.mark.parametrize("step, stages", [(0.02, [0.08, 0.02]), (0.0175, [0.07, 0.0175]),
@@ -299,6 +343,25 @@ def test_each_coarse_stage_error_falls_back(monkeypatch, error):
         return original(a, b, pr, cfg)
 
     monkeypatch.setattr(shooting, "boundary_residual", coarse_fails)
+    res = shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
+    assert (res.a, res.b, res.iterations) == (0.6421787637344606, -0.5671373996114442, 7)
+
+
+def test_coarse_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch):
+    # the coarse stage accepts its first step (trajectories 1-10: residual,
+    # two columns, seven damped trials), then blows up in the next Jacobian;
+    # the stage at 0.02 starts from the default guess with forward
+    # differences, as one-stage Newton did
+    original, coarse_calls = shooting.boundary_residual, []
+
+    def coarse_fails_late(a, b, pr, cfg):
+        if cfg.step == 0.08:
+            coarse_calls.append(a)
+            if len(coarse_calls) == 11:
+                raise BlowUpError("coarse", eta_reached=1.0)
+        return original(a, b, pr, cfg)
+
+    monkeypatch.setattr(shooting, "boundary_residual", coarse_fails_late)
     res = shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
     assert (res.a, res.b, res.iterations) == (0.6421787637344606, -0.5671373996114442, 7)
 
