@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .dtm import Problem, ProblemParams, RecurrenceMode, check_mode, generate
+from .dtm import Problem, ProblemParams, RecurrenceMode, check_mode, check_wall_values, generate
 from .errors import (
     BlowUpError,
     DegenerateApproximantError,
@@ -178,6 +178,8 @@ _PROFILE_ROWS = {"series": _series_profile_rows, "integrator": _integrator_profi
 
 
 def _exec_profile(m: dict) -> dict:
+    # checked up front: the integrator alone would report a blow-up instead
+    check_wall_values(m["a"], m["b"])
     grid = parse_grid(m["grid"])
     source = m["source"]
     if source in _PROFILE_ROWS:

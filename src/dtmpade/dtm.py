@@ -47,6 +47,11 @@ def check_prandtl(pr: float) -> None:
         raise ValueError(f"Prandtl number must be finite and positive, got {pr}")
 
 
+def check_wall_values(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("initial derivatives a, b must be finite")
+
+
 def check_mode(problem: Problem, mode: RecurrenceMode) -> None:
     if problem is Problem.BLASIUS and mode is RecurrenceMode.PAPER_FIDELITY:
         raise ValueError("paper mode is free convection only; Blasius has one recurrence")
@@ -73,8 +78,7 @@ class ProblemParams:
             raise ValueError(f"order must be >= 3, got {self.order}")
         check_prandtl(self.pr)
         check_mode(self.problem, self.mode)
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("initial derivatives a, b must be finite")
+        check_wall_values(self.a, self.b)
 
 
 @dataclass(frozen=True)

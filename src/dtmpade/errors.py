@@ -10,7 +10,7 @@ class DegenerateApproximantError(DtmPadeError):
 
 
 class DegenerateLimitError(DegenerateApproximantError):
-    """The numerator's effective degree exceeds the denominator's: the limit diverges."""
+    """A numerator term outgrows the denominator's effective degree: the limit diverges."""
 
 
 class PoleError(DtmPadeError):

@@ -21,8 +21,9 @@ from .series import TruncatedSeries
 
 COND_THRESHOLD = 1e12
 MATCH_TOLERANCE = 1e-10
-# below this (relative to the largest |b_j|) the approximant is effectively
-# of lower degree and its limit at infinity is meaningless
+# relative floors: a denominator coefficient below this is taken as zero,
+# lowering its effective degree d; a numerator coefficient above degree d
+# and above this makes the limit at infinity diverge
 LEADING_COEFF_FLOOR = 1e-10
 
 
@@ -133,32 +134,24 @@ def evaluate(r: RationalApproximant, x: float) -> float:
 
 
 def limit_at_infinity(r: RationalApproximant) -> float:
-    """Limit of a degree-balanced approximant: ratio of leading coefficients.
+    """Limit of a degree-balanced approximant at infinity: a_d / b_d.
 
-    Only L == M is supported; that is the only case the infinity boundary
-    conditions need.
+    d is the denominator's effective degree, n unless b_n is below the
+    floor; a numerator term above d that exceeds it diverges. Only
+    L == M is supported; the infinity boundary conditions need no other.
     """
     L, M = r.degrees
     if L != M:
         raise DegenerateApproximantError(
             f"limit at infinity needs equal degrees, got [{L}/{M}]"
         )
-    # effective degrees: trailing coefficients below the floor mean the
-    # quotient sits in a lower-degree block of the approximant table
     den_scale = max(abs(b) for b in r.denominator)  # >= 1 since b0 = 1
-    deg_den = max(
+    d = max(
         j for j, b in enumerate(r.denominator) if abs(b) >= LEADING_COEFF_FLOOR * den_scale
     )
-    num_scale = max(abs(a) for a in r.numerator)
-    if num_scale == 0.0:
-        return 0.0
-    deg_num = max(
-        i for i, a in enumerate(r.numerator) if abs(a) >= LEADING_COEFF_FLOOR * num_scale
-    )
-    if deg_num < deg_den:
-        return 0.0
-    if deg_num > deg_den:
+    num_floor = LEADING_COEFF_FLOOR * max(abs(a) for a in r.numerator)
+    if any(abs(a) > num_floor for a in r.numerator[d + 1 :]):
         raise DegenerateLimitError(
-            f"effective degrees [{deg_num}/{deg_den}] diverge at infinity"
+            f"numerator outgrows effective denominator degree {d}: the limit diverges"
         )
-    return r.numerator[deg_num] / r.denominator[deg_den]
+    return r.numerator[d] / r.denominator[d]

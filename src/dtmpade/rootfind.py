@@ -2,10 +2,10 @@
 
 The far-field conditions f'(inf) = 0 and theta(inf) = 0 are imposed on
 diagonal rational approximants of the generated series: the limit of an
-[n/n] quotient at infinity is the ratio of its leading coefficients, so
-each condition becomes one scalar equation in the unknown initial
-derivatives. A damped Newton iteration with a forward-difference Jacobian
-solves the resulting 2x2 free-convection system.
+[n/n] quotient at infinity is a_n / b_n, however small a_n is, so each
+condition becomes one scalar equation in the unknown initial derivatives.
+A damped Newton iteration with a forward-difference Jacobian solves the
+resulting 2x2 free-convection system.
 
 Paper-fidelity mode mirrors the published computation exactly: the f-series
 is the order-2n polynomial, so its derivative is one coefficient short of

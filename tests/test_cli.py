@@ -341,6 +341,18 @@ def test_blasius_profile_is_strict_json(capsys):
     assert all(row[3] == "" for row in csv.reader(lines[1:]))
 
 
+@pytest.mark.parametrize("source", ["integrator", "series", "both"])
+@pytest.mark.parametrize("wall", [
+    ["--a", "nan"],
+    ["--a", "inf"],
+    ["--a", "0.6", "--b", "nan"],
+    ["--problem", "blasius", "--a", "0.332", "--b", "nan"],
+])
+def test_profile_non_finite_wall_value_is_a_usage_error(capsys, source, wall):
+    assert run(["profile", "--source", source, *wall]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: initial derivatives a, b must be finite\n"
+
+
 def test_profile_grid_outside_domain(capsys):
     assert run(["profile", "--a", "0.6", "--grid", "0:9:1"]) == EXIT_USAGE
 

@@ -75,6 +75,14 @@ def test_limit_at_infinity_examples():
     r = RationalApproximant((1.0, 0.0, 3.0), (1.0, 0.0, 0.5))  # (3x^2+1)/(x^2/2+1)
     assert limit_at_infinity(r) == pytest.approx(6.0, abs=1e-14)
 
+    # a tiny leading numerator coefficient is still the limit, not a flush to 0
+    r = RationalApproximant((1.0, 1.0, 1e-12), (1.0, 1.0, 1.0))
+    assert limit_at_infinity(r) == 1e-12
+
+    # both sides one degree short: the [1/1] block's ratio
+    r = RationalApproximant((1.0, 2.0, 0.0), (1.0, 1.0, 0.0))
+    assert limit_at_infinity(r) == 2.0
+
 
 def test_limit_requires_diagonal():
     r = RationalApproximant((1.0,), (1.0, 2.0))

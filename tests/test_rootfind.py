@@ -10,6 +10,7 @@ from dtmpade import rootfind
 from dtmpade.dtm import Problem, RecurrenceMode
 from dtmpade.errors import (
     DegenerateApproximantError,
+    DegenerateLimitError,
     NonConvergenceError,
     SingularJacobianError,
 )
@@ -313,6 +314,18 @@ def test_corrected_mode_solve_runs():
     assert res.b == pytest.approx(-0.5671, abs=0.05)
 
 
+def test_corrected_roots_report_their_unflushed_residual():
+    cfg = {n: ClosureConfig(pade_degree=n) for n in (3, 5, 9)}
+    roots = {n: solve_problem(Problem.FREE_CONVECTION, 1.0, c) for n, c in cfg.items()}
+    for res in roots.values():
+        assert 0.0 < res.residual_norm <= 1e-10
+    # no plateau around the root: a 1e-9 move in A shows in both components
+    root = roots[9]
+    at_root = closure_residual(root.a, root.b, 1.0, cfg[9])
+    moved = closure_residual(root.a + 1e-9, root.b, 1.0, cfg[9])
+    assert all(m != r for m, r in zip(moved, at_root))
+
+
 def test_sign_violation_warns():
     with pytest.warns(UserWarning, match="expected signs"):
         # force a sign flip through a synthetic solve on the closed-form residual
@@ -368,3 +381,28 @@ def test_blasius_rung_never_enters_newton(monkeypatch):
     for n in range(2, 7):
         res = solve_problem(Problem.BLASIUS, 1.0, ClosureConfig(pade_degree=n))
         assert abs(res.a - NEWTON_BLASIUS_ROOTS[n]) <= 2e-11
+
+
+def _outcome(n, mode):
+    try:
+        solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig(pade_degree=n), mode=mode)
+    except NonConvergenceError:
+        return "nonconvergence"
+    except DegenerateApproximantError as exc:
+        # the closure re-raises the approximant's error with its label
+        return "limit" if isinstance(exc.__cause__ or exc, DegenerateLimitError) else "build"
+    return "ok"
+
+
+# the outcome of each free-convection rung n = 1..10 at Pr 1
+LADDER_OUTCOMES = {
+    RecurrenceMode.CORRECTED: ("limit", "build", "ok", "nonconvergence", "ok",
+                               "build", "build", "build", "ok", "build"),
+    RecurrenceMode.PAPER_FIDELITY: ("limit", "build", "ok", "nonconvergence", "build",
+                                    "ok", "build", "build", "build", "build"),
+}
+
+
+@pytest.mark.parametrize("mode", list(LADDER_OUTCOMES))
+def test_free_convection_ladder_outcome_classes(mode):
+    assert tuple(_outcome(n, mode) for n in range(1, 11)) == LADDER_OUTCOMES[mode]
