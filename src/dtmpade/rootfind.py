@@ -104,12 +104,16 @@ def closure_residual(
     # coefficients of the fit: the generated polynomial has no higher terms
     fp = differentiate(sol.f_series, 1).coeffs
     fp += (0.0,) * (2 * n + 1 - len(fp))
+    fits = pade.build_many((TruncatedSeries(fp), sol.theta_series), n, n)
     limits = []
-    for label, coeffs in (("f'", TruncatedSeries(fp)), ("theta", sol.theta_series)):
+    # the errors in the order of lone fits: f' fit, f' limit, theta fit, theta limit
+    for label, fit in zip(("f'", "theta"), fits):
         try:
-            limits.append(pade.limit_at_infinity(pade.build(coeffs, n, n)))
+            if isinstance(fit, Exception):
+                raise fit
+            limits.append(pade.limit_at_infinity(fit))
         except DegenerateApproximantError as exc:
-            raise DegenerateApproximantError(f"{label}-approximant: {exc}") from exc
+            raise type(exc)(f"{label}-approximant: {exc}") from exc
     return tuple(limits)
 
 
@@ -147,7 +151,7 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
         lifted = pade.RationalApproximant((0.0,) + r.numerator, r.denominator)
         limit = scale_s * pade.limit_at_infinity(lifted)
     except DegenerateApproximantError as exc:
-        raise DegenerateApproximantError(f"f'-approximant (cube variable): {exc}") from exc
+        raise type(exc)(f"f'-approximant (cube variable): {exc}") from exc
     return limit - 1.0
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from dtmpade.errors import DegenerateApproximantError, DegenerateLimitError, PoleError
-from dtmpade.pade import RationalApproximant, _expand, build, evaluate, limit_at_infinity
+from dtmpade.pade import (
+    RationalApproximant,
+    _condition_numbers,
+    _each_matrix,
+    _expand,
+    build,
+    build_many,
+    evaluate,
+    limit_at_infinity,
+)
 from dtmpade.series import TruncatedSeries
 
 
@@ -191,3 +201,138 @@ def test_build_numerator_equals_term_by_term_convolution(c, L, M):
     b = r.denominator
     a = tuple(sum(b[j] * c[i - j] for j in range(min(i, M) + 1)) for i in range(L + 1))
     assert [x.hex() for x in r.numerator] == [x.hex() for x in a]
+
+
+def reference_build(c, L, M):
+    """build as one lone fit: np.linalg.cond, then a solve per round on one system."""
+    from operator import mul
+
+    cc = c.coeffs
+    if not any(cc[L + 1 : L + M + 1]):
+        return RationalApproximant(cc[: L + 1], (1.0,) + (0.0,) * M)
+    A = np.array([[cc[L + k - j] if L + k - j >= 0 else 0.0 for j in range(1, M + 1)]
+                  for k in range(1, M + 1)])
+    rhs = np.array([-cc[L + k] for k in range(1, M + 1)])
+    try:
+        cond = np.linalg.cond(A)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not np.isfinite(cond) or cond > 1e12:
+        raise DegenerateApproximantError(
+            f"[{L}/{M}] linear system is rank-deficient (condition estimate {cond:.3g})")
+    b_tail = np.linalg.solve(A, rhs)
+    A_ext = A.astype(np.longdouble)
+    rhs_ext = rhs.astype(np.longdouble)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            resid = rhs_ext - A_ext @ b_tail.astype(np.longdouble)
+            b_tail = b_tail + np.linalg.solve(A, resid.astype(float))
+    b = (1.0,) + tuple(b_tail.tolist())
+    a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
+    if not all(np.isfinite(v) for v in a + b):
+        raise DegenerateApproximantError(f"[{L}/{M}] approximant coefficients overflow")
+    result = RationalApproximant(a, b)
+    scale = max(1.0, max(abs(v) for v in cc[: L + M + 1]))
+    mismatch = max(abs(p - q) for p, q in zip(_expand(result, L + M), cc[: L + M + 1]))
+    if mismatch > 1e-10 * scale:
+        raise DegenerateApproximantError(
+            f"[{L}/{M}] approximant only matches its series to {mismatch:.3g}; "
+            "the system is numerically rank-deficient")
+    return result
+
+
+def fit_bits(fit):
+    """An approximant's coefficients as hex, or an error's class and message."""
+    if isinstance(fit, Exception):
+        return type(fit), str(fit)
+    return [v.hex() for v in fit.numerator], [v.hex() for v in fit.denominator]
+
+
+def lone_bits(c, L, M):
+    try:
+        return fit_bits(reference_build(c, L, M))
+    except (DegenerateApproximantError, np.linalg.LinAlgError) as exc:
+        return fit_bits(exc)
+
+
+@given(st.integers(1, 11), st.integers(1, 11), st.data())
+def test_build_many_gives_each_member_its_lone_build(L, M, data):
+    coeffs = st.lists(st.floats(-1e3, 1e3), min_size=L + M + 1, max_size=L + M + 1)
+    stack = [TruncatedSeries(c) for c in data.draw(st.lists(coeffs, min_size=1, max_size=4))]
+    assert [fit_bits(f) for f in build_many(stack, L, M)] == [lone_bits(c, L, M) for c in stack]
+
+
+def mixed_members(L):
+    """[L/2] series that take each branch of build: (coefficients, message fragment)."""
+    return [
+        ([1.0] * (L + 1) + [0.0, 0.0], None),  # zero block: a polynomial
+        ([0.0] * (L + 2) + [1.0], "condition estimate inf"),  # zero matrix
+        # a block of condition ~4e10 whose ~1e10 solution matches to ~1e-6 only
+        ([0.0] * (L - 1) + [1.0, 1.0, 1.0 - 1e-10, 0.0], "only matches its series"),
+        ([0.0] * L + [1e-300, 0.0, 1e300], "coefficients overflow"),  # b2 = -1e600
+    ]
+
+
+@given(st.integers(1, 9), st.permutations(range(5)),
+       st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_mixed_stack_members_match_their_lone_builds(L, order, generic):
+    members = mixed_members(L) + [(generic[: L + 3], None)]
+    stack = [TruncatedSeries(members[i][0]) for i in order]
+    fits = build_many(stack, L, 2)
+    assert [fit_bits(f) for f in fits] == [lone_bits(c, L, 2) for c in stack]
+    assert [fit_bits(build_many([c], L, 2)[0]) for c in stack] == [fit_bits(f) for f in fits]
+    for i, fit in zip(order, fits):
+        fragment = members[i][1]
+        if fragment is not None:
+            assert isinstance(fit, DegenerateApproximantError) and fragment in str(fit)
+        elif i == 0:
+            assert fit.denominator == (1.0, 0.0, 0.0)
+
+
+def test_build_raises_what_build_many_returns():
+    c = TruncatedSeries([0.0, 0.0, 1.0])
+    assert isinstance(build_many([c], 1, 1)[0], DegenerateApproximantError)
+    with pytest.raises(DegenerateApproximantError, match="condition estimate inf"):
+        build(c, 1, 1)
+    assert build_many([], 1, 1) == []
+    with pytest.raises(ValueError):
+        build_many([TruncatedSeries([1.0, 1.0, 1.0]), TruncatedSeries([1.0, 1.0])], 1, 1)
+
+
+def toeplitz(c, L, M):
+    return [[c[L + k - j] if L + k - j >= 0 else 0.0 for j in range(1, M + 1)]
+            for k in range(1, M + 1)]
+
+
+@given(st.integers(0, 10), st.integers(1, 11), st.data())
+def test_condition_numbers_equal_np_linalg_cond(L, M, data):
+    coeffs = st.lists(st.floats(-1e3, 1e3), min_size=L + M + 1, max_size=L + M + 1)
+    blocks = np.array([toeplitz(c, L, M) for c in data.draw(st.lists(coeffs, min_size=1,
+                                                                      max_size=4))])
+    expected = [float(np.linalg.cond(A)).hex() for A in blocks]
+    assert [c.hex() for c in _condition_numbers(blocks)] == expected
+
+
+def test_condition_numbers_of_singular_and_subnormal_blocks():
+    blocks = np.array([toeplitz([0.0] * 5, 2, 2),  # zero: 0/0 in np.linalg.cond
+                       toeplitz([0.0, 1.0, 1.0, 1.0, 1.0], 2, 2),  # rank one
+                       toeplitz([1.0, 2.0, 1.0, 0.5, 0.0], 2, 2)])
+    assert [c.hex() for c in _condition_numbers(blocks)] == [
+        float(np.linalg.cond(A)).hex() for A in blocks]
+    assert _condition_numbers(blocks)[0] == math.inf
+    # a subnormal 1x1 pivot is perfectly conditioned
+    assert _condition_numbers(np.array([[[2.2e-309]]])) == [1.0] == [np.linalg.cond([[2.2e-309]])]
+
+
+def test_each_matrix_runs_members_alone_when_numpy_rejects_the_stack():
+    A = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, 0.0], [1.0, 5.0]]])
+    rhs = np.array([[[1.0], [2.0]], [[1.0], [1.0]], [[3.0], [1.0]]])
+
+    def solve(A, rhs):
+        return np.linalg.solve(A, rhs)[:, :, 0].tolist()
+
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(A, rhs)
+    got = _each_matrix(solve, A, rhs)
+    assert isinstance(got[1], np.linalg.LinAlgError)
+    assert [got[0], got[2]] == [solve(A[:1], rhs[:1])[0], solve(A[2:], rhs[2:])[0]]

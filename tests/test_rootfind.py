@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dtmpade import rootfind
-from dtmpade.dtm import Problem, RecurrenceMode
+from dtmpade import pade, rootfind
+from dtmpade.dtm import Problem, ProblemParams, RecurrenceMode, generate
 from dtmpade.errors import (
     DegenerateApproximantError,
     DegenerateLimitError,
@@ -21,6 +21,7 @@ from dtmpade.rootfind import (
     newton_solve,
     solve_problem,
 )
+from dtmpade.series import differentiate
 from dtmpade.shooting import ShootConfig
 
 PAPER_A = 0.5506447081
@@ -388,9 +389,10 @@ def _outcome(n, mode):
         solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig(pade_degree=n), mode=mode)
     except NonConvergenceError:
         return "nonconvergence"
-    except DegenerateApproximantError as exc:
-        # the closure re-raises the approximant's error with its label
-        return "limit" if isinstance(exc.__cause__ or exc, DegenerateLimitError) else "build"
+    except DegenerateLimitError:
+        return "limit"
+    except DegenerateApproximantError:
+        return "build"
     return "ok"
 
 
@@ -406,3 +408,24 @@ LADDER_OUTCOMES = {
 @pytest.mark.parametrize("mode", list(LADDER_OUTCOMES))
 def test_free_convection_ladder_outcome_classes(mode):
     assert tuple(_outcome(n, mode) for n in range(1, 11)) == LADDER_OUTCOMES[mode]
+
+
+def test_limit_error_keeps_its_class_through_the_closure():
+    # the n = 1 rung's limit diverges; the closure labels the error, keeping its class
+    with pytest.raises(DegenerateLimitError, match="-approximant: numerator outgrows") as exc:
+        solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig(pade_degree=1))
+    assert type(exc.value.__cause__) is DegenerateLimitError
+
+
+def test_closure_errors_in_the_order_of_lone_fits():
+    # at A = 0 the f' fit succeeds but its limit diverges, and the theta fit
+    # fails its condition gate: the stacked fits report the f' limit first
+    a, b, pr, n = 0.0, 0.61, 1.5, 3
+    sol = generate(ProblemParams(Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=2 * n + 1))
+    fp = pade.build(differentiate(sol.f_series, 1), n, n)
+    with pytest.raises(DegenerateLimitError):
+        pade.limit_at_infinity(fp)
+    with pytest.raises(DegenerateApproximantError, match="condition estimate inf"):
+        pade.build(sol.theta_series, n, n)
+    with pytest.raises(DegenerateLimitError, match="^f'-approximant: numerator outgrows"):
+        closure_residual(a, b, pr, ClosureConfig(pade_degree=n))
