@@ -47,7 +47,8 @@ def check_prandtl(pr: float) -> None:
         raise ValueError(f"Prandtl number must be finite and positive, got {pr}")
 
 
-def check_wall_values(a: float, b: float) -> None:
+def check_wall_values(a: float, b: float = 0.0) -> None:
+    """Blasius, which has no theta, passes a alone."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("initial derivatives a, b must be finite")
 

@@ -6,16 +6,17 @@ on the far-boundary mismatch. Infinity is realized as the truncation point
 eta_max, where f'(eta_max) = 0 and theta(eta_max) = 0 (f' = 1 for Blasius)
 are imposed; there is no domain mapping.
 
-Newton runs in two stages with one stopping rule (nested iteration). The
-coarse stage solves at COARSE_FACTOR times the requested step from the
-caller's guess, with a quarter of the RK4 steps per trajectory; the fine
-stage solves at the requested step from the coarse root, so a returned root
-meets tol at that step. Its first iteration reuses the coarse stage's last
-Jacobian, which differs from the fine one only by discretisation error, in
-place of two forward-difference trajectories (newton_solve falls back to
-them where that step fails). The coarse stage runs only while its step is
-at most COARSE_STEP_CAP. When it blows up or does not converge, the fine
-stage starts from the caller's guess, as if the coarse stage had not run.
+Newton runs in two stages with one stopping rule (nested iteration). For a
+requested step of at most COARSE_STEP / COARSE_FACTOR, the coarse stage
+solves at COARSE_STEP from the caller's guess, with at most a quarter of the
+RK4 steps per trajectory; the fine stage solves at the requested step from
+the coarse root, so a returned root meets tol at that step. Its first
+iteration reuses the coarse stage's last Jacobian, which differs from the
+fine one only by discretisation error, in place of two forward-difference
+trajectories (newton_solve falls back to them where that step fails). A
+larger step runs the fine stage alone. When the coarse stage blows up or
+does not converge, the fine stage starts from the caller's guess, as if the
+coarse stage had not run.
 
 Free convection integrates the first-order system of
 (f, f', f'', theta, theta') with
@@ -32,16 +33,16 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .dtm import Problem, check_prandtl
+from .dtm import Problem, check_prandtl, check_wall_values
 from .errors import BlowUpError, NonConvergenceError
 from .rootfind import SolveResult, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
-# the coarse Newton stage's step is COARSE_FACTOR times the requested one and
-# runs only up to COARSE_STEP_CAP (4 * 0.02 == 0.08 exactly in floats); at a
-# coarse step of 0.16, Pr 0.5 and 1 blew up
+# the coarse Newton stage runs at COARSE_STEP for every requested step of at
+# most COARSE_STEP / COARSE_FACTOR (0.02 exactly in floats); at a coarse step
+# of 0.16, Pr 0.5 and 1 blew up
+COARSE_STEP = 0.08
 COARSE_FACTOR = 4
-COARSE_STEP_CAP = 0.08
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,7 @@ def _march(advance, state, stops, step: float) -> list[list[float]]:
 
 def boundary_residual(a: float, b: float, pr: float, cfg: ShootConfig) -> tuple[float, float]:
     """(f'(eta_max), theta(eta_max)) for trial wall derivatives (a, b)."""
+    check_wall_values(a, b)
     state = _march(partial(_advance_free_convection, pr=pr), [0.0, 0.0, a, 1.0, b],
                    [cfg.eta_max], cfg.step)[-1]
     return state[1], state[3]
@@ -177,6 +179,7 @@ def boundary_residual(a: float, b: float, pr: float, cfg: ShootConfig) -> tuple[
 
 def blasius_boundary_residual(a: float, cfg: ShootConfig) -> float:
     """f'(eta_max) - 1 for the Blasius problem."""
+    check_wall_values(a)
     state = _march(_advance_blasius, [0.0, 0.0, a], [cfg.eta_max], cfg.step)[-1]
     return state[1] - 1.0
 
@@ -189,16 +192,16 @@ def shoot_solve(
 ) -> SolveResult:
     """Newton on the far-boundary mismatch; returns the oracle (A, B).
 
-    A coarse stage at COARSE_FACTOR * cfg.step seeds the stage at cfg.step
-    (see the module docstring); the result's iterations count the latter.
+    A coarse stage at COARSE_STEP seeds the stage at cfg.step whenever
+    cfg.step <= COARSE_STEP / COARSE_FACTOR (see the module docstring); the
+    result's iterations count the latter.
     """
     check_prandtl(pr)
     x = initial_guess(problem, x0)
     jac = []
-    coarse_step = COARSE_FACTOR * cfg.step
-    if coarse_step <= COARSE_STEP_CAP:
+    if cfg.step <= COARSE_STEP / COARSE_FACTOR:
         try:
-            root = _newton(pr, replace(cfg, step=coarse_step), x, problem, _last_jacobian=jac)
+            root = _newton(pr, replace(cfg, step=COARSE_STEP), x, problem, _last_jacobian=jac)
             x = (root.a,) if root.b is None else (root.a, root.b)
         except (BlowUpError, NonConvergenceError):
             jac = []
@@ -229,6 +232,7 @@ def tabulate_profile(
     no larger than cfg.step, so grid points are hit without interpolation.
     """
     check_prandtl(pr)
+    check_wall_values(a, b)
     cfg = cfg or ShootConfig()
     grid = [float(g) for g in grid]
     if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):

@@ -165,15 +165,31 @@ def test_blow_up_reports_eta():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", ["a", "b"])
 def test_non_finite_wall_values_blow_up_at_first_step(bad, position):
+    # the stepper itself, below the library's up-front check
     wall = {"a": OSTRACH_A, "b": OSTRACH_B, position: bad}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(BlowUpError) as residual_info:
-            boundary_residual(wall["a"], wall["b"], 1.0, ShootConfig())
-        with pytest.raises(BlowUpError) as profile_info:
-            tabulate_profile(wall["a"], wall["b"], 1.0, [0.0, 1.0])
-    assert residual_info.value.eta_reached == 0.01
-    assert profile_info.value.eta_reached == 0.01
+        with pytest.raises(BlowUpError) as info:
+            _march(partial(_advance_free_convection, pr=1.0),
+                   [0.0, 0.0, wall["a"], 1.0, wall["b"]], [8.0], 0.01)
+    assert info.value.eta_reached == 0.01
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", ["a", "b"])
+def test_non_finite_wall_values_are_a_value_error(bad, position):
+    # the library rejects a bad input the way dtm.ProblemParams does, for
+    # Blasius too, whose theta'(0) is ignored but checked like the DTM side's
+    wall = {"a": OSTRACH_A, "b": OSTRACH_B, position: bad}
+    match = "^initial derivatives a, b must be finite$"
+    with pytest.raises(ValueError, match=match):
+        boundary_residual(wall["a"], wall["b"], 1.0, ShootConfig())
+    for problem in Problem:
+        with pytest.raises(ValueError, match=match):
+            tabulate_profile(wall["a"], wall["b"], 1.0, [0.0, 1.0], problem=problem)
+    if position == "a":
+        with pytest.raises(ValueError, match=match):
+            blasius_boundary_residual(bad, ShootConfig())
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -247,6 +263,20 @@ def test_bench_shoot_roots_pinned_bit_for_bit():
     assert abs(res.a - 0.3320591917502373) < 5e-9
 
 
+def test_bench_shoot_roots_at_the_default_step_pinned_bit_for_bit():
+    # at step 0.01 the coarse stage runs at 0.08 too, as at 0.02, so Pr = 1
+    # takes one chord iteration from the same coarse root, and the Blasius
+    # coarse root already meets tol at 0.01: the 0.02 root, bit for bit. The
+    # second literals are the roots of a coarse stage at 4 * 0.01 = 0.04
+    cfg = ShootConfig(eta_max=8.0, step=0.01, tol=1e-8)
+    res = shoot_solve(1.0, cfg)
+    assert (res.a, res.b, res.iterations) == (0.6421787646222189, -0.5671373992405486, 1)
+    assert abs(res.a - 0.6421787646224484) < 5e-9 and abs(res.b + 0.5671373992469261) < 5e-9
+    res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
+    assert (res.a, res.iterations) == (0.33205919549331037, 0)
+    assert abs(res.a - 0.3320591919776551) < 5e-9
+
+
 def _record_steps(monkeypatch) -> list[float]:
     """The step of every trajectory shoot_solve runs from here on."""
     steps = []
@@ -259,7 +289,7 @@ def _record_steps(monkeypatch) -> list[float]:
 
 
 @pytest.mark.parametrize("pr", [0.5, 0.72, 1.0])
-@pytest.mark.parametrize("step", [0.01, 0.02])
+@pytest.mark.parametrize("step", [0.01, 0.02, 0.005])
 def test_fine_stage_steps_with_the_coarse_jacobian(monkeypatch, pr, step):
     # the fine stage's one iteration runs the residual and the trial step;
     # the coarse stage's last Jacobian stands in for two forward differences
@@ -298,11 +328,13 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
     assert steps.count(0.02) == fine_trajectories
 
 
-@pytest.mark.parametrize("step, stages", [(0.02, [0.08, 0.02]), (0.0175, [0.07, 0.0175]),
-                                          (0.03, [0.03]), (0.05, [0.05])])
+@pytest.mark.parametrize("step, stages", [(0.02, [0.08, 0.02]), (0.0175, [0.08, 0.0175]),
+                                          (0.03, [0.03]), (0.05, [0.05]),
+                                          (0.01, [0.08, 0.01]), (0.005, [0.08, 0.005])])
 def test_coarse_stage_runs_up_to_the_cap(monkeypatch, step, stages):
-    # 4 * 0.02 == 0.08 is the largest coarse step; the first trajectory is
-    # the coarse stage's, the last the requested step's
+    # every step up to 0.08 / 4 == 0.02 gets a coarse stage at 0.08, and a
+    # larger one none; the first trajectory is the coarse stage's, the last
+    # the requested step's
     steps = _record_steps(monkeypatch)
     shoot_solve(1.0, ShootConfig(step=step))
     assert sorted(set(steps), reverse=True) == stages
@@ -320,15 +352,15 @@ def test_step_above_cap_keeps_one_stage_newton_bits():
 
 
 def test_coarse_stage_failure_falls_back_to_the_callers_guess(monkeypatch):
-    # at eta_max = 12 the coarse stage (step 0.04) blows up; the stage at 0.01
+    # at eta_max = 12 the coarse stage (step 0.08) blows up; the stage at 0.01
     # then starts from the default guess and returns the one-stage Newton's
     # root, the reverse-flow one (pinned before the coarse stage existed)
     with pytest.raises(BlowUpError):
-        shoot_solve(1.0, ShootConfig(eta_max=12.0, step=0.04))
+        shoot_solve(1.0, ShootConfig(eta_max=12.0, step=0.08))
     steps = _record_steps(monkeypatch)
     assert shoot_solve(1.0, ShootConfig(eta_max=12.0)) == SolveResult(
         0.6391764853781349, -0.5539269253734782, 1.5523536878419685e-09, 10)
-    assert 0.04 in steps
+    assert 0.08 in steps
 
 
 @pytest.mark.parametrize("error", [BlowUpError, NonConvergenceError, SingularJacobianError])
