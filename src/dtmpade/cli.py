@@ -156,7 +156,7 @@ def _exec_shoot(m: dict) -> dict:
 
 def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
     sol = _generate(m)
-    fp = differentiate(sol.f_series, 1)
+    fp = differentiate(sol.f_series)
     rows = []
     for eta in grid:
         theta = (series_evaluate(sol.theta_series, eta)

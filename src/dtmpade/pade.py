@@ -76,16 +76,15 @@ def build_many(
     for c in series:
         if c.order < L + M:
             raise ValueError(f"series order {c.order} is below L + M = {L + M}")
-    fits: list = [None] * len(series)
-    live = []
-    for i, c in enumerate(series):
-        if any(c.coeffs[L + 1 : L + M + 1]):
-            live.append(i)
-        else:
-            # b = 0 satisfies the matching conditions exactly; this covers
-            # degenerate blocks such as a constant series, where the Toeplitz
-            # system is singular but the approximant is trivially a polynomial
-            fits[i] = RationalApproximant(c.coeffs[: L + 1], (1.0,) + (0.0,) * M)
+    fits: list = [
+        # b = 0 satisfies the matching conditions exactly; this covers
+        # degenerate blocks such as a constant series, where the Toeplitz
+        # system is singular but the approximant is trivially a polynomial
+        None if any(c.coeffs[L + 1 : L + M + 1])
+        else RationalApproximant(c.coeffs[: L + 1], (1.0,) + (0.0,) * M)
+        for c in series
+    ]
+    live = [i for i, fit in enumerate(fits) if fit is None]
     if not live:
         return fits
 
@@ -96,26 +95,21 @@ def build_many(
     padded = np.array([(0.0,) * M + series[i].coeffs[: L + M + 1] for i in live])
     A = padded[:, _toeplitz_index(L, M)]
     rhs = -padded[:, L + M + 1 :, None]
-
-    solvable = []
-    for j, (i, cond) in enumerate(zip(live, _condition_numbers(A))):
-        if cond <= COND_THRESHOLD:
-            solvable.append(j)
-        else:
+    for i, cond in zip(live, _condition_numbers(A)):
+        if not cond <= COND_THRESHOLD:
             fits[i] = DegenerateApproximantError(
                 f"[{L}/{M}] linear system is rank-deficient (condition estimate {cond:.3g})"
             )
-    if not solvable:
+    # the stack's rows of the members that pass the gate
+    keep = [j for j, i in enumerate(live) if fits[i] is None]
+    if not keep:
         return fits
-
-    if len(solvable) < len(live):
-        A, rhs = A[solvable], rhs[solvable]
-    tails = _each_matrix(_refined_solve, A, rhs)
-    for j, b_tail in zip(solvable, tails):
+    if len(keep) < len(live):
+        A, rhs = A[keep], rhs[keep]
+    for j, b_tail in zip(keep, _each_matrix(_refined_solve, A, rhs)):
         i = live[j]
         try:
-            fits[i] = b_tail if isinstance(b_tail, Exception) else _finish(
-                series[i].coeffs, L, M, b_tail)
+            fits[i] = _finish(series[i].coeffs, L, M, b_tail)
         except DegenerateApproximantError as exc:
             fits[i] = exc
     return fits
@@ -179,9 +173,13 @@ def _refined_solve(A, rhs) -> list[list[float]]:
     return b_tail[:, :, 0].tolist()
 
 
-def _finish(cc: tuple[float, ...], L: int, M: int, b_tail: list[float]) -> RationalApproximant:
-    """The approximant with denominator 1, b_tail; raises unless it is finite
-    and matches its series cc."""
+def _finish(cc: tuple[float, ...], L: int, M: int,
+            b_tail: list[float] | Exception) -> RationalApproximant:
+    """The approximant with denominator 1, b_tail; raises where b_tail is
+    numpy's LinAlgError, and unless the approximant is finite and matches
+    its series cc."""
+    if isinstance(b_tail, Exception):
+        raise DegenerateApproximantError(f"[{L}/{M}] linear solve failed: {b_tail}")
     b = (1.0,) + tuple(b_tail)
     a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
     if not all(math.isfinite(v) for v in a + b):

@@ -102,7 +102,7 @@ def closure_residual(
         Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=max(window, 3), mode=mode))
     # a short derivative (the paper window) is padded with zeros to the 2n+1
     # coefficients of the fit: the generated polynomial has no higher terms
-    fp = differentiate(sol.f_series, 1).coeffs
+    fp = differentiate(sol.f_series).coeffs
     fp += (0.0,) * (2 * n + 1 - len(fp))
     fits = pade.build_many((TruncatedSeries(fp), sol.theta_series), n, n)
     limits = []
@@ -127,7 +127,7 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
     n = cfg.pade_degree
     order = 6 * n + 2  # f' index 3*(2n)+1 needs f-coefficients up to 6n+2
     sol = generate(ProblemParams(Problem.BLASIUS, a=a, order=order))
-    fp = differentiate(sol.f_series, 1).coeffs
+    fp = differentiate(sol.f_series).coeffs
     g = TruncatedSeries(tuple(fp[3 * j + 1] for j in range(2 * n + 1)))
     try:
         h = cauchy_product(cauchy_product(g, g), g)
@@ -223,9 +223,7 @@ def newton_solve(
     residual: Callable[[tuple[float, ...]], Sequence[float]],
     x0: Sequence[float],
     cfg,
-    jacobian: Sequence[Sequence[float]] | None = None,
-    *,
-    _last_jacobian: list | None = None,
+    jacobian: list | None = None,
 ) -> SolveResult:
     """Damped Newton with a forward-difference Jacobian (step FD_STEP).
 
@@ -239,13 +237,13 @@ def newton_solve(
     not decrease the norm is shrunk by DAMPING up to 8 times before the
     iteration is declared stagnant.
 
-    jacobian, one row per residual, stands in for the forward differences
-    of iteration 0 only (a chord step), such as the last Jacobian of a
-    solve of a nearby problem. Where its step counts as singular, or its
-    damped trial stagnates, iteration 0 is redone with forward differences
-    at the same iterate, and from there on the solve is the one without
-    it. A list passed as _last_jacobian receives the rows of the Jacobian
-    behind each accepted step, so it holds the last one on return.
+    jacobian, a list of rows (one per residual), goes both ways. A copy of
+    the rows it holds on entry stands in for the forward differences of
+    iteration 0 only (a chord step), such as the last Jacobian of a solve
+    of a nearby problem; where its step counts as singular, or its damped
+    trial stagnates, iteration 0 is redone with forward differences at the
+    same iterate. Each accepted step writes its Jacobian's rows into the
+    list, so it holds the last one on return.
     """
     x = tuple(float(v) for v in x0)
     d = len(x)
@@ -269,8 +267,8 @@ def newton_solve(
                 iterations=it,
             )
         trial = None
-        if it == 0 and jacobian is not None:
-            jac = jacobian
+        if it == 0 and jacobian:
+            jac = [tuple(row) for row in jacobian]
             step = _step(jac, r)
             if step is not None:
                 trial = _damped_trial(floats, x, step, norm)
@@ -292,8 +290,8 @@ def newton_solve(
                     residual_norm=norm,
                     iterations=it,
                 )
-        if _last_jacobian is not None:
-            _last_jacobian[:] = jac
+        if jacobian is not None:
+            jacobian[:] = jac
         x, r, norm = trial
 
 

@@ -32,9 +32,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
 
 def cauchy_product(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Convolution product, truncated to the shorter order."""
@@ -43,17 +40,14 @@ def cauchy_product(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n)))
 
 
-def differentiate(s: TruncatedSeries, n: int = 1) -> TruncatedSeries:
-    """n-th derivative: coefficient k of the result is (k+n)!/k! * c_{k+n}.
+def differentiate(s: TruncatedSeries) -> TruncatedSeries:
+    """Derivative: coefficient k of the result is (k+1) * c_{k+1}.
 
-    Raises ValueError when the series is too short to lose n orders.
+    Raises ValueError for an order-0 series, which has no order to lose.
     """
-    if n < 1:
-        raise ValueError("derivative order must be a positive integer")
-    if s.order < n:
-        raise ValueError(f"cannot differentiate an order-{s.order} series {n} times")
-    return TruncatedSeries(tuple(
-        math.perm(k + n, n) * s.coeffs[k + n] for k in range(s.order - n + 1)))
+    if s.order < 1:
+        raise ValueError(f"cannot differentiate an order-{s.order} series")
+    return TruncatedSeries(tuple((k + 1) * s.coeffs[k + 1] for k in range(s.order)))
 
 
 def evaluate(s: TruncatedSeries, x: float) -> float:

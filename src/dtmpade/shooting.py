@@ -7,16 +7,15 @@ eta_max, where f'(eta_max) = 0 and theta(eta_max) = 0 (f' = 1 for Blasius)
 are imposed; there is no domain mapping.
 
 Newton runs in two stages with one stopping rule (nested iteration). For a
-requested step of at most COARSE_STEP / COARSE_FACTOR, the coarse stage
-solves at COARSE_STEP from the caller's guess, with at most a quarter of the
-RK4 steps per trajectory; the fine stage solves at the requested step from
-the coarse root, so a returned root meets tol at that step. Its first
-iteration reuses the coarse stage's last Jacobian, which differs from the
-fine one only by discretisation error, in place of two forward-difference
-trajectories (newton_solve falls back to them where that step fails). A
-larger step runs the fine stage alone. When the coarse stage blows up or
-does not converge, the fine stage starts from the caller's guess, as if the
-coarse stage had not run.
+requested step below COARSE_STEP, the coarse stage solves at COARSE_STEP
+from the caller's guess, with fewer RK4 steps per trajectory; the fine stage
+solves at the requested step from the coarse root, so a returned root meets
+tol at that step. Its first iteration reuses the coarse stage's last
+Jacobian, which differs from the fine one only by discretisation error, in
+place of two forward-difference trajectories (newton_solve falls back to
+them where that step fails). A step of COARSE_STEP or more runs the fine
+stage alone. When the coarse stage blows up or does not converge, the fine
+stage starts from the caller's guess, as if the coarse stage had not run.
 
 Free convection integrates the first-order system of
 (f, f', f'', theta, theta') with
@@ -38,11 +37,12 @@ from .errors import BlowUpError, NonConvergenceError
 from .rootfind import SolveResult, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
-# the coarse Newton stage runs at COARSE_STEP for every requested step of at
-# most COARSE_STEP / COARSE_FACTOR (0.02 exactly in floats); at a coarse step
-# of 0.16, Pr 0.5 and 1 blew up
+# the coarse Newton stage runs at COARSE_STEP for every finer requested
+# step; at a coarse step of 0.16, Pr 0.5 and 1 blew up
 COARSE_STEP = 0.08
-COARSE_FACTOR = 4
+# eta_max / step above this is refused, as parse_grid refuses over 10**6
+# points: at ~1 us per RK4 step, a trajectory would take 10 s or more
+MAX_RK4_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,9 @@ class ShootConfig:
                 "eta_max must be finite and >= 5; the far field is unconverged below that")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError("step must be finite and positive")
+        if self.eta_max / self.step > MAX_RK4_STEPS:
+            raise ValueError(
+                f"eta_max / step must be at most {MAX_RK4_STEPS:,} RK4 steps per trajectory")
         check_stopping(self.tol, self.max_iter)
 
 
@@ -193,29 +196,29 @@ def shoot_solve(
     """Newton on the far-boundary mismatch; returns the oracle (A, B).
 
     A coarse stage at COARSE_STEP seeds the stage at cfg.step whenever
-    cfg.step <= COARSE_STEP / COARSE_FACTOR (see the module docstring); the
-    result's iterations count the latter.
+    cfg.step < COARSE_STEP, and hands on its last Jacobian (see the module
+    docstring); the result's iterations count the latter.
     """
     check_prandtl(pr)
     x = initial_guess(problem, x0)
     jac = []
-    if cfg.step <= COARSE_STEP / COARSE_FACTOR:
+    if cfg.step < COARSE_STEP:
         try:
-            root = _newton(pr, replace(cfg, step=COARSE_STEP), x, problem, _last_jacobian=jac)
+            root = _newton(pr, replace(cfg, step=COARSE_STEP), x, problem, jac)
             x = (root.a,) if root.b is None else (root.a, root.b)
         except (BlowUpError, NonConvergenceError):
-            jac = []
-    return _newton(pr, cfg, x, problem, jac or None)
+            jac.clear()
+    return _newton(pr, cfg, x, problem, jac)
 
 
-def _newton(pr: float, cfg: ShootConfig, x, problem: Problem, *args, **kwargs) -> SolveResult:
-    """newton_solve on the boundary residual at cfg.step from x; the
-    further arguments go to newton_solve."""
+def _newton(pr: float, cfg: ShootConfig, x, problem: Problem, jacobian: list) -> SolveResult:
+    """newton_solve on the boundary residual at cfg.step from x, with its
+    two-way jacobian list."""
     if problem is Problem.BLASIUS:
         residual = lambda x: (blasius_boundary_residual(x[0], cfg),)
     else:
         residual = lambda x: boundary_residual(x[0], x[1], pr, cfg)
-    return newton_solve(residual, x, cfg, *args, **kwargs)
+    return newton_solve(residual, x, cfg, jacobian)
 
 
 def tabulate_profile(

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtmpade import __version__, cli
+from dtmpade import __version__, cli, pade
 from dtmpade.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DEGENERATE,
@@ -282,6 +284,28 @@ def test_subnormal_pivot_is_degenerate_not_a_warning(capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert run(["solve", "--pade", "1", "--guess=1e-310,-0.6"]) == EXIT_DEGENERATE
     assert "approximant coefficients overflow" in capsys.readouterr().err
+
+
+def test_numpy_rejection_of_the_stacked_solve_is_degenerate(monkeypatch, capsys):
+    def rejected(A, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(pade, "_refined_solve", rejected)
+    assert run(["solve"]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("error: f'-approximant: [3/3] linear solve failed: Singular matrix\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--eta-max", "1e300", "--step", "1e-300"],
+    ["profile", "--a", "0.6", "--b", "-0.5", "--step", "1e-300", "--grid", "0:1:0.5"],
+])
+def test_rk4_step_bound_is_a_usage_error(capsys, argv):
+    # refused before any trajectory runs: no overflow in the step count, no hang
+    start = time.perf_counter()
+    assert run(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "at most 10,000,000 RK4 steps" in capsys.readouterr().err
 
 
 def test_shoot_reference_values(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from dtmpade import pade
 from dtmpade.errors import DegenerateApproximantError, DegenerateLimitError, PoleError
 from dtmpade.pade import (
     RationalApproximant,
@@ -336,3 +337,17 @@ def test_each_matrix_runs_members_alone_when_numpy_rejects_the_stack():
     got = _each_matrix(solve, A, rhs)
     assert isinstance(got[1], np.linalg.LinAlgError)
     assert [got[0], got[2]] == [solve(A[:1], rhs[:1])[0], solve(A[2:], rhs[2:])[0]]
+
+
+def test_numpy_rejection_of_the_solve_is_a_degenerate_approximant(monkeypatch):
+    # numpy's LinAlgError subclasses ValueError, which the CLI reads as a
+    # usage error; build names the degrees and numpy's message instead
+    def rejected(A, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(pade, "_refined_solve", rejected)
+    c = TruncatedSeries([1.0, 0.5, 0.25, 0.125])
+    with pytest.raises(DegenerateApproximantError,
+                       match=r"^\[1/1\] linear solve failed: Singular matrix$"):
+        build(c, 1, 1)
+    assert all(isinstance(fit, DegenerateApproximantError) for fit in build_many([c, c], 1, 1))

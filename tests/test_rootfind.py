@@ -61,19 +61,26 @@ def test_newton_starting_jacobian_stands_in_for_iteration_0_only():
         return (2.0 * x[0] + x[1] - 3.0, x[0] - x[1])
 
     cfg, exact = ClosureConfig(tol=1e-12), [(2.0, 1.0), (1.0, -1.0)]
-    # the exact Jacobian of a linear system: the residual and one trial step
-    last = []
-    res = newton_solve(residual, (5.0, -4.0), cfg, exact, _last_jacobian=last)
+    # the exact Jacobian of a linear system: the residual and one trial step,
+    # and the list holds the Jacobian of the accepted step on return
+    jac = list(exact)
+    res = newton_solve(residual, (5.0, -4.0), cfg, jac)
     assert (res.a, res.b, res.residual_norm, res.iterations) == (1.0, 1.0, 0.0, 1)
-    assert len(calls) == 2 and last == exact
+    assert len(calls) == 2 and jac == exact
     # twice the Jacobian halves the first step; each later iteration takes
-    # forward differences (two more evaluations) and hands them back
+    # forward differences (two more evaluations) and writes them into the list
     calls.clear()
-    res = newton_solve(residual, (5.0, -4.0), cfg, [(4.0, 2.0), (2.0, -2.0)],
-                       _last_jacobian=last)
+    jac = [(4.0, 2.0), (2.0, -2.0)]
+    res = newton_solve(residual, (5.0, -4.0), cfg, jac)
     assert calls[:2] == [(5.0, -4.0), (3.0, -1.5)]
     assert res.iterations > 1 and len(calls) == 2 + 3 * (res.iterations - 1)
-    assert np.allclose(last, exact, atol=1e-6)
+    assert np.allclose(jac, exact, atol=1e-6)
+    # an empty list hands on nothing: forward differences from iteration 0
+    calls.clear()
+    jac = []
+    res = newton_solve(residual, (5.0, -4.0), cfg, jac)
+    assert calls[1] == (5.0 + 1e-7, -4.0) and len(calls) == 1 + 3 * res.iterations
+    assert np.allclose(jac, exact, atol=1e-6)
 
 
 def test_newton_singular_jacobian():
@@ -422,7 +429,7 @@ def test_closure_errors_in_the_order_of_lone_fits():
     # fails its condition gate: the stacked fits report the f' limit first
     a, b, pr, n = 0.0, 0.61, 1.5, 3
     sol = generate(ProblemParams(Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=2 * n + 1))
-    fp = pade.build(differentiate(sol.f_series, 1), n, n)
+    fp = pade.build(differentiate(sol.f_series), n, n)
     with pytest.raises(DegenerateLimitError):
         pade.limit_at_infinity(fp)
     with pytest.raises(DegenerateApproximantError, match="condition estimate inf"):

@@ -33,6 +33,15 @@ def test_config_validation():
         ShootConfig(step=0.0)
 
 
+def test_config_bounds_the_rk4_steps_per_trajectory():
+    # eta_max 12 at step 0.0025, the finest documented case, is 4 800 steps
+    ShootConfig(eta_max=12.0, step=0.0025)
+    ShootConfig(eta_max=10.0, step=1e-6)
+    for eta_max, step in ((10.0, 9.9e-7), (1e300, 1e-300), (8.0, 5e-324)):
+        with pytest.raises(ValueError, match="at most 10,000,000 RK4 steps"):
+            ShootConfig(eta_max=eta_max, step=step)
+
+
 def test_profile_requires_increasing_eta():
     for grid in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.2]):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -299,13 +308,14 @@ def test_fine_stage_steps_with_the_coarse_jacobian(monkeypatch, pr, step):
 
 
 def _bad_handed_on_jacobian(monkeypatch, bad):
-    """shoot_solve from here on hands bad(coarse Jacobian) to its fine stage."""
+    """shoot_solve from here on hands bad(coarse Jacobian) to its fine stage;
+    the coarse stage's list is empty on entry and hands on nothing."""
     original = shooting.newton_solve
 
-    def solve(residual, x0, cfg, jacobian=None, **kwargs):
-        if jacobian is not None:
+    def solve(residual, x0, cfg, jacobian=None):
+        if jacobian:
             jacobian = bad(jacobian)
-        return original(residual, x0, cfg, jacobian, **kwargs)
+        return original(residual, x0, cfg, jacobian)
 
     monkeypatch.setattr(shooting, "newton_solve", solve)
 
@@ -329,10 +339,11 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
 
 
 @pytest.mark.parametrize("step, stages", [(0.02, [0.08, 0.02]), (0.0175, [0.08, 0.0175]),
-                                          (0.03, [0.03]), (0.05, [0.05]),
-                                          (0.01, [0.08, 0.01]), (0.005, [0.08, 0.005])])
+                                          (0.03, [0.08, 0.03]), (0.05, [0.08, 0.05]),
+                                          (0.01, [0.08, 0.01]), (0.005, [0.08, 0.005]),
+                                          (0.08, [0.08])])
 def test_coarse_stage_runs_up_to_the_cap(monkeypatch, step, stages):
-    # every step up to 0.08 / 4 == 0.02 gets a coarse stage at 0.08, and a
+    # every step below 0.08 gets a coarse stage at 0.08, and 0.08 or a
     # larger one none; the first trajectory is the coarse stage's, the last
     # the requested step's
     steps = _record_steps(monkeypatch)
@@ -342,13 +353,18 @@ def test_coarse_stage_runs_up_to_the_cap(monkeypatch, step, stages):
 
 
 def test_step_above_cap_keeps_one_stage_newton_bits():
-    # roots of the one-stage Newton, pinned before the coarse stage existed
-    assert shoot_solve(1.0, ShootConfig(step=0.03)) == SolveResult(
-        0.642178759886459, -0.5671374011376122, 9.033035440459588e-11, 7)
-    assert shoot_solve(0.72, ShootConfig(step=0.03)) == SolveResult(
-        0.6759783308680797, -0.5046177547114779, 4.996321417575014e-14, 7)
-    assert shoot_solve(1.0, ShootConfig(step=0.03), problem=Problem.BLASIUS) == SolveResult(
-        0.3320591918118985, None, 8.326672684688674e-15, 3)
+    # roots of the one-stage Newton, which the coarse step and the steps
+    # above it have always run (Pr = 1 blows up at step 0.1)
+    assert shoot_solve(1.0, ShootConfig(step=0.08)) == SolveResult(
+        0.642178516207393, -0.5671374979022337, 9.032272383502219e-11, 7)
+    assert shoot_solve(0.72, ShootConfig(step=0.08)) == SolveResult(
+        0.67597808298671, -0.504617848222868, 5.281792866029984e-14, 7)
+    assert shoot_solve(0.72, ShootConfig(step=0.1)) == SolveResult(
+        0.6759777111229627, -0.504617987068177, 5.065095918914148e-14, 7)
+    assert shoot_solve(1.0, ShootConfig(step=0.08), problem=Problem.BLASIUS) == SolveResult(
+        0.33205919549331037, None, 7.327471962526033e-15, 3)
+    assert shoot_solve(1.0, ShootConfig(step=0.1), problem=Problem.BLASIUS) == SolveResult(
+        0.3320592007581807, None, 6.8833827526759706e-15, 3)
 
 
 def test_coarse_stage_failure_falls_back_to_the_callers_guess(monkeypatch):
@@ -361,6 +377,24 @@ def test_coarse_stage_failure_falls_back_to_the_callers_guess(monkeypatch):
     assert shoot_solve(1.0, ShootConfig(eta_max=12.0)) == SolveResult(
         0.6391764853781349, -0.5539269253734782, 1.5523536878419685e-09, 10)
     assert 0.08 in steps
+
+
+def test_coarse_stage_failure_keeps_the_physical_root_at_pr_0_1():
+    # at Pr = 0.1, eta_max = 6 the coarse stage blows up and the stage at
+    # 0.01 from the default guess (one-stage Newton) returns a physical root:
+    # f' stays nonnegative. The only such rescue in a sweep of Pr 0.01-100,
+    # eta_max 5-20 and steps 0.005-0.02; the other fallbacks that converge
+    # return reverse-flow roots (ROADMAP item 3)
+    cfg = ShootConfig(eta_max=6.0, step=0.01)
+    with pytest.raises(BlowUpError):
+        shoot_solve(0.1, ShootConfig(eta_max=6.0, step=0.08))
+    res = shoot_solve(0.1, cfg)
+    assert (res.a, res.b, res.iterations) == (0.8333271852059588, -0.24998883424723176, 7)
+    one_stage = newton_solve(lambda x: boundary_residual(x[0], x[1], 0.1, cfg),
+                             DEFAULT_GUESS[Problem.FREE_CONVECTION], cfg)
+    assert abs(res.a - one_stage.a) < 1e-9 and abs(res.b - one_stage.b) < 1e-9
+    grid = [round(0.05 * i, 12) for i in range(121)]
+    assert min(row[2] for row in tabulate_profile(res.a, res.b, 0.1, grid, cfg)) > -1e-8
 
 
 @pytest.mark.parametrize("error", [BlowUpError, NonConvergenceError, SingularJacobianError])
@@ -413,6 +447,10 @@ def test_both_stages_failing_raise_the_one_stage_error(pr, eta_max, reached):
     (Problem.FREE_CONVECTION, 1.0, 8.0, 0.005),
     (Problem.FREE_CONVECTION, 2.0, 5.0, 0.015),
     (Problem.BLASIUS, 1.0, 10.0, 0.02),
+    # steps between 0.02 and 0.08 gained the coarse stage
+    (Problem.FREE_CONVECTION, 0.72, 8.0, 0.03),
+    (Problem.FREE_CONVECTION, 1.0, 6.0, 0.05),
+    (Problem.BLASIUS, 1.0, 8.0, 0.04),
 ])
 def test_two_stage_root_meets_tol_at_the_requested_step(problem, pr, eta_max, step):
     cfg = ShootConfig(eta_max=eta_max, step=step)
