@@ -18,6 +18,7 @@ The Blasius extension uses the standard form f''' + (1/2) f f'' = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -164,6 +165,54 @@ def advance_blasius(f: list[float], k: int, weights: Weights) -> float:
     """One step of the Blasius recurrence for f''' = -(1/2) f f''."""
     s = sum(map(mul, map(mul, weights.pair[-k - 1:], f), f[k + 2:1:-1]))
     return -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
+
+
+@functools.cache
+def _tangent_weights(n: int, mode: RecurrenceMode) -> tuple[tuple[float, ...], ...]:
+    """For each step k < n, the weights of dF(s) F(k+2-s), s = 2..k+2, in
+    the derivative of 2 s1 - 3 s3.
+
+    s1's weight (r+1)(k-r+1) is symmetric in r and k-r, so 2 s1 gives
+    4 s(k+2-s) (s = r+1); s3 gives (k+2-s)(k+1-s) / s! from its first
+    factor (s = r) and s(s-1) / (k+2-s)! from its second (s = k+2-r), the
+    factorials being 1 in corrected mode.
+    """
+    div = recurrence_weights(n + 2, mode).divisors or (1.0,) * (n + 2)
+    return tuple(
+        tuple(4.0 * s * (k + 2 - s)
+              - 3.0 * ((k + 2 - s) * (k + 1 - s) / div[s] + s * (s - 1) / div[k + 2 - s])
+              for s in range(2, k + 3))
+        for k in range(n)
+    )
+
+
+def free_convection_tangents(
+    sol: DtmSolution, pr: float, mode: RecurrenceMode, f_top: int, theta_top: int
+) -> tuple[list[complex], list[complex]]:
+    """The derivatives of F(0..f_top) and Theta(0..theta_top) in A and in B.
+
+    The recurrence in forward mode, reading the value coefficients of sol
+    (which must reach f_top and theta_top, with f_top <= theta_top + 1):
+    a step's F derivative is one dot product over dF(s) F(k+2-s), and its
+    Theta derivative the two of s2. The derivatives are real-linear in the
+    tangents, so one complex pass carries both: d/dA in the real part, d/dB
+    in the imaginary part. Returns the lists dF and dTheta; a derivative
+    past the float range reads inf or NaN instead of raising.
+    """
+    f, theta = sol.f_series.coeffs, sol.theta_series.coeffs
+    desc = recurrence_weights(theta_top - 1).desc
+    weights = _tangent_weights(theta_top - 1, mode)
+    # F(2) = A/2 and Theta(1) = B; the other wall values are constants
+    df, dth = [0j, 0j, 0.5 + 0j], [0j, 1j]
+    for k in range(theta_top - 1):
+        if k + 3 <= f_top:
+            ds = sum(map(mul, map(mul, weights[k], f[k::-1]), df[2:]))
+            df.append((ds - dth[k]) / ((k + 1) * (k + 2) * (k + 3)))
+        lin = desc[-k - 1:]
+        ds2 = (sum(map(mul, map(mul, lin, theta[k + 1:0:-1]), df))
+               + sum(map(mul, map(mul, lin, f), dth[k + 1:0:-1])))
+        dth.append(-3.0 * pr * ds2 / ((k + 1) * (k + 2)))
+    return df, dth
 
 
 def generate(params: ProblemParams) -> DtmSolution:

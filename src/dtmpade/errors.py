@@ -31,7 +31,7 @@ class NonConvergenceError(DtmPadeError):
 
 
 class SingularJacobianError(NonConvergenceError):
-    """Finite-difference Jacobian is singular at the current iterate."""
+    """Newton's Jacobian (exact or by forward differences) is singular at the current iterate."""
 
 
 class BlowUpError(DtmPadeError):

@@ -90,10 +90,7 @@ def build_many(
 
     import numpy as np
 
-    # row k, column j of the block is c[L+k-j] (1-based), zero below c0: the
-    # coefficients behind M zeros, gathered through one index array
-    padded = np.array([(0.0,) * M + series[i].coeffs[: L + M + 1] for i in live])
-    A = padded[:, _toeplitz_index(L, M)]
+    padded, A = _matching_blocks([series[i].coeffs for i in live], L, M)
     rhs = -padded[:, L + M + 1 :, None]
     for i, cond in zip(live, _condition_numbers(A)):
         if not cond <= COND_THRESHOLD:
@@ -113,6 +110,16 @@ def build_many(
         except DegenerateApproximantError as exc:
             fits[i] = exc
     return fits
+
+
+def _matching_blocks(coeffs: Sequence[Sequence[float]], L: int, M: int):
+    """The coefficients c0..c(L+M) behind M zeros, one row per series, and
+    the stack of their M x M blocks: row k, column j is c[L+k-j] (1-based),
+    zero below c0, gathered through one index array."""
+    import numpy as np
+
+    padded = np.array([(0.0,) * M + tuple(c[: L + M + 1]) for c in coeffs])
+    return padded, padded[:, _toeplitz_index(L, M)]
 
 
 @functools.cache
@@ -236,13 +243,54 @@ def limit_at_infinity(r: RationalApproximant) -> float:
         raise DegenerateApproximantError(
             f"limit at infinity needs equal degrees, got [{L}/{M}]"
         )
-    den_scale = max(abs(b) for b in r.denominator)  # >= 1 since b0 = 1
-    d = max(
-        j for j, b in enumerate(r.denominator) if abs(b) >= LEADING_COEFF_FLOOR * den_scale
-    )
+    d = _effective_degree(r.denominator)
     num_floor = LEADING_COEFF_FLOOR * max(abs(a) for a in r.numerator)
     if any(abs(a) > num_floor for a in r.numerator[d + 1 :]):
         raise DegenerateLimitError(
             f"numerator outgrows effective denominator degree {d}: the limit diverges"
         )
     return r.numerator[d] / r.denominator[d]
+
+
+def _effective_degree(den: tuple[float, ...]) -> int:
+    """The highest j whose |b_j| is at least LEADING_COEFF_FLOOR times the largest."""
+    den_scale = max(abs(b) for b in den)  # >= 1 since b0 = 1
+    return max(j for j, b in enumerate(den) if abs(b) >= LEADING_COEFF_FLOOR * den_scale)
+
+
+def limit_tangents(
+    fits: Sequence[RationalApproximant],
+    series: Sequence[Sequence[float]],
+    tangents: Sequence[Sequence[complex]],
+) -> list[complex]:
+    """The derivative of each fit's limit at infinity along its series' tangent.
+
+    fits[i] is the [n/n] approximant that build_many fitted to the
+    coefficients series[i], and tangents[i] holds their derivatives; a
+    complex tangent carries two directions, in its real and imaginary parts,
+    since every step is real-linear in it. The b-tail's tangent db solves
+    C db = -(dc_hi + dC b), C the fit's matching block: one stacked numpy
+    solve for every fit, apart from the value solve, whose bits extra
+    columns would change. The limit a_d / b_d then moves by
+    (da_d - limit * db_d) / b_d at the effective degree d. Where numpy
+    cannot solve, every derivative is NaN.
+    """
+    import numpy as np
+
+    L, M = fits[0].degrees
+    _, C = _matching_blocks(series, L, M)
+    # coefficients L+1..L+M of b * dc, which the tangent of b * c - a must cancel
+    rhs = [[-sum(map(mul, fit.denominator, dc[L + k :: -1])) for k in range(1, M + 1)]
+           for fit, dc in zip(fits, tangents)]
+    try:
+        tails = np.linalg.solve(C, np.array(rhs)[:, :, None])[:, :, 0].tolist()
+    except np.linalg.LinAlgError:
+        return [complex(math.nan, math.nan)] * len(fits)
+    out = []
+    for fit, c, dc, tail in zip(fits, series, tangents, tails):
+        a, b = fit.numerator, fit.denominator
+        d = _effective_degree(b)
+        db = [0j] + tail
+        da = sum(map(mul, b, dc[d::-1])) + sum(map(mul, db, c[d::-1]))
+        out.append((da - a[d] / b[d] * db[d]) / b[d])
+    return out

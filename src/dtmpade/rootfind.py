@@ -4,8 +4,9 @@ The far-field conditions f'(inf) = 0 and theta(inf) = 0 are imposed on
 diagonal rational approximants of the generated series: the limit of an
 [n/n] quotient at infinity is a_n / b_n, however small a_n is, so each
 condition becomes one scalar equation in the unknown initial derivatives.
-A damped Newton iteration with a forward-difference Jacobian solves the
-resulting 2x2 free-convection system.
+A damped Newton iteration solves the resulting 2x2 free-convection system
+with its exact Jacobian: the recurrence and the two fits in forward mode,
+taken only at the iterates Newton steps from.
 
 Paper-fidelity mode mirrors the published computation exactly: the f-series
 is the order-2n polynomial, so its derivative is one coefficient short of
@@ -31,7 +32,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import pade
-from .dtm import Problem, ProblemParams, RecurrenceMode, check_mode, generate
+from .dtm import (
+    Problem,
+    ProblemParams,
+    RecurrenceMode,
+    check_mode,
+    free_convection_tangents,
+    generate,
+)
 from .errors import (
     DegenerateApproximantError,
     NonConvergenceError,
@@ -41,7 +49,9 @@ from .series import TruncatedSeries, cauchy_product, differentiate
 
 # Newton starting points; free convection has the physically expected signs A > 0, B < 0
 DEFAULT_GUESS = {Problem.FREE_CONVECTION: (0.6, -0.6), Problem.BLASIUS: (0.3,)}
-FD_STEP = 1e-7  # forward-difference Jacobian step
+# the forward-difference step for a residual that gives no Jacobian: the
+# shooting oracle's (the closures give theirs exactly)
+FD_STEP = 1e-7
 DAMPING = 0.5  # step shrink factor when the residual norm does not drop
 SINGULAR_DET = 1e-14  # |det| of the row-scaled Jacobian below which it counts as singular
 
@@ -76,6 +86,19 @@ class ClosureConfig:
         check_stopping(self.tol, self.max_iter)
 
 
+class Residual(tuple):
+    """Residual values that give their Jacobian rows when jacobian() is called.
+
+    newton_solve calls it only at the iterates it steps from, so a rejected
+    damped trial costs its values alone.
+    """
+
+    def __new__(cls, values: Sequence[float], jacobian: Callable[[], list]):
+        self = super().__new__(cls, values)
+        self.jacobian = jacobian
+        return self
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """The root, its residual infinity-norm and the Newton iterations taken."""
@@ -92,8 +115,12 @@ def closure_residual(
     pr: float,
     cfg: ClosureConfig,
     mode: RecurrenceMode = RecurrenceMode.CORRECTED,
-) -> tuple[float, float]:
-    """Free-convection far-field residuals (limit of f'-fit, limit of theta-fit)."""
+) -> Residual:
+    """Free-convection far-field residuals (limit of f'-fit, limit of theta-fit).
+
+    Their exact Jacobian in (a, b) comes from the recurrence and the fits in
+    forward mode, up to the fit window, when jacobian() is called.
+    """
     n = cfg.pade_degree
     window = cfg.series_order
     if window is None:
@@ -114,7 +141,16 @@ def closure_residual(
             limits.append(pade.limit_at_infinity(fit))
         except DegenerateApproximantError as exc:
             raise type(exc)(f"{label}-approximant: {exc}") from exc
-    return tuple(limits)
+
+    def jacobian() -> list[tuple[float, float]]:
+        # d/dA + i d/dB of the coefficients, of the f' fit's zero padding too
+        f_top = min(sol.f_series.order, 2 * n + 1)
+        df, dtheta = free_convection_tangents(sol, pr, mode, f_top, 2 * n)
+        dfp = [(k + 1) * df[k + 1] for k in range(f_top)] + [0j] * (2 * n + 1 - f_top)
+        rows = pade.limit_tangents(fits, (fp, sol.theta_series.coeffs), (dfp, dtheta))
+        return [(z.real, z.imag) for z in rows]
+
+    return Residual(limits, jacobian)
 
 
 def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
@@ -225,24 +261,27 @@ def newton_solve(
     cfg,
     jacobian: list | None = None,
 ) -> SolveResult:
-    """Damped Newton with a forward-difference Jacobian (step FD_STEP).
+    """Damped Newton on a residual's Jacobian, exact or by forward differences.
 
     One or two unknowns. The iterate is a tuple of floats and residual maps
     it to a sequence of numbers (a numpy array too), which are taken as
-    Python floats. The step is solved by Cramer's rule; a Jacobian whose
-    row-scaled determinant is not >= SINGULAR_DET (a NaN or infinite entry
-    included), or a step that is not finite, raises SingularJacobianError.
-    cfg is anything with tol and max_iter (a ClosureConfig or ShootConfig).
-    Stops when the residual infinity-norm drops to cfg.tol. A step that does
-    not decrease the norm is shrunk by DAMPING up to 8 times before the
-    iteration is declared stagnant.
+    Python floats. Where that sequence has a jacobian() method (a Residual),
+    it gives the rows Newton steps with, and is called only at the iterates
+    Newton steps from; otherwise each step takes forward differences (step
+    FD_STEP), one more residual per unknown. The step is solved by Cramer's
+    rule; a Jacobian whose row-scaled determinant is not >= SINGULAR_DET (a
+    NaN or infinite entry included), or a step that is not finite, raises
+    SingularJacobianError. cfg is anything with tol and max_iter (a
+    ClosureConfig or ShootConfig). Stops when the residual infinity-norm
+    drops to cfg.tol. A step that does not decrease the norm is shrunk by
+    DAMPING up to 8 times before the iteration is declared stagnant.
 
     jacobian, a list of rows (one per residual), goes both ways. A copy of
-    the rows it holds on entry stands in for the forward differences of
+    the rows it holds on entry stands in for the residual's Jacobian at
     iteration 0 only (a chord step), such as the last Jacobian of a solve
     of a nearby problem; where its step counts as singular, or its damped
-    trial stagnates, iteration 0 is redone with forward differences at the
-    same iterate. Each accepted step writes its Jacobian's rows into the
+    trial stagnates, iteration 0 is redone with the residual's Jacobian at
+    the same iterate. Each accepted step writes its Jacobian's rows into the
     list, so it holds the last one on return.
     """
     x = tuple(float(v) for v in x0)
@@ -253,7 +292,14 @@ def newton_solve(
     def floats(x: tuple[float, ...]) -> list[float]:
         return [float(v) for v in residual(x)]
 
-    r = floats(x)
+    def at(x: tuple[float, ...]):
+        """The residual at x and a call that gives its Jacobian rows there."""
+        values = residual(x)
+        r = [float(v) for v in values]
+        exact = getattr(values, "jacobian", None)
+        return r, exact or (lambda: _jacobian(floats, x, r))
+
+    r, jacobian_at = at(x)
     norm = _inf_norm(r)
 
     for it in range(cfg.max_iter + 1):
@@ -271,9 +317,9 @@ def newton_solve(
             jac = [tuple(row) for row in jacobian]
             step = _step(jac, r)
             if step is not None:
-                trial = _damped_trial(floats, x, step, norm)
+                trial = _damped_trial(at, x, step, norm)
         if trial is None:
-            jac = _jacobian(floats, x, r)
+            jac = jacobian_at()
             step = _step(jac, r)
             if step is None:
                 raise SingularJacobianError(
@@ -282,7 +328,7 @@ def newton_solve(
                     residual_norm=norm,
                     iterations=it,
                 )
-            trial = _damped_trial(floats, x, step, norm)
+            trial = _damped_trial(at, x, step, norm)
             if trial is None:
                 raise NonConvergenceError(
                     f"stagnated at residual norm {norm:.3e}",
@@ -292,19 +338,19 @@ def newton_solve(
                 )
         if jacobian is not None:
             jacobian[:] = jac
-        x, r, norm = trial
+        x, (r, jacobian_at), norm = trial
 
 
-def _damped_trial(floats, x: tuple[float, ...], step: list[float], norm: float):
-    """(x_new, r_new, norm_new) of the first of x - lam * step, lam = 1,
+def _damped_trial(at, x: tuple[float, ...], step: list[float], norm: float):
+    """(x_new, at(x_new), norm_new) of the first of x - lam * step, lam = 1,
     DAMPING, ..., DAMPING**8, whose residual norm is below norm; None if none is."""
     lam = 1.0
     for _ in range(9):
         x_new = tuple(v - lam * s for v, s in zip(x, step))
-        r_new = floats(x_new)
-        norm_new = _inf_norm(r_new)
+        evaluated = at(x_new)
+        norm_new = _inf_norm(evaluated[0])
         if norm_new < norm:
-            return x_new, r_new, norm_new
+            return x_new, evaluated, norm_new
         lam *= DAMPING
     return None
 

@@ -11,6 +11,7 @@ from dtmpade.dtm import (
     RecurrenceMode,
     advance_blasius,
     advance_free_convection,
+    free_convection_tangents,
     generate,
     init_transforms,
     recurrence_weights,
@@ -142,6 +143,21 @@ def test_zero_b_freezes_theta():
 def test_blasius_zero_prefix_propagates():
     sol = generate(ProblemParams(problem=Problem.BLASIUS, a=0.0, order=9))
     assert all(c == 0.0 for c in sol.f_series.coeffs)
+
+
+def test_tangent_pass_against_ansatz_derivatives():
+    # the window of a corrected [4/4] closure, F up to 9 and Theta up to 8,
+    # against the A- and B-derivatives of the symbolic coefficients
+    c, d = ansatz_coefficients(9)
+    A, B = sympy.symbols("A B")
+    for a, b in ((0.6421, -0.5671), (-0.37, 1.3)):
+        sol = generate(ProblemParams(a=a, b=b, order=9, mode=CORRECTED))
+        df, dtheta = free_convection_tangents(sol, 1.0, CORRECTED, 9, 8)
+        assert len(df) == 10 and len(dtheta) == 9
+        for got, expr in zip(df + dtheta, c + d[:9]):
+            want = [float(expr.diff(v).subs({A: a, B: b})) for v in (A, B)]
+            assert got.real == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            assert got.imag == pytest.approx(want[1], rel=1e-12, abs=1e-15)
 
 
 def test_blasius_f3_zero_and_f5():

@@ -351,3 +351,24 @@ def test_numpy_rejection_of_the_solve_is_a_degenerate_approximant(monkeypatch):
                        match=r"^\[1/1\] linear solve failed: Singular matrix$"):
         build(c, 1, 1)
     assert all(isinstance(fit, DegenerateApproximantError) for fit in build_many([c, c], 1, 1))
+
+
+def test_limit_tangents_of_a_rational_series():
+    # (1 + p x) / (1 + q x) has c0 = 1, c_k = (p - q)(-q)^(k-1) and limit
+    # p / q; the complex tangent carries d/dp and d/dq as its two parts
+    p, q = 0.7, -1.3
+    c = TruncatedSeries([1.0, p - q, (p - q) * -q])
+    dc = [0j, 1 - 1j, complex(-q, 2 * q - p)]
+    fits = build_many([c, c], 1, 1)
+    assert [limit_at_infinity(fit) for fit in fits] == pytest.approx([p / q] * 2, abs=1e-15)
+    (z, w) = pade.limit_tangents(fits, [c.coeffs] * 2, [dc, [v.real for v in dc]])
+    assert (z.real, z.imag) == pytest.approx((1 / q, -p / q**2), abs=1e-14)
+    assert (w.real, w.imag) == pytest.approx((1 / q, 0.0), abs=1e-14)
+
+
+def test_limit_tangent_of_a_singular_block_is_nan():
+    # a constant series is its own polynomial fit; its matching block is
+    # zero, so the tangent has no solve and reads NaN
+    c = TruncatedSeries([1.0] + [0.0] * 6)
+    (z,) = pade.limit_tangents([build(c, 3, 3)], [c.coeffs], [[0j, 1 + 1j] + [0j] * 5])
+    assert math.isnan(z.real) and math.isnan(z.imag)

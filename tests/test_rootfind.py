@@ -83,6 +83,46 @@ def test_newton_starting_jacobian_stands_in_for_iteration_0_only():
     assert np.allclose(jac, exact, atol=1e-6)
 
 
+def test_newton_asks_for_a_jacobian_only_where_it_steps():
+    evaluated, asked = [], []
+
+    def residual(x):
+        evaluated.append(x)
+        return rootfind.Residual(
+            (x[0] ** 2 - 2.0, x[1] - 1.0),
+            lambda: asked.append(x) or [(2.0 * x[0], 0.0), (0.0, 1.0)])
+
+    # undamped: each iteration costs one residual and one Jacobian, taken
+    # at the iterate it steps from
+    res = newton_solve(residual, (1.0, 1.0), ClosureConfig(tol=1e-12))
+    assert res.iterations > 1 and res.a == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert len(evaluated) == res.iterations + 1 and asked == evaluated[:-1]
+
+
+def test_rejected_damped_trials_never_ask_for_a_jacobian():
+    evaluated, asked = [], []
+
+    def residual(x):
+        evaluated.append(x)
+        return rootfind.Residual(
+            (math.atan(x[0]),), lambda: asked.append(x) or [(1.0 / (1.0 + x[0] ** 2),)])
+
+    # from 2 the full Newton step overshoots to about -3.5, where |atan| is larger
+    res = newton_solve(residual, (2.0,), ClosureConfig(tol=1e-12))
+    rejected = [x for x in evaluated[1:-1] if x not in asked]
+    assert rejected and not set(rejected) & set(asked)
+    assert len(asked) == res.iterations and asked[0] == (2.0,)
+    assert len(evaluated) == 1 + res.iterations + len(rejected)
+
+
+def test_newton_on_a_non_finite_exact_jacobian():
+    for jac in ([(math.nan,)], [(math.inf,)]):
+        with pytest.raises(SingularJacobianError) as info:
+            newton_solve(lambda x: rootfind.Residual((x[0] - 1.0,), lambda: jac),
+                         (2.0,), ClosureConfig())
+        assert info.value.iterations == 0 and info.value.last_iterate == (2.0,)
+
+
 def test_newton_singular_jacobian():
     # identical residual components: Jacobian rows coincide exactly
     with pytest.raises(SingularJacobianError):
@@ -314,6 +354,44 @@ def test_jacobian_forward_vs_central():
         assert np.all(np.abs(forward - central) <= 10 * h * np.maximum(1.0, np.abs(central)))
 
 
+@pytest.mark.parametrize("mode", list(RecurrenceMode))
+@pytest.mark.parametrize("n", [3, 5, 9])
+@pytest.mark.parametrize("pr", [0.72, 1.0, 1.5])
+def test_closure_jacobian_against_central_differences(pr, n, mode):
+    # a point where every fit of the stencil passes its gates, on each rung
+    cfg, x, h = ClosureConfig(pade_degree=n), (0.8, -1.2), 1e-5
+    exact = closure_residual(*x, pr, cfg, mode).jacobian()
+    for j in range(2):
+        e = [0.0, 0.0]
+        e[j] = h
+        plus = closure_residual(x[0] + e[0], x[1] + e[1], pr, cfg, mode)
+        minus = closure_residual(x[0] - e[0], x[1] - e[1], pr, cfg, mode)
+        for i, row in enumerate(exact):
+            central = (plus[i] - minus[i]) / (2 * h)
+            assert abs(row[j] - central) <= 1e-5 * max(abs(v) for v in row)
+
+
+def test_closure_at_b_zero_has_a_singular_jacobian():
+    # B = 0 makes every Theta(k >= 1) zero: the theta fit is its own
+    # polynomial, with an all-zero matching block, so its limit 1 has no
+    # derivative there and a Newton start at B = 0 stops at once
+    r = closure_residual(0.6, 0.0, 1.0, ClosureConfig())
+    assert r[1] == 1.0
+    assert all(math.isnan(v) for row in r.jacobian() for v in row)
+    with pytest.raises(SingularJacobianError) as info:
+        solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig(), x0=(0.6, 0.0))
+    assert info.value.iterations == 0 and info.value.last_iterate == (0.6, 0.0)
+
+
+def test_closure_residual_is_a_tuple_of_floats_with_its_jacobian():
+    cfg = ClosureConfig(pade_degree=5)
+    r = closure_residual(0.6, -0.6, 1.0, cfg)
+    assert isinstance(r, tuple) and len(r) == 2 and all(type(v) is float for v in r)
+    jac = r.jacobian()
+    assert len(jac) == 2 and all(len(row) == 2 and all(type(v) is float for v in row)
+                                 for row in jac)
+
+
 def test_corrected_mode_solve_runs():
     res = solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig(pade_degree=5))
     assert res.residual_norm <= 1e-10
@@ -391,9 +469,9 @@ def test_blasius_rung_never_enters_newton(monkeypatch):
         assert abs(res.a - NEWTON_BLASIUS_ROOTS[n]) <= 2e-11
 
 
-def _outcome(n, mode):
+def _outcome(pr, n, mode):
     try:
-        solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig(pade_degree=n), mode=mode)
+        solve_problem(Problem.FREE_CONVECTION, pr, ClosureConfig(pade_degree=n), mode=mode)
     except NonConvergenceError:
         return "nonconvergence"
     except DegenerateLimitError:
@@ -403,18 +481,32 @@ def _outcome(n, mode):
     return "ok"
 
 
-# the outcome of each free-convection rung n = 1..10 at Pr 1
+# the outcome of each free-convection rung n = 1..10 at each Pr of the benchmark round
 LADDER_OUTCOMES = {
-    RecurrenceMode.CORRECTED: ("limit", "build", "ok", "nonconvergence", "ok",
-                               "build", "build", "build", "ok", "build"),
-    RecurrenceMode.PAPER_FIDELITY: ("limit", "build", "ok", "nonconvergence", "build",
-                                    "ok", "build", "build", "build", "build"),
+    RecurrenceMode.CORRECTED: {
+        0.72: ("limit", "build", "ok", "build", "ok",
+               "build", "ok", "build", "nonconvergence", "build"),
+        1.0: ("limit", "build", "ok", "nonconvergence", "ok",
+              "build", "build", "build", "ok", "build"),
+        1.5: ("limit", "build", "ok", "build", "ok",
+              "build", "build", "build", "build", "build"),
+    },
+    RecurrenceMode.PAPER_FIDELITY: {
+        0.72: ("limit", "build", "ok", "build", "build",
+               "build", "build", "build", "build", "build"),
+        1.0: ("limit", "build", "ok", "nonconvergence", "build",
+              "ok", "build", "build", "build", "build"),
+        1.5: ("limit", "build", "ok", "build", "build",
+              "build", "build", "build", "build", "build"),
+    },
 }
 
 
 @pytest.mark.parametrize("mode", list(LADDER_OUTCOMES))
 def test_free_convection_ladder_outcome_classes(mode):
-    assert tuple(_outcome(n, mode) for n in range(1, 11)) == LADDER_OUTCOMES[mode]
+    outcomes = {pr: tuple(_outcome(pr, n, mode) for n in range(1, 11))
+                for pr in LADDER_OUTCOMES[mode]}
+    assert outcomes == LADDER_OUTCOMES[mode]
 
 
 def test_limit_error_keeps_its_class_through_the_closure():
