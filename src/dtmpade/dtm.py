@@ -187,25 +187,26 @@ def _tangent_weights(n: int, mode: RecurrenceMode) -> tuple[tuple[float, ...], .
 
 
 def free_convection_tangents(
-    sol: DtmSolution, pr: float, mode: RecurrenceMode, f_top: int, theta_top: int
+    sol: DtmSolution, pr: float, mode: RecurrenceMode
 ) -> tuple[list[complex], list[complex]]:
-    """The derivatives of F(0..f_top) and Theta(0..theta_top) in A and in B.
+    """The derivatives of sol's F and Theta coefficients in A and in B.
 
-    The recurrence in forward mode, reading the value coefficients of sol
-    (which must reach f_top and theta_top, with f_top <= theta_top + 1):
-    a step's F derivative is one dot product over dF(s) F(k+2-s), and its
-    Theta derivative the two of s2. The derivatives are real-linear in the
-    tangents, so one complex pass carries both: d/dA in the real part, d/dB
-    in the imaginary part. Returns the lists dF and dTheta; a derivative
-    past the float range reads inf or NaN instead of raising.
+    The recurrence in forward mode over the steps generate took for sol (F
+    and Theta to its order m, F under the same k + 3 <= m rule), reading its
+    values: a step's F derivative is one dot product over dF(s) F(k+2-s),
+    and its Theta derivative the two of s2. The derivatives are real-linear
+    in the tangents, so one complex pass carries both: d/dA in the real
+    part, d/dB in the imaginary part. Returns the lists dF and dTheta; a
+    derivative past the float range reads inf or NaN instead of raising.
     """
     f, theta = sol.f_series.coeffs, sol.theta_series.coeffs
-    desc = recurrence_weights(theta_top - 1).desc
-    weights = _tangent_weights(theta_top - 1, mode)
+    m = sol.f_series.order
+    desc = recurrence_weights(m - 1).desc
+    weights = _tangent_weights(m - 1, mode)
     # F(2) = A/2 and Theta(1) = B; the other wall values are constants
     df, dth = [0j, 0j, 0.5 + 0j], [0j, 1j]
-    for k in range(theta_top - 1):
-        if k + 3 <= f_top:
+    for k in range(m - 1):
+        if k + 3 <= m:
             ds = sum(map(mul, map(mul, weights[k], f[k::-1]), df[2:]))
             df.append((ds - dth[k]) / ((k + 1) * (k + 2) * (k + 3)))
         lin = desc[-k - 1:]

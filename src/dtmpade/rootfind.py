@@ -12,7 +12,7 @@ Paper-fidelity mode mirrors the published computation exactly: the f-series
 is the order-2n polynomial, so its derivative is one coefficient short of
 the 2n needed by the [n/n] fit and is zero-padded, exactly as a finite
 polynomial is treated by a CAS. Corrected mode generates order 2n+1 and
-uses the true derivative coefficient throughout.
+uses the true derivative coefficient throughout; no fit reads further.
 
 The Blasius series only contains powers 2, 5, 8, ... of the similarity
 variable, which makes every diagonal fit in that variable exactly singular.
@@ -45,7 +45,7 @@ from .errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
-from .series import TruncatedSeries, cauchy_product, differentiate
+from .series import TruncatedSeries, cauchy_product
 
 # Newton starting points; free convection has the physically expected signs A > 0, B < 0
 DEFAULT_GUESS = {Problem.FREE_CONVECTION: (0.6, -0.6), Problem.BLASIUS: (0.3,)}
@@ -69,7 +69,8 @@ class ClosureConfig:
     """Knobs for the closure equations and the Newton stopping rule.
 
     series_order = None derives the order from the Pade degree: 2n+1 in
-    corrected mode, 2n (the published window) in paper-fidelity mode.
+    corrected mode, 2n (the published window) in paper-fidelity mode. The
+    fits read F up to 2n+1 at most, so a higher order gives the 2n+1 root.
     """
 
     pade_degree: int = 3
@@ -118,19 +119,19 @@ def closure_residual(
 ) -> Residual:
     """Free-convection far-field residuals (limit of f'-fit, limit of theta-fit).
 
-    Their exact Jacobian in (a, b) comes from the recurrence and the fits in
-    forward mode, up to the fit window, when jacobian() is called.
+    The one window: F up to top (the series order, at most 2n+1), the last
+    that the f' fit reads. Their exact Jacobian in (a, b) comes from the
+    recurrence and the fits in forward mode when jacobian() is called.
     """
     n = cfg.pade_degree
-    window = cfg.series_order
-    if window is None:
-        window = 2 * n if mode is RecurrenceMode.PAPER_FIDELITY else 2 * n + 1
+    top = min(cfg.series_order or 2 * n + (mode is RecurrenceMode.CORRECTED), 2 * n + 1)
     sol = generate(ProblemParams(  # the recurrence needs order >= 3
-        Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=max(window, 3), mode=mode))
-    # a short derivative (the paper window) is padded with zeros to the 2n+1
-    # coefficients of the fit: the generated polynomial has no higher terms
-    fp = differentiate(sol.f_series).coeffs
-    fp += (0.0,) * (2 * n + 1 - len(fp))
+        Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=max(top, 3), mode=mode))
+
+    def derivative(c, zero):  # f' to F(top), zero-padded to the fit's 2n+1 terms
+        return [(k + 1) * c[k + 1] for k in range(top)] + [zero] * (2 * n + 1 - top)
+
+    fp = derivative(sol.f_series.coeffs, 0.0)
     fits = pade.build_many((TruncatedSeries(fp), sol.theta_series), n, n)
     limits = []
     # the errors in the order of lone fits: f' fit, f' limit, theta fit, theta limit
@@ -144,10 +145,9 @@ def closure_residual(
 
     def jacobian() -> list[tuple[float, float]]:
         # d/dA + i d/dB of the coefficients, of the f' fit's zero padding too
-        f_top = min(sol.f_series.order, 2 * n + 1)
-        df, dtheta = free_convection_tangents(sol, pr, mode, f_top, 2 * n)
-        dfp = [(k + 1) * df[k + 1] for k in range(f_top)] + [0j] * (2 * n + 1 - f_top)
-        rows = pade.limit_tangents(fits, (fp, sol.theta_series.coeffs), (dfp, dtheta))
+        df, dtheta = free_convection_tangents(sol, pr, mode)
+        rows = pade.limit_tangents(fits, (fp, sol.theta_series.coeffs),
+                                   (derivative(df, 0j), dtheta))
         return [(z.real, z.imag) for z in rows]
 
     return Residual(limits, jacobian)
@@ -162,9 +162,9 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
         raise ValueError("the Blasius closure derives its series order from the Pade degree")
     n = cfg.pade_degree
     order = 6 * n + 2  # f' index 3*(2n)+1 needs f-coefficients up to 6n+2
-    sol = generate(ProblemParams(Problem.BLASIUS, a=a, order=order))
-    fp = differentiate(sol.f_series).coeffs
-    g = TruncatedSeries(tuple(fp[3 * j + 1] for j in range(2 * n + 1)))
+    f = generate(ProblemParams(Problem.BLASIUS, a=a, order=order)).f_series.coeffs
+    # g_j = (3j+2) F(3j+2), the coefficient of eta^(3j+1) in f' (the nonzero ones)
+    g = TruncatedSeries(tuple((3 * j + 2) * f[3 * j + 2] for j in range(2 * n + 1)))
     try:
         h = cauchy_product(cauchy_product(g, g), g)
     except OverflowError as exc:
@@ -245,13 +245,13 @@ def _step(jac, r) -> list[float] | None:
     return step if all(math.isfinite(v) for v in step) else None
 
 
-def _jacobian(residual, x: tuple[float, ...], r: list[float]) -> list[tuple[float, ...]]:
+def _jacobian(at, x: tuple[float, ...], r: list[float]) -> list[tuple[float, ...]]:
     """Forward-difference Jacobian (step FD_STEP), one row per residual."""
     columns = []
     for j in range(len(x)):
         xp = list(x)
         xp[j] += FD_STEP
-        columns.append([(p - q) / FD_STEP for p, q in zip(residual(tuple(xp)), r)])
+        columns.append([(p - q) / FD_STEP for p, q in zip(at(tuple(xp))[0], r)])
     return list(zip(*columns))
 
 
@@ -289,15 +289,12 @@ def newton_solve(
     if not 1 <= d <= 2:
         raise ValueError(f"newton_solve takes one or two unknowns, got {d}")
 
-    def floats(x: tuple[float, ...]) -> list[float]:
-        return [float(v) for v in residual(x)]
-
     def at(x: tuple[float, ...]):
         """The residual at x and a call that gives its Jacobian rows there."""
         values = residual(x)
         r = [float(v) for v in values]
         exact = getattr(values, "jacobian", None)
-        return r, exact or (lambda: _jacobian(floats, x, r))
+        return r, exact or (lambda: _jacobian(at, x, r))
 
     r, jacobian_at = at(x)
     norm = _inf_norm(r)

@@ -146,15 +146,39 @@ def test_blasius_zero_prefix_propagates():
 
 
 def test_tangent_pass_against_ansatz_derivatives():
-    # the window of a corrected [4/4] closure, F up to 9 and Theta up to 8,
-    # against the A- and B-derivatives of the symbolic coefficients
-    c, d = ansatz_coefficients(9)
+    # the order of a corrected [4/4] closure: F and Theta up to 9 (the theta
+    # fit reads Theta up to 8), against the A- and B-derivatives of the
+    # symbolic coefficients, which order 10 solves up to index 9
+    c, d = ansatz_coefficients(10)
     A, B = sympy.symbols("A B")
     for a, b in ((0.6421, -0.5671), (-0.37, 1.3)):
         sol = generate(ProblemParams(a=a, b=b, order=9, mode=CORRECTED))
-        df, dtheta = free_convection_tangents(sol, 1.0, CORRECTED, 9, 8)
-        assert len(df) == 10 and len(dtheta) == 9
-        for got, expr in zip(df + dtheta, c + d[:9]):
+        df, dtheta = free_convection_tangents(sol, 1.0, CORRECTED)
+        assert len(df) == 10 and len(dtheta) == 10
+        for got, expr in zip(df + dtheta, c[:10] + d[:10]):
+            want = [float(expr.diff(v).subs({A: a, B: b})) for v in (A, B)]
+            assert got.real == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            assert got.imag == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("order", [3, 4, 9])
+@pytest.mark.parametrize("mode", [FIDELITY, CORRECTED])
+def test_tangent_pass_against_symbolic_recurrence(mode, order):
+    # the paper recurrence does not satisfy the ODE, so the ansatz cannot
+    # check it: run the term-by-term reference recurrence on symbols A and
+    # B instead, with generate's k + 3 <= m rule, and differentiate that
+    A, B = sympy.symbols("A B")
+    f, theta = [sympy.Integer(0), sympy.Integer(0), A / 2], [sympy.Integer(1), B]
+    for k in range(order - 1):
+        f_next, theta_next = reference_advance_free_convection(f, theta, k, 0.72, mode)
+        if k + 3 <= order:
+            f.append(sympy.expand(f_next))
+        theta.append(sympy.expand(theta_next))
+    for a, b in ((0.6421, -0.5671), (0.8, -1.2), (-0.37, 1.3)):
+        sol = generate(ProblemParams(pr=0.72, a=a, b=b, order=order, mode=mode))
+        df, dtheta = free_convection_tangents(sol, 0.72, mode)
+        assert len(df) == len(f) == order + 1 and len(dtheta) == len(theta) == order + 1
+        for got, expr in zip(df + dtheta, f + theta):
             want = [float(expr.diff(v).subs({A: a, B: b})) for v in (A, B)]
             assert got.real == pytest.approx(want[0], rel=1e-12, abs=1e-15)
             assert got.imag == pytest.approx(want[1], rel=1e-12, abs=1e-15)

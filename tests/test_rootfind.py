@@ -354,12 +354,16 @@ def test_jacobian_forward_vs_central():
         assert np.all(np.abs(forward - central) <= 10 * h * np.maximum(1.0, np.abs(central)))
 
 
+@pytest.mark.parametrize("order", [None, "2n", "2n+1", "4n+3"])
 @pytest.mark.parametrize("mode", list(RecurrenceMode))
 @pytest.mark.parametrize("n", [3, 5, 9])
 @pytest.mark.parametrize("pr", [0.72, 1.0, 1.5])
-def test_closure_jacobian_against_central_differences(pr, n, mode):
+def test_closure_jacobian_against_central_differences(pr, n, mode, order):
     # a point where every fit of the stencil passes its gates, on each rung
-    cfg, x, h = ClosureConfig(pade_degree=n), (0.8, -1.2), 1e-5
+    # and each window: the zero-padded 2n, the full 2n+1 and an order past it
+    # (at (0.8, -1.2) the corrected [9/9] f' fit of the 2n window fails the match check)
+    series_order = {None: None, "2n": 2 * n, "2n+1": 2 * n + 1, "4n+3": 4 * n + 3}[order]
+    cfg, x, h = ClosureConfig(pade_degree=n, series_order=series_order), (0.9, -1.2), 1e-5
     exact = closure_residual(*x, pr, cfg, mode).jacobian()
     for j in range(2):
         e = [0.0, 0.0]
@@ -507,6 +511,52 @@ def test_free_convection_ladder_outcome_classes(mode):
     outcomes = {pr: tuple(_outcome(pr, n, mode) for n in range(1, 11))
                 for pr in LADDER_OUTCOMES[mode]}
     assert outcomes == LADDER_OUTCOMES[mode]
+
+
+@pytest.mark.parametrize("mode, series_order, label", [
+    # one window: the f' fit of (0, A, 0) is its own polynomial, whose limit diverges
+    (RecurrenceMode.PAPER_FIDELITY, None, "f'"),
+    (RecurrenceMode.PAPER_FIDELITY, 2, "f'"),
+    (RecurrenceMode.CORRECTED, 2, "f'"),
+    # with 3 F(3) in the f' fit, its limit is finite and theta's diverges
+    (RecurrenceMode.PAPER_FIDELITY, 3, "theta"),
+    (RecurrenceMode.CORRECTED, 3, "theta"),
+    (RecurrenceMode.CORRECTED, None, "theta"),
+])
+def test_n1_window_decides_which_limit_diverges(mode, series_order, label):
+    cfg = ClosureConfig(pade_degree=1, series_order=series_order)
+    with pytest.raises(DegenerateLimitError, match=f"^{label}-approximant: numerator outgrows"):
+        solve_problem(Problem.FREE_CONVECTION, 1.0, cfg, mode=mode)
+
+
+def count_orders(monkeypatch) -> list[int]:
+    """The order of every generate call the closures make from here on."""
+    orders = []
+    monkeypatch.setattr(rootfind, "generate",
+                        lambda params: orders.append(params.order) or generate(params))
+    return orders
+
+
+def test_order_200_gives_the_default_root(monkeypatch):
+    # the [3/3] fits read F up to 2n+1 = 7, so the recurrence stops there
+    default = solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig(pade_degree=3))
+    orders = count_orders(monkeypatch)
+    past = solve_problem(Problem.FREE_CONVECTION, 1.0,
+                         ClosureConfig(pade_degree=3, series_order=200))
+    assert orders and max(orders) == 7
+    assert (past.a.hex(), past.b.hex(), past.iterations) == (
+        default.a.hex(), default.b.hex(), default.iterations)
+
+
+@pytest.mark.parametrize("mode", list(RecurrenceMode))
+def test_orders_past_the_window_change_nothing(monkeypatch, mode):
+    orders = count_orders(monkeypatch)
+    full, past = (closure_residual(0.6, -0.6, 1.0, ClosureConfig(pade_degree=3, series_order=m),
+                                   mode) for m in (7, 200))
+    assert orders == [7, 7]
+    assert [v.hex() for v in past] == [v.hex() for v in full]
+    assert ([v.hex() for row in past.jacobian() for v in row]
+            == [v.hex() for row in full.jacobian() for v in row])
 
 
 def test_limit_error_keeps_its_class_through_the_closure():

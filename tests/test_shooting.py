@@ -441,6 +441,17 @@ def test_both_stages_failing_raise_the_one_stage_error(pr, eta_max, reached):
     assert info.value.eta_reached == reached
 
 
+def test_pr_1_5_blows_up_on_the_default_domain_and_converges_at_eta_max_7():
+    # from the default guess the oracle blows up at Pr 1.5, eta_max 8 (so
+    # compare --pr 1.5 exits 3 while every DTM-Pade rung answers); a shorter
+    # domain converges. A physical gate or continuation should move these
+    with pytest.raises(BlowUpError, match="near eta = 6.34$") as info:
+        shoot_solve(1.5, ShootConfig())
+    assert ShootConfig().eta_max == 8.0 and info.value.eta_reached == 6.34
+    res = shoot_solve(1.5, ShootConfig(eta_max=7.0))
+    assert (res.a, res.b, res.iterations) == (0.6004829360311521, -0.6515002792121631, 1)
+
+
 @pytest.mark.parametrize("problem, pr, eta_max, step", [
     (Problem.FREE_CONVECTION, 0.5, 8.0, 0.02),
     (Problem.FREE_CONVECTION, 0.72, 6.0, 0.01),
