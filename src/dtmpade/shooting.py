@@ -6,16 +6,22 @@ on the far-boundary mismatch. Infinity is realized as the truncation point
 eta_max, where f'(eta_max) = 0 and theta(eta_max) = 0 (f' = 1 for Blasius)
 are imposed; there is no domain mapping.
 
-Newton runs in two stages with one stopping rule (nested iteration). For a
-requested step below COARSE_STEP, the coarse stage solves at COARSE_STEP
-from the caller's guess, with fewer RK4 steps per trajectory; the fine stage
-solves at the requested step from the coarse root, so a returned root meets
-tol at that step. Its first iteration reuses the coarse stage's last
-Jacobian, which differs from the fine one only by discretisation error, in
-place of two forward-difference trajectories (newton_solve falls back to
-them where that step fails). A step of COARSE_STEP or more runs the fine
-stage alone. When the coarse stage blows up or does not converge, the fine
-stage starts from the caller's guess, as if the coarse stage had not run.
+Newton runs in up to three stages with one stopping rule, each seeding the
+next (continuation in eta_max, then nested iteration). On a domain longer
+than SHORT_ETA_MAX, a short stage first solves on eta_max = SHORT_ETA_MAX
+from the caller's guess, at SHORT_STEP or the requested step if coarser:
+f'(eta_max) and theta(eta_max) grow exponentially with the error in the
+guess, over a shorter span there, so Newton takes fewer damped trials and
+blows up less often. For a requested step below COARSE_STEP, the coarse
+stage then solves on the full domain at COARSE_STEP, with fewer RK4 steps
+per trajectory; the fine stage last solves at the requested step, so a
+returned root meets tol at that step. Each stage's first iteration reuses
+the previous stage's last Jacobian, which differs from its own by
+discretisation and truncation error, in place of two forward-difference
+trajectories (newton_solve falls back to them where that step fails). A
+stage that blows up or does not converge hands on neither root nor
+Jacobian: the next starts from the last converged root, or the caller's
+guess, as if it had not run.
 
 Free convection integrates the first-order system of
 (f, f', f'', theta, theta') with
@@ -38,8 +44,14 @@ from .rootfind import SolveResult, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
 # the coarse Newton stage runs at COARSE_STEP for every finer requested
-# step; at a coarse step of 0.16, Pr 0.5 and 1 blew up
+# step; at a coarse step of 0.16 on eta_max = 8, Pr 0.5 and 1 blew up
 COARSE_STEP = 0.08
+# the short stage's domain and finest step, for every longer domain; on
+# eta_max = 6 the step 0.16 converges where it blew up on eta_max = 8. A
+# coarser requested step runs the short stage at that step: as robust in a
+# sweep of steps 0.2-0.4, and cheaper
+SHORT_ETA_MAX = 6.0
+SHORT_STEP = 2 * COARSE_STEP
 # eta_max / step above this is refused, as parse_grid refuses over 10**6
 # points: at ~1 us per RK4 step, a trajectory would take 10 s or more
 MAX_RK4_STEPS = 10**7
@@ -195,20 +207,32 @@ def shoot_solve(
 ) -> SolveResult:
     """Newton on the far-boundary mismatch; returns the oracle (A, B).
 
-    A coarse stage at COARSE_STEP seeds the stage at cfg.step whenever
-    cfg.step < COARSE_STEP, and hands on its last Jacobian (see the module
-    docstring); the result's iterations count the latter.
+    A short stage on eta_max = SHORT_ETA_MAX, at SHORT_STEP or cfg.step if
+    coarser, runs first whenever cfg.eta_max > SHORT_ETA_MAX, and a coarse
+    stage at COARSE_STEP whenever cfg.step < COARSE_STEP; each converged
+    stage seeds the next and hands on its last Jacobian (see the module
+    docstring). The result's iterations count the stage at cfg.step.
     """
     check_prandtl(pr)
     x = initial_guess(problem, x0)
     jac = []
-    if cfg.step < COARSE_STEP:
+    for stage in _stages(cfg):
         try:
-            root = _newton(pr, replace(cfg, step=COARSE_STEP), x, problem, jac)
+            root = _newton(pr, stage, x, problem, jac)
             x = (root.a,) if root.b is None else (root.a, root.b)
         except (BlowUpError, NonConvergenceError):
             jac.clear()
     return _newton(pr, cfg, x, problem, jac)
+
+
+def _stages(cfg: ShootConfig) -> list[ShootConfig]:
+    """The Newton stages that seed the one at cfg, in the order they run."""
+    stages = []
+    if cfg.eta_max > SHORT_ETA_MAX:
+        stages.append(replace(cfg, eta_max=SHORT_ETA_MAX, step=max(SHORT_STEP, cfg.step)))
+    if cfg.step < COARSE_STEP:
+        stages.append(replace(cfg, step=COARSE_STEP))
+    return stages
 
 
 def _newton(pr: float, cfg: ShootConfig, x, problem: Problem, jacobian: list) -> SolveResult:

@@ -316,6 +316,19 @@ def test_shoot_reference_values(capsys):
     assert res["b"] == pytest.approx(-0.5671, abs=5e-4)
 
 
+@pytest.mark.parametrize("argv, a", [
+    (["shoot", "--step", "0.1"], 0.6421781534),
+    (["shoot", "--pr", "2"], 0.5712566195),
+    (["shoot", "--pr", "1.5"], 0.6004966240),
+])
+def test_shoot_converges_where_the_full_domain_blew_up(capsys, argv, a):
+    # from the default guess each of these exited 3 before the short Newton
+    # stage on eta_max 6 seeded the full domain
+    code, payload = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert payload["result"]["a"] == pytest.approx(a, abs=1e-10)
+
+
 def test_shoot_rejects_small_domain(capsys):
     assert run(["shoot", "--eta-max", "3"]) == EXIT_USAGE
 

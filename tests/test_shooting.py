@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -255,46 +256,54 @@ def test_residuals_pinned_bit_for_bit():
 
 def test_bench_shoot_roots_pinned_bit_for_bit():
     # the roots at the benchmark's shoot_oracle settings, from the default guess;
-    # any change to a trajectory or to Newton's path shows here. The coarse
-    # stage at step 0.08 leaves the stage at 0.02 one iteration at Pr = 1 and
-    # none for Blasius; one-stage Newton took 7 and 3 to roots that stay close.
-    # The Pr = 1 iteration steps with the coarse stage's last Jacobian; with
-    # forward differences it gave the second pair of literals
+    # any change to a trajectory or to Newton's path shows here. The short
+    # stage (eta_max 6, step 0.16) seeds the coarse stage at 0.08, which
+    # leaves the stage at 0.02 one iteration at Pr = 1 and none for Blasius;
+    # one-stage Newton took 7 and 3 to roots that stay close. The Pr = 1
+    # iteration steps with the coarse stage's last Jacobian. The older
+    # literals: without the short stage, then also with forward differences
+    # in the fine stage, then one-stage Newton
     cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787637326019, -0.5671373995932919, 1)
-    for a, b in ((0.6421787637328251, -0.5671373996003624),
+    assert (res.a, res.b, res.iterations) == (0.6421787637325477, -0.5671373995978505, 1)
+    for a, b in ((0.6421787637326019, -0.5671373995932919),
+                 (0.6421787637328251, -0.5671373996003624),
                  (0.6421787637344606, -0.5671373996114442)):
         assert abs(res.a - a) < 1e-9 and abs(res.b - b) < 1e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.33205919549331037, 0)
+    assert (res.a, res.iterations) == (0.3320591954888135, 0)
+    assert abs(res.a - 0.33205919549331037) < 5e-9
     # the coarse root already meets tol at 0.02, within tol / |d residual / dA| of the old one
     assert abs(res.a - 0.3320591917502373) < 5e-9
 
 
 def test_bench_shoot_roots_at_the_default_step_pinned_bit_for_bit():
-    # at step 0.01 the coarse stage runs at 0.08 too, as at 0.02, so Pr = 1
+    # at step 0.01 the short and coarse stages run as at 0.02, so Pr = 1
     # takes one chord iteration from the same coarse root, and the Blasius
     # coarse root already meets tol at 0.01: the 0.02 root, bit for bit. The
-    # second literals are the roots of a coarse stage at 4 * 0.01 = 0.04
+    # older literals: without the short stage, then with a coarse stage at
+    # 4 * 0.01 = 0.04
     cfg = ShootConfig(eta_max=8.0, step=0.01, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787646222189, -0.5671373992405486, 1)
-    assert abs(res.a - 0.6421787646224484) < 5e-9 and abs(res.b + 0.5671373992469261) < 5e-9
+    assert (res.a, res.b, res.iterations) == (0.6421787646221649, -0.5671373992451232, 1)
+    for a, b in ((0.6421787646222189, -0.5671373992405486),
+                 (0.6421787646224484, -0.5671373992469261)):
+        assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.33205919549331037, 0)
-    assert abs(res.a - 0.3320591919776551) < 5e-9
+    assert (res.a, res.iterations) == (0.3320591954888135, 0)
+    for a in (0.33205919549331037, 0.3320591919776551):
+        assert abs(res.a - a) < 5e-9
 
 
-def _record_steps(monkeypatch) -> list[float]:
-    """The step of every trajectory shoot_solve runs from here on."""
-    steps = []
+def _record_trajectories(monkeypatch) -> list[tuple[float, float]]:
+    """The (eta_max, step) of every trajectory shoot_solve runs from here on."""
+    trajectories = []
     for name in ("boundary_residual", "blasius_boundary_residual"):
         def recorded(*args, _original=getattr(shooting, name)):
-            steps.append(args[-1].step)
+            trajectories.append((args[-1].eta_max, args[-1].step))
             return _original(*args)
         monkeypatch.setattr(shooting, name, recorded)
-    return steps
+    return trajectories
 
 
 @pytest.mark.parametrize("pr", [0.5, 0.72, 1.0])
@@ -302,89 +311,151 @@ def _record_steps(monkeypatch) -> list[float]:
 def test_fine_stage_steps_with_the_coarse_jacobian(monkeypatch, pr, step):
     # the fine stage's one iteration runs the residual and the trial step;
     # the coarse stage's last Jacobian stands in for two forward differences
-    steps = _record_steps(monkeypatch)
+    trajectories = _record_trajectories(monkeypatch)
     assert shoot_solve(pr, ShootConfig(step=step)).iterations == 1
-    assert steps.count(step) == 2
+    assert trajectories.count((8.0, step)) == 2
 
 
-def _bad_handed_on_jacobian(monkeypatch, bad):
-    """shoot_solve from here on hands bad(coarse Jacobian) to its fine stage;
-    the coarse stage's list is empty on entry and hands on nothing."""
+def _change_handed_on_jacobian(monkeypatch, stage, change):
+    """shoot_solve from here on hands change(rows) in place of the Jacobian
+    rows that the stage at (eta_max, step) = stage is handed, which must be
+    there: its previous stage converged."""
     original = shooting.newton_solve
 
     def solve(residual, x0, cfg, jacobian=None):
-        if jacobian:
-            jacobian = bad(jacobian)
+        if (cfg.eta_max, cfg.step) == stage:
+            assert jacobian
+            jacobian[:] = change(jacobian)
         return original(residual, x0, cfg, jacobian)
 
     monkeypatch.setattr(shooting, "newton_solve", solve)
 
 
-# fine-stage trajectories: the residual, the 9 damped trials of a stagnating
-# step, the two forward-difference columns and the trial of their step
-@pytest.mark.parametrize("bad, fine_trajectories", [
-    (lambda jac: [(0.0, 0.0), (0.0, 0.0)], 1 + 2 + 1),  # singular: no step to try
-    (lambda jac: [(math.nan,) * 2] * 2, 1 + 2 + 1),
-    (lambda jac: [tuple(-v for v in row) for row in jac], 1 + 9 + 2 + 1),  # an ascent step
+# the stage's extra trajectories: none where its step counts as singular,
+# the 9 damped trials of a stagnating step for an ascent step
+@pytest.mark.parametrize("bad, extra", [
+    (lambda jac: [(0.0, 0.0), (0.0, 0.0)], 0),  # singular: no step to try
+    (lambda jac: [(math.nan,) * 2] * 2, 0),
+    (lambda jac: [tuple(-v for v in row) for row in jac], 9),  # an ascent step
 ])
-def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, bad,
-                                                                 fine_trajectories):
-    # iteration 0 is redone with forward differences at the coarse root, so
-    # the fine stage returns the root it returned without the hand-off
-    _bad_handed_on_jacobian(monkeypatch, bad)
-    steps = _record_steps(monkeypatch)
-    res = shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
-    assert (res.a, res.b, res.iterations) == (0.6421787637328251, -0.5671373996003624, 1)
-    assert steps.count(0.02) == fine_trajectories
+@pytest.mark.parametrize("stage", [(8.0, 0.08), (8.0, 0.02)], ids=["coarse", "fine"])
+def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, bad, extra,
+                                                                 stage):
+    # iteration 0 is redone with forward differences at the stage's first
+    # iterate, so shoot_solve returns, bit for bit, the root it returns when
+    # that stage is handed no Jacobian. Without the fine stage's hand-off,
+    # that is the two-stage root with forward differences (last digit aside)
+    cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
+    with monkeypatch.context() as m:
+        _change_handed_on_jacobian(m, stage, lambda jac: [])
+        trajectories = _record_trajectories(m)
+        want = shoot_solve(1.0, cfg)
+        want_count = trajectories.count(stage)
+    if stage == (8.0, 0.02):
+        # the residual, the two forward-difference columns and the trial of their step
+        assert (want.a, want.b, want.iterations) == (0.642178763732825, -0.5671373996003624, 1)
+        assert want_count == 1 + 2 + 1
+    _change_handed_on_jacobian(monkeypatch, stage, bad)
+    trajectories = _record_trajectories(monkeypatch)
+    assert shoot_solve(1.0, cfg) == want
+    assert trajectories.count(stage) == want_count + extra
 
 
-@pytest.mark.parametrize("step, stages", [(0.02, [0.08, 0.02]), (0.0175, [0.08, 0.0175]),
-                                          (0.03, [0.08, 0.03]), (0.05, [0.08, 0.05]),
-                                          (0.01, [0.08, 0.01]), (0.005, [0.08, 0.005]),
-                                          (0.08, [0.08])])
-def test_coarse_stage_runs_up_to_the_cap(monkeypatch, step, stages):
-    # every step below 0.08 gets a coarse stage at 0.08, and 0.08 or a
-    # larger one none; the first trajectory is the coarse stage's, the last
-    # the requested step's
-    steps = _record_steps(monkeypatch)
-    shoot_solve(1.0, ShootConfig(step=step))
-    assert sorted(set(steps), reverse=True) == stages
-    assert steps[0] == stages[0] and steps[-1] == step
+@pytest.mark.parametrize("eta_max, step, stages", [
+    (8.0, 0.02, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.02)]),
+    (8.0, 0.0175, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.0175)]),
+    (8.0, 0.03, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.03)]),
+    (8.0, 0.05, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.05)]),
+    (8.0, 0.01, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.01)]),
+    (8.0, 0.005, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.005)]),
+    (8.0, 0.08, [(6.0, 0.16), (8.0, 0.08)]),
+    (8.0, 0.1, [(6.0, 0.16), (8.0, 0.1)]),
+    (8.0, 0.16, [(6.0, 0.16), (8.0, 0.16)]),
+    # a requested step coarser than 0.16 runs the short stage at that step
+    (8.0, 0.2, [(6.0, 0.2), (8.0, 0.2)]),
+    (6.5, 0.01, [(6.0, 0.16), (6.5, 0.08), (6.5, 0.01)]),
+    (12.0, 0.01, [(6.0, 0.16), (12.0, 0.08), (12.0, 0.01)]),
+    # eta_max 6 or less runs no short stage
+    (6.0, 0.02, [(6.0, 0.08), (6.0, 0.02)]),
+    (6.0, 0.08, [(6.0, 0.08)]),
+    (5.0, 0.01, [(5.0, 0.08), (5.0, 0.01)]),
+])
+def test_coarse_stage_runs_up_to_the_cap(monkeypatch, eta_max, step, stages):
+    # every eta_max above 6 gets a short stage on eta_max 6 first, every
+    # step below 0.08 a coarse stage at 0.08 next, and 0.08 or a larger
+    # step none; the stages run in this order, the requested one last
+    trajectories = _record_trajectories(monkeypatch)
+    shoot_solve(1.0, ShootConfig(eta_max=eta_max, step=step))
+    assert list(dict.fromkeys(trajectories)) == stages
+    assert trajectories[-1] == stages[-1]
 
 
-def test_step_above_cap_keeps_one_stage_newton_bits():
-    # roots of the one-stage Newton, which the coarse step and the steps
-    # above it have always run (Pr = 1 blows up at step 0.1)
+def test_step_at_or_above_cap_roots_pinned_bit_for_bit():
+    # a step of 0.08 or more runs no coarse stage; on eta_max 8 the short
+    # stage seeds the requested one, whose roots stay within 5e-9 of the
+    # one-stage Newton's (the older literals). Pr = 1 and 2 at step 0.1
+    # blew up without the short stage
     assert shoot_solve(1.0, ShootConfig(step=0.08)) == SolveResult(
-        0.642178516207393, -0.5671374979022337, 9.032272383502219e-11, 7)
+        0.6421785162057587, -0.56713749789079, 4.511620620145781e-14, 3)
     assert shoot_solve(0.72, ShootConfig(step=0.08)) == SolveResult(
-        0.67597808298671, -0.504617848222868, 5.281792866029984e-14, 7)
+        0.6759780829910935, -0.5046178482857858, 5.06362928888763e-10, 3)
     assert shoot_solve(0.72, ShootConfig(step=0.1)) == SolveResult(
-        0.6759777111229627, -0.504617987068177, 5.065095918914148e-14, 7)
+        0.675977711127337, -0.5046179871309188, 5.04948169474339e-10, 3)
+    assert shoot_solve(1.0, ShootConfig(step=0.1)) == SolveResult(
+        0.6421781533730846, -0.567137642116067, 4.187817796805649e-14, 3)
+    assert shoot_solve(2.0, ShootConfig(step=0.1)) == SolveResult(
+        0.5712560096862684, -0.7164533952734372, 1.3146441954033685e-09, 2)
     assert shoot_solve(1.0, ShootConfig(step=0.08), problem=Problem.BLASIUS) == SolveResult(
-        0.33205919549331037, None, 7.327471962526033e-15, 3)
+        0.3320591954888135, None, 9.036438264331537e-12, 2)
     assert shoot_solve(1.0, ShootConfig(step=0.1), problem=Problem.BLASIUS) == SolveResult(
-        0.3320592007581807, None, 6.8833827526759706e-15, 3)
+        0.3320592007536827, None, 9.0383256434734e-12, 2)
+    for pr, step, a, b in ((1.0, 0.08, 0.642178516207393, -0.5671374979022337),
+                           (0.72, 0.08, 0.67597808298671, -0.504617848222868),
+                           (0.72, 0.1, 0.6759777111229627, -0.504617987068177)):
+        res = shoot_solve(pr, ShootConfig(step=step))
+        assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
+    for step, a in ((0.08, 0.33205919549331037), (0.1, 0.3320592007581807)):
+        assert abs(shoot_solve(1.0, ShootConfig(step=step), problem=Problem.BLASIUS).a - a) < 5e-9
 
 
-def test_coarse_stage_failure_falls_back_to_the_callers_guess(monkeypatch):
-    # at eta_max = 12 the coarse stage (step 0.08) blows up; the stage at 0.01
-    # then starts from the default guess and returns the one-stage Newton's
-    # root, the reverse-flow one (pinned before the coarse stage existed)
-    with pytest.raises(BlowUpError):
-        shoot_solve(1.0, ShootConfig(eta_max=12.0, step=0.08))
-    steps = _record_steps(monkeypatch)
-    assert shoot_solve(1.0, ShootConfig(eta_max=12.0)) == SolveResult(
-        0.6391764853781349, -0.5539269253734782, 1.5523536878419685e-09, 10)
-    assert 0.08 in steps
+def test_eta_max_6_keeps_one_stage_newton_bits():
+    # no short stage and no coarse stage: the one-stage Newton's roots
+    assert shoot_solve(1.0, ShootConfig(eta_max=6.0, step=0.08)) == SolveResult(
+        0.6420082246309354, -0.5670376766273787, 2.8321606211097585e-09, 4)
+    assert shoot_solve(0.72, ShootConfig(eta_max=6.0, step=0.1)) == SolveResult(
+        0.6755096813001116, -0.5045939766529004, 5.83985442469126e-14, 5)
+    assert shoot_solve(1.0, ShootConfig(eta_max=6.0, step=0.08),
+                       problem=Problem.BLASIUS) == SolveResult(
+        0.33256594110334026, None, 2.1649348980190553e-14, 3)
+
+
+def _min_f_prime(res, pr, cfg) -> float:
+    """min f' of the root's profile on a 0.05 grid over [0, eta_max]."""
+    grid = [round(0.05 * i, 12) for i in range(round(cfg.eta_max / 0.05) + 1)]
+    return min(row[2] for row in tabulate_profile(res.a, res.b, pr, grid, cfg))
+
+
+def test_eta_max_12_returns_the_physical_root(monkeypatch):
+    # at eta_max = 12 the coarse stage at 0.08 blew up from the default
+    # guess, and the stage at 0.01 then returned a reverse-flow root
+    # (A = 0.6391764853781349, f' ~ -0.08 at eta = 6). Seeded from the short
+    # stage, the coarse stage converges and no stage falls back
+    trajectories = _record_trajectories(monkeypatch)
+    cfg = ShootConfig(eta_max=12.0)
+    res = shoot_solve(1.0, cfg)
+    assert res == SolveResult(0.6421881396644465, -0.5671464740400749, 3.1795602045070596e-10, 1)
+    assert abs(res.a - 0.6391764853781349) > 1e-3
+    assert trajectories.count((12.0, 0.01)) == 2
+    assert _min_f_prime(res, 1.0, cfg) > -1e-8
 
 
 def test_coarse_stage_failure_keeps_the_physical_root_at_pr_0_1():
     # at Pr = 0.1, eta_max = 6 the coarse stage blows up and the stage at
     # 0.01 from the default guess (one-stage Newton) returns a physical root:
-    # f' stays nonnegative. The only such rescue in a sweep of Pr 0.01-100,
-    # eta_max 5-20 and steps 0.005-0.02; the other fallbacks that converge
-    # return reverse-flow roots (ROADMAP item 3)
+    # f' stays nonnegative. No short stage runs on eta_max 6. The only such
+    # rescue in a sweep of Pr 0.01-100, eta_max 5-20 and steps 0.005-0.02
+    # before the short stage; the other fallbacks that converged returned
+    # reverse-flow roots, which the short stage replaced by physical ones
     cfg = ShootConfig(eta_max=6.0, step=0.01)
     with pytest.raises(BlowUpError):
         shoot_solve(0.1, ShootConfig(eta_max=6.0, step=0.08))
@@ -393,63 +464,97 @@ def test_coarse_stage_failure_keeps_the_physical_root_at_pr_0_1():
     one_stage = newton_solve(lambda x: boundary_residual(x[0], x[1], 0.1, cfg),
                              DEFAULT_GUESS[Problem.FREE_CONVECTION], cfg)
     assert abs(res.a - one_stage.a) < 1e-9 and abs(res.b - one_stage.b) < 1e-9
-    grid = [round(0.05 * i, 12) for i in range(121)]
-    assert min(row[2] for row in tabulate_profile(res.a, res.b, 0.1, grid, cfg)) > -1e-8
+    assert _min_f_prime(res, 0.1, cfg) > -1e-8
 
 
+# the root at eta_max 8, step 0.02 with these stages failing: without the
+# short stage it is the two-stage root, without the coarse stage the stage
+# at 0.02 starts from the short root with forward differences, and without
+# both it is one-stage Newton's benchmark root
+FALLBACK_ROOTS = {
+    "short": (0.6421787637326019, -0.5671373995932919, 1),
+    "coarse": (0.6421787637368304, -0.5671373996231858, 2),
+    "short+coarse": (0.6421787637344606, -0.5671373996114442, 7),
+}
+STAGES = {"short": (6.0, 0.16), "coarse": (8.0, 0.08)}
+
+
+@pytest.mark.parametrize("failing", list(FALLBACK_ROOTS))
 @pytest.mark.parametrize("error", [BlowUpError, NonConvergenceError, SingularJacobianError])
-def test_each_coarse_stage_error_falls_back(monkeypatch, error):
-    # a coarse trajectory that raises stands in for a coarse Newton that does;
-    # the stage at 0.02 then returns the benchmark root of one-stage Newton
+def test_each_stage_error_falls_back(monkeypatch, error, failing):
+    # a stage's trajectory that raises stands in for a stage's Newton that
+    # does; the next stage starts from the last converged root, or the guess
     original = shooting.boundary_residual
+    failing_stages = [STAGES[name] for name in failing.split("+")]
 
-    def coarse_fails(a, b, pr, cfg):
-        if cfg.step == 0.08:
-            raise error("coarse")
+    def stage_fails(a, b, pr, cfg):
+        if (cfg.eta_max, cfg.step) in failing_stages:
+            raise error("stage")
         return original(a, b, pr, cfg)
 
-    monkeypatch.setattr(shooting, "boundary_residual", coarse_fails)
+    monkeypatch.setattr(shooting, "boundary_residual", stage_fails)
     res = shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
-    assert (res.a, res.b, res.iterations) == (0.6421787637344606, -0.5671373996114442, 7)
+    assert (res.a, res.b, res.iterations) == FALLBACK_ROOTS[failing]
 
 
-def test_coarse_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch):
-    # the coarse stage accepts its first step (trajectories 1-10: residual,
-    # two columns, seven damped trials), then blows up in the next Jacobian;
-    # the stage at 0.02 starts from the default guess with forward
-    # differences, as one-stage Newton did
-    original, coarse_calls = shooting.boundary_residual, []
+@pytest.mark.parametrize("failing", ["short", "coarse"])
+def test_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch, failing):
+    # the stage accepts its first step, which writes its Jacobian into the
+    # list, then stops with NonConvergenceError; the next stage starts as
+    # if the failing stage had raised at once, with no Jacobian handed on
+    original = shooting.newton_solve
 
-    def coarse_fails_late(a, b, pr, cfg):
-        if cfg.step == 0.08:
-            coarse_calls.append(a)
-            if len(coarse_calls) == 11:
-                raise BlowUpError("coarse", eta_reached=1.0)
-        return original(a, b, pr, cfg)
+    def stops_after_one_step(residual, x0, cfg, jacobian=None):
+        if (cfg.eta_max, cfg.step) != STAGES[failing]:
+            return original(residual, x0, cfg, jacobian)
+        with pytest.raises(NonConvergenceError, match="in 1 iterations"):
+            original(residual, x0, replace(cfg, max_iter=1), jacobian)
+        assert jacobian
+        raise NonConvergenceError("stage")
 
-    monkeypatch.setattr(shooting, "boundary_residual", coarse_fails_late)
+    monkeypatch.setattr(shooting, "newton_solve", stops_after_one_step)
     res = shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
-    assert (res.a, res.b, res.iterations) == (0.6421787637344606, -0.5671373996114442, 7)
+    assert (res.a, res.b, res.iterations) == FALLBACK_ROOTS[failing]
 
 
-@pytest.mark.parametrize("pr, eta_max, reached", [(7.0, 8.0, 4.87), (0.1, 8.0, 4.75),
-                                                  (1.0, 10.0, 9.97), (0.72, 12.0, 5.95)])
+@pytest.mark.parametrize("pr, eta_max, reached", [(7.0, 8.0, 4.87), (0.1, 8.0, 4.75)])
 def test_both_stages_failing_raise_the_one_stage_error(pr, eta_max, reached):
-    # each case blew up at this eta with the one-stage Newton at step 0.01
+    # each case blew up at this eta with the one-stage Newton at step 0.01;
+    # the short and coarse stages fail too, and the error is the last stage's
     with pytest.raises(BlowUpError, match=f"near eta = {reached}$") as info:
         shoot_solve(pr, ShootConfig(eta_max=eta_max))
     assert info.value.eta_reached == reached
 
 
-def test_pr_1_5_blows_up_on_the_default_domain_and_converges_at_eta_max_7():
-    # from the default guess the oracle blows up at Pr 1.5, eta_max 8 (so
-    # compare --pr 1.5 exits 3 while every DTM-Pade rung answers); a shorter
-    # domain converges. A physical gate or continuation should move these
-    with pytest.raises(BlowUpError, match="near eta = 6.34$") as info:
-        shoot_solve(1.5, ShootConfig())
-    assert ShootConfig().eta_max == 8.0 and info.value.eta_reached == 6.34
+# A, B of the collocation table (ROADMAP.md)
+COLLOCATION = {0.72: (0.6760195302, -0.5046341858), 1.0: (0.6421881644, -0.5671465085)}
+
+
+@pytest.mark.parametrize("pr, eta_max", [(1.5, 8.0), (2.0, 8.0), (1.0, 10.0), (1.0, 12.0),
+                                         (0.72, 12.0)])
+def test_short_stage_reaches_physical_roots(pr, eta_max):
+    # each case blew up from the default guess, or at eta_max 12 returned a
+    # reverse-flow root, before the short stage seeded the coarse one
+    cfg = ShootConfig(eta_max=eta_max, step=0.01)
+    res = shoot_solve(pr, cfg)
+    assert max(abs(v) for v in boundary_residual(res.a, res.b, pr, cfg)) <= cfg.tol
+    assert _min_f_prime(res, pr, cfg) > -1e-8
+    if pr in COLLOCATION:
+        a, b = COLLOCATION[pr]
+        assert abs(res.a - a) < 1e-4 and abs(res.b - b) < 1e-4
+
+
+def test_pr_1_5_converges_on_the_default_domain_and_at_eta_max_7():
+    # from the default guess the oracle blew up at Pr 1.5, eta_max 8 (near
+    # eta = 6.34), so compare --pr 1.5 exited 3 while every DTM-Pade rung
+    # answered; the short stage seeds a root there. At eta_max 7 it
+    # converged already; the older literal is that root without the short stage
+    res = shoot_solve(1.5, ShootConfig())
+    assert ShootConfig().eta_max == 8.0
+    assert (res.a, res.b, res.iterations) == (0.6004966239713835, -0.6515257759969173, 1)
     res = shoot_solve(1.5, ShootConfig(eta_max=7.0))
-    assert (res.a, res.b, res.iterations) == (0.6004829360311521, -0.6515002792121631, 1)
+    assert (res.a, res.b, res.iterations) == (0.6004829360322651, -0.6515002792411994, 1)
+    assert abs(res.a - 0.6004829360311521) < 5e-9 and abs(res.b + 0.6515002792121631) < 5e-9
 
 
 @pytest.mark.parametrize("problem, pr, eta_max, step", [
