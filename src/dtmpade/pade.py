@@ -3,10 +3,11 @@
 The denominator is normalized to b0 = 1. The b-coefficients come from the
 M x M linear system that zeroes the series coefficients of degrees
 L+1..L+M of (denominator * series - numerator); the a-coefficients then
-fall out by convolution. Pade systems are notoriously ill-conditioned, so
-a condition estimate beyond 1e12 raises instead of returning noise.
+fall out by convolution. One SVD of the system gives both its solution
+and its condition number; Pade systems are notoriously ill-conditioned,
+so a condition number beyond 1e12 raises instead of returning noise.
 
-numpy solves that system and is imported by build_many() alone, so the
+numpy factors that system and is imported by build_many() alone, so the
 commands that never build an approximant start without it. build_many
 fits several series of one degree pair as one stack of systems (the
 closure's f' and theta fits), and build is its one-series case.
@@ -66,10 +67,10 @@ def build_many(
 ) -> list[RationalApproximant | Exception]:
     """The [L/M] approximant of each series, or the error build raises for it.
 
-    The series share one numpy call per step: the gather, the condition
-    estimate, the solve and each refinement round. LAPACK treats each
-    matrix of a stack as it treats that matrix alone, so every member gets
-    the bits of its own build.
+    The series share one numpy call per step: the gather, the SVD that
+    gives each block's condition number and solution, and each refinement
+    round. LAPACK and matmul treat each matrix of a stack as they treat
+    that matrix alone, so every member gets the bits of its own build.
     """
     if L < 0 or M < 0:
         raise ValueError("degrees must be nonnegative")
@@ -88,24 +89,17 @@ def build_many(
     if not live:
         return fits
 
-    import numpy as np
-
     padded, A = _matching_blocks([series[i].coeffs for i in live], L, M)
     rhs = -padded[:, L + M + 1 :, None]
-    for i, cond in zip(live, _condition_numbers(A)):
-        if not cond <= COND_THRESHOLD:
-            fits[i] = DegenerateApproximantError(
-                f"[{L}/{M}] linear system is rank-deficient (condition estimate {cond:.3g})"
-            )
-    # the stack's rows of the members that pass the gate
-    keep = [j for j, i in enumerate(live) if fits[i] is None]
-    if not keep:
-        return fits
-    if len(keep) < len(live):
-        A, rhs = A[keep], rhs[keep]
-    for j, b_tail in zip(keep, _each_matrix(_refined_solve, A, rhs)):
-        i = live[j]
+    for i, solved in zip(live, _each_matrix(_svd_solve, A, rhs)):
         try:
+            if isinstance(solved, Exception):
+                raise DegenerateApproximantError(f"[{L}/{M}] {solved}")
+            cond, b_tail = solved
+            if not cond <= COND_THRESHOLD:
+                raise DegenerateApproximantError(
+                    f"[{L}/{M}] linear system is rank-deficient (condition estimate {cond:.3g})"
+                )
             fits[i] = _finish(series[i].coeffs, L, M, b_tail)
         except DegenerateApproximantError as exc:
             fits[i] = exc
@@ -131,22 +125,12 @@ def _toeplitz_index(L: int, M: int):
     return L + M + k[:, None] - k
 
 
-def _condition_numbers(A) -> list[float]:
-    """s_max / s_min of each matrix of a stack from one SVD call: the value
-    np.linalg.cond gives, inf for a singular matrix and where the SVD fails."""
-    import numpy as np
-
-    return [
-        math.inf if isinstance(s, Exception) or s[-1] == 0.0 else s[0] / s[-1]
-        for s in _each_matrix(lambda A: np.linalg.svd(A, compute_uv=False).tolist(), A)
-    ]
-
-
 def _each_matrix(fn, *stacks) -> list:
     """fn's list of per-matrix results for stacks of matrices, in one call.
 
-    numpy fails a whole stack for one singular or unconverged matrix; then
-    each runs alone, and a failing matrix's entry is its LinAlgError.
+    numpy fails a whole stack where the SVD of one matrix does not
+    converge; then each runs alone, and a failing matrix's entry is its
+    LinAlgError.
     """
     import numpy as np
 
@@ -159,34 +143,35 @@ def _each_matrix(fn, *stacks) -> list:
                 for r in _each_matrix(fn, *(s[j : j + 1] for s in stacks))]
 
 
-def _refined_solve(A, rhs) -> list[list[float]]:
-    """The b-tails of a stack of systems A b = rhs (rhs shaped (k, M, 1)).
+def _svd_solve(A, rhs) -> list[tuple[float, list[float]]]:
+    """(condition, b-tail) of each system of a stack A b = rhs (rhs shaped
+    (k, M, 1)), from one SVD A = U S V^T per matrix.
 
-    Two rounds of iterative refinement with an extended-precision residual;
-    Pade systems lose digits fast and the refinement is nearly free. A tiny
-    pivot (a subnormal one passes the condition gate of a 1x1 system) can
-    overflow the solve, which the refinement turns into NaN: quietly, since
-    _finish's finiteness check reports it.
+    The condition is s_max / s_min, the value np.linalg.cond gives, inf for
+    a singular matrix. The b-tail is V S^-1 U^T rhs, refined by two rounds
+    through the same factors with an extended-precision residual: Pade
+    systems lose digits fast and the refinement is nearly free. A zero or
+    tiny singular value makes the solution non-finite: quietly, since the
+    condition gate or _finish's finiteness check reports it.
     """
     import numpy as np
 
-    b_tail = np.linalg.solve(A, rhs)
+    U, s, Vt = np.linalg.svd(A)
+    V, Ut, s_col = Vt.swapaxes(1, 2), U.swapaxes(1, 2), s[:, :, None]
     A_ext = A.astype(np.longdouble)
     rhs_ext = rhs.astype(np.longdouble)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        b_tail = V @ (Ut @ rhs / s_col)
         for _ in range(2):
             resid = rhs_ext - A_ext @ b_tail.astype(np.longdouble)
-            b_tail = b_tail + np.linalg.solve(A, resid.astype(float))
-    return b_tail[:, :, 0].tolist()
+            b_tail = b_tail + V @ (Ut @ resid.astype(float) / s_col)
+    return [(math.inf if t[-1] == 0.0 else t[0] / t[-1], x)
+            for t, x in zip(s.tolist(), b_tail[:, :, 0].tolist())]
 
 
-def _finish(cc: tuple[float, ...], L: int, M: int,
-            b_tail: list[float] | Exception) -> RationalApproximant:
-    """The approximant with denominator 1, b_tail; raises where b_tail is
-    numpy's LinAlgError, and unless the approximant is finite and matches
-    its series cc."""
-    if isinstance(b_tail, Exception):
-        raise DegenerateApproximantError(f"[{L}/{M}] linear solve failed: {b_tail}")
+def _finish(cc: tuple[float, ...], L: int, M: int, b_tail: list[float]) -> RationalApproximant:
+    """The approximant with denominator 1, b_tail; raises unless it is
+    finite and matches its series cc."""
     b = (1.0,) + tuple(b_tail)
     a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
     if not all(math.isfinite(v) for v in a + b):
@@ -269,9 +254,9 @@ def limit_tangents(
     coefficients series[i], and tangents[i] holds their derivatives; a
     complex tangent carries two directions, in its real and imaginary parts,
     since every step is real-linear in it. The b-tail's tangent db solves
-    C db = -(dc_hi + dC b), C the fit's matching block: one stacked numpy
-    solve for every fit, apart from the value solve, whose bits extra
-    columns would change. The limit a_d / b_d then moves by
+    C db = -(dc_hi + dC b), C the fit's matching block: one stacked LU
+    solve (np.linalg.solve) for every fit, apart from the value solve, the
+    SVD in build_many. The limit a_d / b_d then moves by
     (da_d - limit * db_d) / b_d at the effective degree d. Where numpy
     cannot solve, every derivative is NaN.
     """

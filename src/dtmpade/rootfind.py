@@ -17,8 +17,9 @@ uses the true derivative coefficient throughout; no fit reads further.
 The Blasius series only contains powers 2, 5, 8, ... of the similarity
 variable, which makes every diagonal fit in that variable exactly singular.
 Its closure therefore compresses to u = eta^3: with f' = eta * g(eta^3),
-the condition f'(inf) = 1 becomes lim_u u * g(u)^3 = 1, imposed through an
-[n-1/n] fit of g^3 whose numerator is lifted by one degree. Toepfer's
+the condition f'(inf) = 1 becomes lim_u u * g(u)^3 = 1, imposed as the
+limit of the [n/n] fit of u * g^3, whose series is that of g^3 behind a
+zero. Toepfer's
 scaling f_A(eta) = A^(1/3) f_1(A^(1/3) eta) makes that limit A^2 times its
 value L1 at A = 1, so the Blasius root is A = L1^(-1/2) in closed form; one
 residual evaluation at that root verifies it.
@@ -182,10 +183,8 @@ def blasius_closure_residual(a: float, cfg: ClosureConfig) -> float:
     except OverflowError as exc:
         raise OverflowError(f"cube-variable rescaling by s = {scale_s:.6g} overflows") from exc
     try:
-        r = pade.build(h_scaled, n - 1, n)
-        # multiply the numerator by v so both degrees are n, then take the limit
-        lifted = pade.RationalApproximant((0.0,) + r.numerator, r.denominator)
-        limit = scale_s * pade.limit_at_infinity(lifted)
+        v_h = TruncatedSeries((0.0,) + h_scaled.coeffs[: 2 * n])  # v * Ht(v)
+        limit = scale_s * pade.limit_at_infinity(pade.build(v_h, n, n))
     except DegenerateApproximantError as exc:
         raise type(exc)(f"f'-approximant (cube variable): {exc}") from exc
     return limit - 1.0

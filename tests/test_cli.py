@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtmpade import __version__, cli, pade
+from dtmpade import __version__, cli
 from dtmpade.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DEGENERATE,
@@ -277,8 +277,8 @@ def test_solve_degenerate_exit_code(capsys):
     assert code in (EXIT_DEGENERATE, EXIT_NO_CONVERGENCE)
 
 
-def test_subnormal_pivot_is_degenerate_not_a_warning(capsys):
-    # the [1/1] pivot is the f'-series' A = 1e-310; its solve overflows, and
+def test_subnormal_block_is_degenerate_not_a_warning(capsys):
+    # the [1/1] block is the f'-series' A = 1e-310; its solution overflows, and
     # the approximant is rejected as degenerate (exit 4), not as a usage error
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -286,14 +286,14 @@ def test_subnormal_pivot_is_degenerate_not_a_warning(capsys):
     assert "approximant coefficients overflow" in capsys.readouterr().err
 
 
-def test_numpy_rejection_of_the_stacked_solve_is_degenerate(monkeypatch, capsys):
-    def rejected(A, rhs):
-        raise np.linalg.LinAlgError("Singular matrix")
+def test_svd_failure_of_the_stacked_fit_is_degenerate(monkeypatch, capsys):
+    def unconverged(A):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(pade, "_refined_solve", rejected)
+    monkeypatch.setattr(np.linalg, "svd", unconverged)
     assert run(["solve"]) == EXIT_DEGENERATE
     err = capsys.readouterr().err
-    assert err.startswith("error: f'-approximant: [3/3] linear solve failed: Singular matrix\n")
+    assert err.startswith("error: f'-approximant: [3/3] SVD did not converge\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,9 +9,9 @@ from dtmpade import pade
 from dtmpade.errors import DegenerateApproximantError, DegenerateLimitError, PoleError
 from dtmpade.pade import (
     RationalApproximant,
-    _condition_numbers,
     _each_matrix,
     _expand,
+    _svd_solve,
     build,
     build_many,
     evaluate,
@@ -190,7 +190,7 @@ def test_expand_equals_term_by_term_reference(num, den_tail, order):
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9), st.integers(0, 4),
        st.integers(0, 4))
-# a subnormal pivot: the solve overflows and build rejects the fit as degenerate
+# a subnormal 1x1 block: the solution overflows and build rejects the fit as degenerate
 @example([2.2e-309, 1.0] + [0.0] * 7, 0, 1)
 def test_build_numerator_equals_term_by_term_convolution(c, L, M):
     if not any(c[L + 1:L + M + 1]):
@@ -205,7 +205,8 @@ def test_build_numerator_equals_term_by_term_convolution(c, L, M):
 
 
 def reference_build(c, L, M):
-    """build as one lone fit: np.linalg.cond, then a solve per round on one system."""
+    """build as one lone fit: an SVD of the one system gives its condition
+    and its solution V S^-1 U^T rhs, refined twice through the same factors."""
     from operator import mul
 
     cc = c.coeffs
@@ -213,24 +214,23 @@ def reference_build(c, L, M):
         return RationalApproximant(cc[: L + 1], (1.0,) + (0.0,) * M)
     A = np.array([[cc[L + k - j] if L + k - j >= 0 else 0.0 for j in range(1, M + 1)]
                   for k in range(1, M + 1)])
-    rhs = np.array([-cc[L + k] for k in range(1, M + 1)])
+    rhs = np.array([[-cc[L + k]] for k in range(1, M + 1)])
     try:
-        cond = np.linalg.cond(A)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
+        U, s, Vt = np.linalg.svd(A)
+    except np.linalg.LinAlgError as exc:  # as pade.build_many wraps it
+        raise DegenerateApproximantError(f"[{L}/{M}] {exc}") from exc
+    cond = math.inf if s[-1] == 0.0 else float(s[0]) / float(s[-1])
+    if not cond <= 1e12:
         raise DegenerateApproximantError(
             f"[{L}/{M}] linear system is rank-deficient (condition estimate {cond:.3g})")
-    try:
-        b_tail = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:  # as pade._finish wraps it
-        raise DegenerateApproximantError(f"[{L}/{M}] linear solve failed: {exc}") from exc
     A_ext = A.astype(np.longdouble)
     rhs_ext = rhs.astype(np.longdouble)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        b_tail = Vt.T @ (U.T @ rhs / s[:, None])
         for _ in range(2):
             resid = rhs_ext - A_ext @ b_tail.astype(np.longdouble)
-            b_tail = b_tail + np.linalg.solve(A, resid.astype(float))
+            b_tail = b_tail + Vt.T @ (U.T @ resid.astype(float) / s[:, None])
+    b_tail = b_tail[:, 0]
     b = (1.0,) + tuple(b_tail.tolist())
     a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
     if not all(np.isfinite(v) for v in a + b):
@@ -269,8 +269,8 @@ U = 2.2250738585e-313  # subnormal
 
 
 @given(st.integers(1, 11).flatmap(lambda L: st.integers(1, 11).flatmap(lambda M: stacks(L, M))))
-# a block that passes the condition gate (estimate 4.05) and still meets
-# an exact zero LU pivot: numpy's LinAlgError, from real data
+# a subnormal block of condition 4.05 whose LU factorization meets an
+# exact zero pivot; its SVD solves it (test_subnormal_block_solves)
 @example((1, 3, [[U, 0.0, U, U, 0.0]]))
 def test_build_many_gives_each_member_its_lone_build(case):
     L, M, coeffs = case
@@ -320,52 +320,117 @@ def toeplitz(c, L, M):
             for k in range(1, M + 1)]
 
 
+def toeplitz_stack(coeff_lists, L, M):
+    """The [L/M] blocks and right-hand sides of coefficient lists, shaped for _svd_solve."""
+    return (np.array([toeplitz(c, L, M) for c in coeff_lists]),
+            np.array([[[-c[L + k]] for k in range(1, M + 1)] for c in coeff_lists]))
+
+
 @given(st.integers(0, 10), st.integers(1, 11), st.data())
-def test_condition_numbers_equal_np_linalg_cond(L, M, data):
+def test_condition_numbers_match_np_linalg_cond(L, M, data):
+    # singular values with vectors differ from compute_uv=False in the last
+    # bits, so the conditions agree to rounding, not bit for bit
     coeffs = st.lists(st.floats(-1e3, 1e3), min_size=L + M + 1, max_size=L + M + 1)
-    blocks = np.array([toeplitz(c, L, M) for c in data.draw(st.lists(coeffs, min_size=1,
-                                                                      max_size=4))])
-    expected = [float(np.linalg.cond(A)).hex() for A in blocks]
-    assert [c.hex() for c in _condition_numbers(blocks)] == expected
+    blocks, rhs = toeplitz_stack(data.draw(st.lists(coeffs, min_size=1, max_size=4)), L, M)
+    for (cond, _), A in zip(_svd_solve(blocks, rhs), blocks):
+        expected = float(np.linalg.cond(A))
+        if math.isfinite(expected) and expected < 1e15:
+            assert cond == pytest.approx(expected, rel=1e-12)
+        else:  # 0/0 or a rounding-level smallest singular value
+            assert not cond <= 1e12
 
 
 def test_condition_numbers_of_singular_and_subnormal_blocks():
-    blocks = np.array([toeplitz([0.0] * 5, 2, 2),  # zero: 0/0 in np.linalg.cond
-                       toeplitz([0.0, 1.0, 1.0, 1.0, 1.0], 2, 2),  # rank one
-                       toeplitz([1.0, 2.0, 1.0, 0.5, 0.0], 2, 2)])
-    assert [c.hex() for c in _condition_numbers(blocks)] == [
-        float(np.linalg.cond(A)).hex() for A in blocks]
-    assert _condition_numbers(blocks)[0] == math.inf
-    # a subnormal 1x1 pivot is perfectly conditioned
-    assert _condition_numbers(np.array([[[2.2e-309]]])) == [1.0] == [np.linalg.cond([[2.2e-309]])]
+    blocks, rhs = toeplitz_stack([[0.0] * 5,  # zero: 0/0 in np.linalg.cond
+                                  [0.0, 1.0, 1.0, 1.0, 1.0],  # rank one
+                                  [1.0, 2.0, 1.0, 0.5, 0.0]], 2, 2)
+    with np.errstate(all="raise"):  # the solve of a singular block stays quiet
+        conds = [cond for cond, _ in _svd_solve(blocks, rhs)]
+    assert conds[0] == math.inf
+    assert not conds[1] <= 1e12
+    assert conds[2] == pytest.approx(float(np.linalg.cond(blocks[2])), rel=1e-12)
+    # a subnormal 1x1 block is perfectly conditioned
+    assert [cond for cond, _ in _svd_solve(np.array([[[2.2e-309]]]), np.array([[[1.0]]]))] == [1.0]
 
 
-def test_each_matrix_runs_members_alone_when_numpy_rejects_the_stack():
-    A = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, 0.0], [1.0, 5.0]]])
+@given(st.integers(0, 6), st.integers(1, 8), st.data())
+def test_svd_solve_matches_np_linalg_solve_on_well_conditioned_blocks(L, M, data):
+    # magnitudes of 1e-3 to 1, so that no well-conditioned solution overflows
+    unit = st.floats(1e-3, 1.0).flatmap(lambda v: st.sampled_from((v, -v)))
+    coeffs = st.lists(unit, min_size=L + M + 1, max_size=L + M + 1)
+    blocks, rhs = toeplitz_stack(data.draw(st.lists(coeffs, min_size=1, max_size=4)), L, M)
+    for (cond, b_tail), A, r in zip(_svd_solve(blocks, rhs), blocks, rhs):
+        if cond <= 100:
+            expected = np.linalg.solve(A, r)[:, 0]
+            scale = max(1e-300, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(np.array(b_tail) - expected)) <= 1e-12 * scale
+
+
+def test_subnormal_block_solves():
+    # U (1 + v) / (1 + v - v^2 - 2 v^3) matches U (1, 0, 1, 1, 0) exactly;
+    # the block's LU factorization meets an exact zero pivot, its SVD does not
+    fit = build(TruncatedSeries([U, 0.0, U, U, 0.0]), 1, 3)
+    assert fit.denominator == pytest.approx((1.0, 1.0, -1.0, -2.0), abs=1e-8)
+    assert fit.numerator == pytest.approx((U, U), rel=1e-8)
+
+
+def test_stacked_build_factors_once(monkeypatch):
+    calls = {"svd": 0, "solve": 0}
+    svd, solve = np.linalg.svd, np.linalg.solve
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+    stack = [TruncatedSeries([1.0, 0.5 * k, 0.25, -0.125, 0.3, 0.1, -0.2]) for k in (1, 2, 3)]
+    fits = build_many(stack, 3, 3)
+    assert all(isinstance(fit, RationalApproximant) for fit in fits)
+    assert calls == {"svd": 1, "solve": 0}
+
+
+def test_each_matrix_runs_members_alone_when_the_svd_fails():
+    # numpy's SVD does not converge on a NaN matrix and fails the whole stack
+    A = np.array([[[2.0, 1.0], [1.0, 3.0]], [[np.nan, 1.0], [1.0, 1.0]], [[4.0, 0.0], [1.0, 5.0]]])
     rhs = np.array([[[1.0], [2.0]], [[1.0], [1.0]], [[3.0], [1.0]]])
-
-    def solve(A, rhs):
-        return np.linalg.solve(A, rhs)[:, :, 0].tolist()
-
     with pytest.raises(np.linalg.LinAlgError):
-        solve(A, rhs)
-    got = _each_matrix(solve, A, rhs)
+        _svd_solve(A, rhs)
+    got = _each_matrix(_svd_solve, A, rhs)
     assert isinstance(got[1], np.linalg.LinAlgError)
-    assert [got[0], got[2]] == [solve(A[:1], rhs[:1])[0], solve(A[2:], rhs[2:])[0]]
+    assert [got[0], got[2]] == [_svd_solve(A[:1], rhs[:1])[0], _svd_solve(A[2:], rhs[2:])[0]]
 
 
-def test_numpy_rejection_of_the_solve_is_a_degenerate_approximant(monkeypatch):
+def test_svd_failure_is_a_degenerate_approximant(monkeypatch):
     # numpy's LinAlgError subclasses ValueError, which the CLI reads as a
     # usage error; build names the degrees and numpy's message instead
-    def rejected(A, rhs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def unconverged(A):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(pade, "_refined_solve", rejected)
+    monkeypatch.setattr(np.linalg, "svd", unconverged)
     c = TruncatedSeries([1.0, 0.5, 0.25, 0.125])
-    with pytest.raises(DegenerateApproximantError,
-                       match=r"^\[1/1\] linear solve failed: Singular matrix$"):
+    with pytest.raises(DegenerateApproximantError, match=r"^\[1/1\] SVD did not converge$"):
         build(c, 1, 1)
     assert all(isinstance(fit, DegenerateApproximantError) for fit in build_many([c, c], 1, 1))
+
+
+def test_svd_failure_of_one_member_leaves_the_others_their_lone_builds(monkeypatch):
+    bad = TruncatedSeries([1.0, -0.7, 0.45, 0.2, -0.3])  # its block's A[0, 0] is c2 = 0.45
+    good = [TruncatedSeries([1.0, 0.3, -0.2, 0.7, 0.1]), TruncatedSeries([0.5, -1.0, 0.4, 0.2, 0.9])]
+    svd = np.linalg.svd
+
+    def fails_on_bad(A):
+        if 0.45 in A[:, 0, 0]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(A)
+
+    lone = [fit_bits(build(c, 2, 2)) for c in good]
+    monkeypatch.setattr(np.linalg, "svd", fails_on_bad)
+    fits = build_many([good[0], bad, good[1]], 2, 2)
+    assert fit_bits(fits[1]) == (DegenerateApproximantError, "[2/2] SVD did not converge")
+    assert [fit_bits(fits[0]), fit_bits(fits[2])] == lone
 
 
 def test_limit_tangents_of_a_rational_series():

@@ -490,8 +490,11 @@ LADDER_OUTCOMES = {
     RecurrenceMode.CORRECTED: {
         0.72: ("limit", "build", "ok", "build", "ok",
                "build", "ok", "build", "nonconvergence", "build"),
+        # n = 6 flips on rounding: its Newton path met the theta match check
+        # at a damped trial (build) until the fits were solved through an
+        # SVD; it now stagnates at residual norm 2.491
         1.0: ("limit", "build", "ok", "nonconvergence", "ok",
-              "build", "build", "build", "ok", "build"),
+              "nonconvergence", "build", "build", "ok", "build"),
         1.5: ("limit", "build", "ok", "build", "ok",
               "build", "build", "build", "build", "build"),
     },
