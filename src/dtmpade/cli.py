@@ -19,13 +19,13 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .dtm import Problem, ProblemParams, RecurrenceMode, check_mode, generate
+from .dtm import Problem, ProblemParams, RecurrenceMode, generate
 from .errors import (
     BlowUpError,
     DegenerateApproximantError,
     NonConvergenceError,
 )
-from .rootfind import ClosureConfig, closure_guess, solve_problem
+from .rootfind import ClosureConfig, solve_problem
 from .series import evaluate as series_evaluate
 from .series import differentiate
 from .shooting import ShootConfig, shoot_solve, tabulate_profile
@@ -191,35 +191,32 @@ def _exec_profile(m: dict) -> dict:
 
 def _exec_compare(m: dict) -> dict:
     """One row per Pade rung, each with its status; a rung that fails
-    numerically leaves its row's roots null and the ladder goes on. Raises
-    the first rung's error when no rung converged. Every rung's settings
-    are checked before the oracle integrates."""
-    problem = Problem(m["problem"])
-    check_mode(problem, RecurrenceMode(m["mode"]))
-    closure_guess(problem, m["guess"])
+    numerically leaves its row's roots null and the ladder goes on.
+
+    The rungs run first, each through solve's own checks, so a usage error
+    stops compare before the oracle integrates. The oracle's error wins
+    over the rungs'; when no rung converged, the first rung's is raised.
+    """
     if not m["pade"]:
         raise UsageError("compare needs at least one Pade degree")
+    solved = []
     for n in m["pade"]:
-        ClosureConfig(pade_degree=n, tol=m["tol"], max_iter=m["max_iter"])
-    oracle = _exec_shoot(dict(m, tol=m["shoot_tol"], guess=None))
-    rows, errors = [], []
-    for n in m["pade"]:
-        row = {"pade_degree": n, "status": "ok", "a": None, "a_oracle": oracle["a"],
-               "delta_a": None}
-        if oracle["b"] is not None:
-            row.update(b=None, b_oracle=oracle["b"], delta_b=None)
         try:
-            res = _exec_solve(dict(m, pade=n, order=None))
+            solved.append(_exec_solve(dict(m, pade=n, order=None)))
         except _NUMERICAL_ERRORS as exc:
-            row["status"] = str(exc)
-            errors.append(exc)
-        else:
-            row.update(a=res["a"], delta_a=abs(res["a"] - oracle["a"]))
-            if oracle["b"] is not None:
-                row.update(b=res["b"], delta_b=abs(res["b"] - oracle["b"]))
+            solved.append(exc)
+    oracle = _exec_shoot(dict(m, tol=m["shoot_tol"], guess=None))
+    keys = ("a",) if oracle["b"] is None else ("a", "b")
+    rows = []
+    for n, res in zip(m["pade"], solved):
+        ok = not isinstance(res, Exception)
+        row = {"pade_degree": n, "status": "ok" if ok else str(res)}
+        for k in keys:
+            row.update({k: res[k] if ok else None, f"{k}_oracle": oracle[k],
+                        f"delta_{k}": abs(res[k] - oracle[k]) if ok else None})
         rows.append(row)
-    if len(errors) == len(rows):
-        raise errors[0]
+    if all(isinstance(res, Exception) for res in solved):
+        raise solved[0]
     return {"oracle": {"a": oracle["a"], "b": oracle["b"]}, "rows": rows}
 
 

@@ -31,6 +31,10 @@ from .series import TruncatedSeries
 # float equals dividing by the int r!). Past r = 170, r! exceeds every float
 # and the summand is taken as 0.
 _FACTORIALS = tuple(float(math.factorial(r)) for r in range(171))
+# a larger series order is refused, as MAX_RK4_STEPS bounds a trajectory:
+# the recurrence is O(m^2) (order 3 000 takes ~1 s), so past 10**4 a
+# series would take 10 s or more
+MAX_ORDER = 10**4
 
 
 class RecurrenceMode(Enum):
@@ -65,7 +69,8 @@ class ProblemParams:
 
     a is f''(0); b is theta'(0) and is ignored by Blasius. order is the
     series truncation m (coefficients 0..m are produced). The f-recurrence
-    advances three indices at a time, hence order >= 3.
+    advances three indices at a time, hence order >= 3; an order above
+    MAX_ORDER raises ValueError before any step runs.
     """
 
     problem: Problem = Problem.FREE_CONVECTION
@@ -78,6 +83,8 @@ class ProblemParams:
     def __post_init__(self):
         if self.order < 3:
             raise ValueError(f"order must be >= 3, got {self.order}")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"order must be at most {MAX_ORDER:,}, got {self.order}")
         check_prandtl(self.pr)
         check_mode(self.problem, self.mode)
         check_wall_values(self.a, self.b)

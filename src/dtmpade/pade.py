@@ -71,6 +71,7 @@ def build_many(
     gives each block's condition number and solution, and each refinement
     round. LAPACK and matmul treat each matrix of a stack as they treat
     that matrix alone, so every member gets the bits of its own build.
+    A member whose SVD fails, in the stack and alone, is degenerate.
     """
     if L < 0 or M < 0:
         raise ValueError("degrees must be nonnegative")
@@ -91,7 +92,7 @@ def build_many(
 
     padded, A = _matching_blocks([series[i].coeffs for i in live], L, M)
     rhs = -padded[:, L + M + 1 :, None]
-    for i, solved in zip(live, _each_matrix(_svd_solve, A, rhs)):
+    for i, solved in zip(live, _svd_solve(A, rhs)):
         try:
             if isinstance(solved, Exception):
                 raise DegenerateApproximantError(f"[{L}/{M}] {solved}")
@@ -125,27 +126,12 @@ def _toeplitz_index(L: int, M: int):
     return L + M + k[:, None] - k
 
 
-def _each_matrix(fn, *stacks) -> list:
-    """fn's list of per-matrix results for stacks of matrices, in one call.
-
-    numpy fails a whole stack where the SVD of one matrix does not
-    converge; then each runs alone, and a failing matrix's entry is its
-    LinAlgError.
-    """
-    import numpy as np
-
-    try:
-        return fn(*stacks)
-    except np.linalg.LinAlgError as exc:
-        if len(stacks[0]) == 1:
-            return [exc]
-        return [r for j in range(len(stacks[0]))
-                for r in _each_matrix(fn, *(s[j : j + 1] for s in stacks))]
-
-
-def _svd_solve(A, rhs) -> list[tuple[float, list[float]]]:
+def _svd_solve(A, rhs) -> list[tuple[float, list[float]] | Exception]:
     """(condition, b-tail) of each system of a stack A b = rhs (rhs shaped
     (k, M, 1)), from one SVD A = U S V^T per matrix.
+
+    numpy fails a whole stack where one matrix's SVD does not converge;
+    then each is solved alone, and one that fails alone gets its LinAlgError.
 
     The condition is s_max / s_min, the value np.linalg.cond gives, inf for
     a singular matrix. The b-tail is V S^-1 U^T rhs, refined by two rounds
@@ -156,7 +142,12 @@ def _svd_solve(A, rhs) -> list[tuple[float, list[float]]]:
     """
     import numpy as np
 
-    U, s, Vt = np.linalg.svd(A)
+    try:
+        U, s, Vt = np.linalg.svd(A)
+    except np.linalg.LinAlgError as exc:
+        if len(A) == 1:
+            return [exc]
+        return [r for j in range(len(A)) for r in _svd_solve(A[j : j + 1], rhs[j : j + 1])]
     V, Ut, s_col = Vt.swapaxes(1, 2), U.swapaxes(1, 2), s[:, :, None]
     A_ext = A.astype(np.longdouble)
     rhs_ext = rhs.astype(np.longdouble)

@@ -204,13 +204,6 @@ def initial_guess(problem: Problem, x0: Sequence[float] | None = None) -> tuple[
     return x
 
 
-def closure_guess(problem: Problem, x0: Sequence[float] | None = None) -> tuple[float, ...]:
-    """initial_guess for a DTM-Pade solve; the closed-form Blasius root takes no guess."""
-    if problem is Problem.BLASIUS and x0 is not None:
-        raise ValueError("the Blasius DTM-Pade root is in closed form and takes no guess")
-    return initial_guess(problem, x0)
-
-
 def _inf_norm(r: Sequence[float]) -> float:
     """max |r_i|; NaN if any r_i is NaN, so a NaN residual never counts as converged."""
     norm = max(abs(v) for v in r)
@@ -358,10 +351,15 @@ def solve_problem(
     x0=None,
     mode: RecurrenceMode = RecurrenceMode.CORRECTED,
 ) -> SolveResult:
-    """The Blasius root in closed form, or Newton on the free-convection closure."""
+    """The Blasius root in closed form, or Newton on the free-convection closure.
+
+    Raises ValueError for a Blasius x0, since that root takes no guess, and
+    for a free-convection x0 that initial_guess refuses.
+    """
     check_mode(problem, mode)
-    x0 = closure_guess(problem, x0)
     if problem is Problem.BLASIUS:
+        if x0 is not None:
+            raise ValueError("the Blasius DTM-Pade root is in closed form and takes no guess")
         a = (blasius_closure_residual(1.0, cfg) + 1.0) ** -0.5
         norm = abs(blasius_closure_residual(a, cfg))
         if not norm <= cfg.tol:
@@ -370,7 +368,8 @@ def solve_problem(
                 last_iterate=(a,), residual_norm=norm, iterations=0)
         return SolveResult(a, None, norm, 0)
 
-    result = newton_solve(lambda x: closure_residual(x[0], x[1], pr, cfg, mode), x0, cfg)
+    result = newton_solve(lambda x: closure_residual(x[0], x[1], pr, cfg, mode),
+                          initial_guess(problem, x0), cfg)
     # the physical branch has A > 0, B < 0; another root is a diagnostic, not an error
     if result.a <= 0 or result.b >= 0:
         warnings.warn(

@@ -185,7 +185,8 @@ def _march(advance, state, stops, step: float) -> list[list[float]]:
 
 
 def boundary_residual(a: float, b: float, pr: float, cfg: ShootConfig) -> tuple[float, float]:
-    """(f'(eta_max), theta(eta_max)) for trial wall derivatives (a, b)."""
+    """(f'(eta_max), theta(eta_max)) for wall derivatives (a, b); a bad pr raises ValueError."""
+    check_prandtl(pr)
     check_wall_values(a, b)
     state = _march(partial(_advance_free_convection, pr=pr), [0.0, 0.0, a, 1.0, b],
                    [cfg.eta_max], cfg.step)[-1]

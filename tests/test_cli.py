@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from dtmpade import __version__, cli
 from dtmpade.cli import (
     EXIT_BROKEN_PIPE,
+    EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -129,8 +130,31 @@ def test_series_check_paper(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_series_check_paper_reports_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GOLDEN_F", cli.GOLDEN_F[:3] + [1 / 6] + cli.GOLDEN_F[4:])
+    assert run(["series", "--check-paper"]) == EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert out == "paper series check: FAILED\n"
+    assert err.startswith("MISMATCH f(3): got -0.16666666666666666, expected 0.1666")
+
+
 def test_series_rejects_tiny_order(capsys):
     assert run(["series", "--order", "2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--order", "1000000"],
+    ["profile", "--a", "0.6", "--b", "-0.5", "--source", "series", "--order", "1000000"],
+    # the closures' orders: 2n + 1 for free convection, 6n + 2 for Blasius
+    ["solve", "--pade", "100000"],
+    ["solve", "--problem", "blasius", "--pade", "100000"],
+])
+def test_order_bound_is_a_usage_error(capsys, argv):
+    # refused before any recurrence step: the O(m^2) recurrence would run an hour or more
+    start = time.perf_counter()
+    assert run(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "order must be at most 10,000" in capsys.readouterr().err
 
 
 def test_solve_paper_mode(capsys):
@@ -182,8 +206,16 @@ def test_nonconvergence_report_prints_plain_floats(capsys):
     ["profile", "--a", "0.6", "--pr", "inf"],
     # the Blasius closure fixes its own series order
     ["solve", "--problem", "blasius", "--pade", "4", "--order", "40"],
-    # a negative precision, refused before any output is written
+    # a negative or non-integer precision, refused before any output is written
     ["series", "--digits", "-1"],
+    ["series", "--digits", "x"],
+    # a Newton iteration limit below one
+    ["solve", "--max-iter", "0"],
+    # a grid without three parts, or with a part that is not a number
+    ["profile", "--a", "0.6", "--grid", "0:1"],
+    ["profile", "--a", "0.6", "--grid", "0:x:0.1"],
+    # a guess that is not comma-separated reals
+    ["solve", "--guess", "x,1"],
     # paper mode is a variant of the free-convection recurrence only
     ["solve", "--problem", "blasius", "--mode", "paper"],
     ["series", "--problem", "blasius", "--mode", "paper"],
@@ -438,11 +470,20 @@ def test_compare_validates_before_the_oracle_runs(capsys, monkeypatch):
                  ["compare", "--tol", "nan"],
                  ["compare", "--problem", "blasius", "--mode", "paper"],
                  ["compare", "--guess", "0.5"],
-                 ["compare", "--problem", "blasius", "--guess", "0.3"]):
+                 ["compare", "--problem", "blasius", "--guess", "0.3"],
+                 # a later rung's setting, and an order past the bound
+                 ["compare", "--pade", "3,0"],
+                 ["compare", "--pade", "100000"]):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
     assert run(["compare", "--pade", "2,x"]) == EXIT_USAGE
     assert "must be comma-separated integers, got '2,x'" in capsys.readouterr().err
+
+
+def test_an_oracle_failure_wins_over_failing_rungs(capsys):
+    # the paper-mode [2/2] rung is rank-deficient, and the oracle blows up at Pr 0.1
+    assert run(["compare", "--pr", "0.1", "--pade", "2", "--mode", "paper"]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "error: trajectory blew up near eta = 4.75\n"
 
 
 def test_compare_rejects_an_empty_ladder(monkeypatch):
@@ -522,8 +563,8 @@ def test_manifest_round_trip(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode=paper\npade=3\n")
-    code, payload = run_json(capsys, ["solve", "--config", str(cfg)])
+    cfg.write_text("# the published root\n\nmode=paper\n  \npade=3\n")
+    code, payload = run_json(capsys, ["solve", f"--config={cfg}"])
     assert code == EXIT_OK
     assert payload["manifest"]["mode"] == "paper"
     assert payload["result"]["a"] == pytest.approx(0.5506447081, abs=1e-6)
@@ -534,6 +575,9 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("mode=paper\nbogus=1\n")
     assert run(["solve", "--config", str(cfg)]) == EXIT_USAGE
     assert "bogus" in capsys.readouterr().err
+    cfg.write_text("mode paper\n")
+    assert run(["solve", "--config", str(cfg)]) == EXIT_USAGE
+    assert "config line is not key=value: 'mode paper'" in capsys.readouterr().err
 
 
 def test_config_file_flags_win(tmp_path, capsys):
@@ -596,6 +640,21 @@ def test_profile_manifest_with_legacy_newton_keys(capsys):
 def test_execute_unknown_subcommand():
     with pytest.raises(UsageError, match="bogus"):
         execute({"subcommand": "bogus", "version": "0", "format": "json", "digits": 10})
+
+
+def test_digits_sets_the_significant_digits_of_csv_and_table_cells(capsys):
+    argv = ["series", "--order", "6", "--mode", "paper", "--a", "1", "--b", "1", "--digits", "3"]
+    assert run(argv + ["--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "3,-0.167,-0", "4,-0.0417,-0.125", "5,0.0208,0.025", "6,-0.00972,0.00417"]
+    assert run(argv + ["--format", "table"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "  6  -0.00972      0.00417"
+
+
+def test_execute_unknown_profile_source():
+    manifest = cli._manifest(cli.build_parser().parse_args(["profile", "--a", "0.6"]))
+    with pytest.raises(UsageError, match="unknown profile source 'bogus'"):
+        execute(dict(manifest, source="bogus"))
 
 
 @pytest.mark.parametrize("argv, columns, nrows", [

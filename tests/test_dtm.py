@@ -5,6 +5,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from dtmpade.dtm import (
+    MAX_ORDER,
     DtmSolution,
     Problem,
     ProblemParams,
@@ -78,6 +79,11 @@ def test_init_transforms_blasius_has_no_theta():
 def test_params_validation():
     with pytest.raises(ValueError):
         ProblemParams(order=2)
+    # the bound is checked before any recurrence step; no order past it runs
+    ProblemParams(order=MAX_ORDER)
+    for problem in Problem:
+        with pytest.raises(ValueError, match="^order must be at most 10,000, got 10001$"):
+            ProblemParams(problem=problem, order=MAX_ORDER + 1)
     with pytest.raises(ValueError):
         ProblemParams(pr=0.0)
     with pytest.raises(ValueError):

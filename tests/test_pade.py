@@ -9,7 +9,6 @@ from dtmpade import pade
 from dtmpade.errors import DegenerateApproximantError, DegenerateLimitError, PoleError
 from dtmpade.pade import (
     RationalApproximant,
-    _each_matrix,
     _expand,
     _svd_solve,
     build,
@@ -53,6 +52,12 @@ def test_zero_denominator_degree_is_taylor():
 def test_build_requires_enough_coefficients():
     with pytest.raises(ValueError):
         build(TruncatedSeries([1, 1]), 2, 2)
+
+
+@pytest.mark.parametrize("L, M", [(-1, 1), (1, -1)])
+def test_build_rejects_negative_degrees(L, M):
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        build(TruncatedSeries([1, 1, 1]), L, M)
 
 
 def test_build_degenerate_system_raises():
@@ -110,6 +115,13 @@ def test_limit_rejects_vanishing_leading_denominator():
 def test_normalization_enforced():
     with pytest.raises(ValueError):
         RationalApproximant((1.0,), (2.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_approximant_coefficients_must_be_finite(bad):
+    for num, den in (((bad,), (1.0,)), ((1.0,), (1.0, bad))):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            RationalApproximant(num, den)
 
 
 def test_reconstruction_order_randomized():
@@ -392,13 +404,13 @@ def test_stacked_build_factors_once(monkeypatch):
     assert calls == {"svd": 1, "solve": 0}
 
 
-def test_each_matrix_runs_members_alone_when_the_svd_fails():
+def test_svd_solve_runs_members_alone_when_the_stack_svd_fails():
     # numpy's SVD does not converge on a NaN matrix and fails the whole stack
     A = np.array([[[2.0, 1.0], [1.0, 3.0]], [[np.nan, 1.0], [1.0, 1.0]], [[4.0, 0.0], [1.0, 5.0]]])
     rhs = np.array([[[1.0], [2.0]], [[1.0], [1.0]], [[3.0], [1.0]]])
     with pytest.raises(np.linalg.LinAlgError):
-        _svd_solve(A, rhs)
-    got = _each_matrix(_svd_solve, A, rhs)
+        np.linalg.svd(A)
+    got = _svd_solve(A, rhs)
     assert isinstance(got[1], np.linalg.LinAlgError)
     assert [got[0], got[2]] == [_svd_solve(A[:1], rhs[:1])[0], _svd_solve(A[2:], rhs[2:])[0]]
 

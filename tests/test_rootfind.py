@@ -35,6 +35,13 @@ def test_config_validation():
         ClosureConfig(pade_degree=3, series_order=5)
     with pytest.raises(ValueError):
         ClosureConfig(tol=0.0)
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        ClosureConfig(max_iter=0)
+
+
+def test_newton_takes_one_or_two_unknowns():
+    with pytest.raises(ValueError, match="one or two unknowns, got 3"):
+        newton_solve(lambda x: x, (1.0, 2.0, 3.0), ClosureConfig())
 
 
 def test_newton_decoupled_system():

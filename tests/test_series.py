@@ -46,6 +46,17 @@ def test_constructor_rejects_nan():
         TruncatedSeries((1.0, math.nan))
 
 
+def test_constructor_rejects_an_empty_series():
+    with pytest.raises(ValueError, match="at least the constant coefficient"):
+        TruncatedSeries(())
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_evaluate_rejects_a_non_finite_point(x):
+    with pytest.raises(ValueError, match="evaluation point must be finite"):
+        evaluate(TruncatedSeries([1, 2, 3]), x)
+
+
 @given(short_series, short_series)
 def test_min_order_contract(s, t):
     assert cauchy_product(s, t).order == min(s.order, t.order)

@@ -202,6 +202,16 @@ def test_non_finite_wall_values_are_a_value_error(bad, position):
             blasius_boundary_residual(bad, ShootConfig())
 
 
+@pytest.mark.parametrize("pr", [math.nan, math.inf, 0.0, -1.0])
+def test_boundary_residual_rejects_a_bad_prandtl_number(pr):
+    # as shoot_solve, tabulate_profile and ProblemParams do, before any RK4 step
+    match = "^Prandtl number must be finite and positive"
+    with pytest.raises(ValueError, match=match):
+        boundary_residual(0.6, -0.6, pr, ShootConfig())
+    with pytest.raises(ValueError, match=match):
+        ProblemParams(pr=pr)
+
+
 @pytest.mark.parametrize("position", range(3))
 def test_blow_up_check_sees_nan_in_any_position(position):
     # every comparison with nan is false, so a NaN anywhere ends the march at the first step
