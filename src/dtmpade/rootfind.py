@@ -65,6 +65,11 @@ def check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be a positive integer")
 
 
+# no fit passes pade's condition gate from n ~ 16 on (free convection) or
+# n = 10 on (Blasius); a larger degree would only spend its two SVDs' memory
+MAX_PADE_DEGREE = 64
+
+
 @dataclass(frozen=True)
 class ClosureConfig:
     """Knobs for the closure equations and the Newton stopping rule.
@@ -82,6 +87,9 @@ class ClosureConfig:
     def __post_init__(self):
         if self.pade_degree < 1:
             raise ValueError("pade_degree must be >= 1")
+        if self.pade_degree > MAX_PADE_DEGREE:
+            raise ValueError(
+                f"pade_degree must be at most {MAX_PADE_DEGREE}, got {self.pade_degree}")
         n = self.pade_degree
         if self.series_order is not None and self.series_order < 2 * n:
             raise ValueError(f"series_order must be >= {2 * n} for an [{n}/{n}] fit")
@@ -295,12 +303,8 @@ def newton_solve(
         if norm <= cfg.tol:
             return SolveResult(x[0], x[1] if d > 1 else None, norm, it)
         if it == cfg.max_iter:
-            raise NonConvergenceError(
-                f"no convergence in {cfg.max_iter} iterations (norm {norm:.3e})",
-                last_iterate=x,
-                residual_norm=norm,
-                iterations=it,
-            )
+            raise _failure(f"no convergence in {cfg.max_iter} iterations (norm {norm:.3e})",
+                           x, norm, it)
         trial = None
         if it == 0 and jacobian:
             jac = [tuple(row) for row in jacobian]
@@ -311,23 +315,30 @@ def newton_solve(
             jac = jacobian_at()
             step = _step(jac, r)
             if step is None:
-                raise SingularJacobianError(
-                    "Jacobian is singular at the current iterate",
-                    last_iterate=x,
-                    residual_norm=norm,
-                    iterations=it,
-                )
+                raise _failure("Jacobian is singular at the current iterate", x, norm, it,
+                               SingularJacobianError)
             trial = _damped_trial(at, x, step, norm)
             if trial is None:
-                raise NonConvergenceError(
-                    f"stagnated at residual norm {norm:.3e}",
-                    last_iterate=x,
-                    residual_norm=norm,
-                    iterations=it,
-                )
+                raise _failure(f"stagnated at residual norm {norm:.3e}", x, norm, it)
         if jacobian is not None:
             jacobian[:] = jac
         x, (r, jacobian_at), norm = trial
+
+
+def _failure(message: str, x: tuple[float, ...], norm: float, iterations: int,
+             error: type[NonConvergenceError] = NonConvergenceError) -> NonConvergenceError:
+    """A Newton-level failure with its last iterate, residual norm and iteration count."""
+    return error(message, last_iterate=x, residual_norm=norm, iterations=iterations)
+
+
+def check_signs(result: SolveResult) -> SolveResult:
+    """result, warned of at the solver's caller where a free-convection root is
+    off the physical branch A > 0, B < 0 (a diagnostic, not an error); a
+    Blasius root (b None) passes."""
+    if result.b is not None and (result.a <= 0 or result.b >= 0):
+        warnings.warn(f"converged root (A={result.a:.6g}, B={result.b:.6g}) violates the "
+                      "expected signs A > 0, B < 0", stacklevel=3)
+    return result
 
 
 def _damped_trial(at, x: tuple[float, ...], step: list[float], norm: float):
@@ -363,18 +374,9 @@ def solve_problem(
         a = (blasius_closure_residual(1.0, cfg) + 1.0) ** -0.5
         norm = abs(blasius_closure_residual(a, cfg))
         if not norm <= cfg.tol:
-            raise NonConvergenceError(
-                f"closed-form root A = {a:.10g} has closure residual {norm:.3e} > tol",
-                last_iterate=(a,), residual_norm=norm, iterations=0)
+            raise _failure(f"closed-form root A = {a:.10g} has closure residual {norm:.3e} > tol",
+                           (a,), norm, 0)
         return SolveResult(a, None, norm, 0)
 
-    result = newton_solve(lambda x: closure_residual(x[0], x[1], pr, cfg, mode),
-                          initial_guess(problem, x0), cfg)
-    # the physical branch has A > 0, B < 0; another root is a diagnostic, not an error
-    if result.a <= 0 or result.b >= 0:
-        warnings.warn(
-            f"converged root (A={result.a:.6g}, B={result.b:.6g}) violates the "
-            "expected signs A > 0, B < 0",
-            stacklevel=2,
-        )
-    return result
+    return check_signs(newton_solve(lambda x: closure_residual(x[0], x[1], pr, cfg, mode),
+                                    initial_guess(problem, x0), cfg))

@@ -40,7 +40,7 @@ from functools import partial
 
 from .dtm import Problem, check_prandtl, check_wall_values
 from .errors import BlowUpError, NonConvergenceError
-from .rootfind import SolveResult, check_stopping, initial_guess, newton_solve
+from .rootfind import SolveResult, check_signs, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
 # the coarse Newton stage runs at COARSE_STEP for every finer requested
@@ -212,18 +212,23 @@ def shoot_solve(
     coarser, runs first whenever cfg.eta_max > SHORT_ETA_MAX, and a coarse
     stage at COARSE_STEP whenever cfg.step < COARSE_STEP; each converged
     stage seeds the next and hands on its last Jacobian (see the module
-    docstring). The result's iterations count the stage at cfg.step.
+    docstring). The result's iterations count the stage at cfg.step. A
+    root off the signs A > 0, B < 0 warns, as solve_problem's does.
     """
     check_prandtl(pr)
     x = initial_guess(problem, x0)
+    if problem is Problem.BLASIUS:
+        residual = lambda c: lambda x: (blasius_boundary_residual(x[0], c),)
+    else:
+        residual = lambda c: lambda x: boundary_residual(x[0], x[1], pr, c)
     jac = []
     for stage in _stages(cfg):
         try:
-            root = _newton(pr, stage, x, problem, jac)
+            root = newton_solve(residual(stage), x, stage, jac)
             x = (root.a,) if root.b is None else (root.a, root.b)
         except (BlowUpError, NonConvergenceError):
             jac.clear()
-    return _newton(pr, cfg, x, problem, jac)
+    return check_signs(newton_solve(residual(cfg), x, cfg, jac))
 
 
 def _stages(cfg: ShootConfig) -> list[ShootConfig]:
@@ -234,16 +239,6 @@ def _stages(cfg: ShootConfig) -> list[ShootConfig]:
     if cfg.step < COARSE_STEP:
         stages.append(replace(cfg, step=COARSE_STEP))
     return stages
-
-
-def _newton(pr: float, cfg: ShootConfig, x, problem: Problem, jacobian: list) -> SolveResult:
-    """newton_solve on the boundary residual at cfg.step from x, with its
-    two-way jacobian list."""
-    if problem is Problem.BLASIUS:
-        residual = lambda x: (blasius_boundary_residual(x[0], cfg),)
-    else:
-        residual = lambda x: boundary_residual(x[0], x[1], pr, cfg)
-    return newton_solve(residual, x, cfg, jacobian)
 
 
 def tabulate_profile(

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -145,9 +146,6 @@ def test_series_rejects_tiny_order(capsys):
 @pytest.mark.parametrize("argv", [
     ["series", "--order", "1000000"],
     ["profile", "--a", "0.6", "--b", "-0.5", "--source", "series", "--order", "1000000"],
-    # the closures' orders: 2n + 1 for free convection, 6n + 2 for Blasius
-    ["solve", "--pade", "100000"],
-    ["solve", "--problem", "blasius", "--pade", "100000"],
 ])
 def test_order_bound_is_a_usage_error(capsys, argv):
     # refused before any recurrence step: the O(m^2) recurrence would run an hour or more
@@ -155,6 +153,27 @@ def test_order_bound_is_a_usage_error(capsys, argv):
     assert run(argv) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
     assert "order must be at most 10,000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--pade", "65"],
+    ["solve", "--pade", "100000"],
+    ["solve", "--problem", "blasius", "--pade", "100000"],
+    # a later rung, after the first ran
+    ["compare", "--pade", "3,65"],
+])
+def test_pade_degree_bound_is_a_usage_error(capsys, argv):
+    # refused before any fit: no fit passes the condition gate at such degrees,
+    # and the two SVDs of a degree past the bound would take memory for nothing
+    start = time.perf_counter()
+    assert run(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "pade_degree must be at most 64, got " in capsys.readouterr().err
+
+
+def test_pade_degree_at_the_bound_runs_to_the_gate(capsys):
+    assert run(["solve", "--pade", "64"]) == EXIT_DEGENERATE
+    assert "[64/64] linear system is rank-deficient" in capsys.readouterr().err
 
 
 def test_solve_paper_mode(capsys):
@@ -281,6 +300,31 @@ def test_newton_flag_defaults_come_from_the_configs(capsys):
         manifest = payload["manifest"]
         assert {key: manifest[key] for key in defaults} == defaults
         assert manifest["guess"] is None
+
+
+def _call_line(function, callee: str) -> int:
+    """The line of function's source that calls callee."""
+    lines, start = inspect.getsourcelines(function)
+    return start + next(i for i, line in enumerate(lines) if f"{callee}(" in line)
+
+
+@pytest.mark.parametrize("argv, executor, solver, root", [
+    (["solve", "--guess=-0.6,0.6", "--pade", "3"], cli._exec_solve, "solve_problem",
+     "A=-0.509636, B=0.53538"),
+    # a step as long as the oracle's domain
+    (["shoot", "--step", "10"], cli._exec_shoot, "shoot_solve", "A=0.42936, B=0.00472072"),
+])
+def test_unphysical_roots_warn_once_at_the_solver_call(capsys, argv, executor, solver, root):
+    # either solver's root with A <= 0 or B >= 0 is returned (exit 0) with one
+    # warning, reported at the line of the CLI that called the solver
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == EXIT_OK
+    assert [str(w.message) for w in caught] == [
+        f"converged root ({root}) violates the expected signs A > 0, B < 0"]
+    assert caught[0].category is UserWarning
+    assert (caught[0].filename, caught[0].lineno) == (cli.__file__,
+                                                      _call_line(executor, solver))
 
 
 def test_file_errors_are_usage_errors(tmp_path, capsys):
@@ -471,7 +515,7 @@ def test_compare_validates_before_the_oracle_runs(capsys, monkeypatch):
                  ["compare", "--problem", "blasius", "--mode", "paper"],
                  ["compare", "--guess", "0.5"],
                  ["compare", "--problem", "blasius", "--guess", "0.3"],
-                 # a later rung's setting, and an order past the bound
+                 # a later rung's setting, and a degree past the bound
                  ["compare", "--pade", "3,0"],
                  ["compare", "--pade", "100000"]):
         assert run(argv) == EXIT_USAGE

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from dtmpade.errors import (
     SingularJacobianError,
 )
 from dtmpade.rootfind import (
+    MAX_PADE_DEGREE,
     ClosureConfig,
     blasius_closure_residual,
     closure_residual,
@@ -31,6 +33,9 @@ PAPER_B = -0.8654409691
 def test_config_validation():
     with pytest.raises(ValueError):
         ClosureConfig(pade_degree=0)
+    ClosureConfig(pade_degree=MAX_PADE_DEGREE)
+    with pytest.raises(ValueError, match="pade_degree must be at most 64, got 65"):
+        ClosureConfig(pade_degree=MAX_PADE_DEGREE + 1)
     with pytest.raises(ValueError):
         ClosureConfig(pade_degree=3, series_order=5)
     with pytest.raises(ValueError):
@@ -143,6 +148,29 @@ def test_newton_reports_stagnation():
         newton_solve(lambda x: np.array([abs(x[0]) + 1.0]), (2.0,), ClosureConfig())
     assert info.value.last_iterate is not None
     assert info.value.residual_norm >= 1.0
+
+
+# every Newton-level exit: the iteration cap, a singular Jacobian, a
+# stagnating step and the Blasius closed form's tol check
+@pytest.mark.parametrize("solve, error, message, iterations", [
+    (lambda: newton_solve(lambda x: (x[0] ** 3 - 2.0,), (5.0,), ClosureConfig(max_iter=1)),
+     NonConvergenceError, "no convergence in 1 iterations", 1),
+    (lambda: newton_solve(lambda x: (x[0] + x[1] + 1.0,) * 2, (0.0, 0.0), ClosureConfig()),
+     SingularJacobianError, "Jacobian is singular", 0),
+    (lambda: newton_solve(lambda x: (abs(x[0]) + 1.0,), (2.0,), ClosureConfig()),
+     NonConvergenceError, "stagnated at residual norm", None),
+    (lambda: solve_problem(Problem.BLASIUS, 1.0, ClosureConfig(pade_degree=7)),
+     NonConvergenceError, "closed-form root", 0),
+], ids=["iteration-cap", "singular", "stagnation", "closed-form"])
+def test_every_newton_failure_carries_its_record(solve, error, message, iterations):
+    with pytest.raises(error, match=message) as info:
+        solve()
+    exc = info.value
+    assert type(exc) is error
+    assert type(exc.last_iterate) is tuple and all(type(v) is float for v in exc.last_iterate)
+    assert type(exc.residual_norm) is float and exc.residual_norm > 0
+    assert type(exc.iterations) is int
+    assert iterations is None or exc.iterations == iterations
 
 
 def test_newton_converging_on_the_last_iteration():
@@ -435,6 +463,11 @@ def test_sign_violation_warns():
             rootfind.solve_problem(Problem.FREE_CONVECTION, 1.0, ClosureConfig())
         finally:
             rootfind.newton_solve = orig
+    # Blasius has no B, and its A is not sign-checked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = rootfind.SolveResult(-1.0, None, 0.0, 0)
+        assert rootfind.check_signs(result) is result
 
 
 def test_blasius_closure_and_solve():

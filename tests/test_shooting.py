@@ -9,7 +9,7 @@ import pytest
 from dtmpade import shooting
 from dtmpade.dtm import Problem, ProblemParams, RecurrenceMode, generate
 from dtmpade.errors import BlowUpError, NonConvergenceError, SingularJacobianError
-from dtmpade.rootfind import DEFAULT_GUESS, SolveResult, newton_solve
+from dtmpade.rootfind import DEFAULT_GUESS, Residual, SolveResult, newton_solve
 from dtmpade.series import evaluate as series_eval
 from dtmpade.shooting import (
     _BLOWUP_LIMIT,
@@ -369,6 +369,58 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
     trajectories = _record_trajectories(monkeypatch)
     assert shoot_solve(1.0, cfg) == want
     assert trajectories.count(stage) == want_count + extra
+
+
+# the stage at the requested step on eta_max 20, handed the short stage's
+# Jacobian from eta_max 6: the root it converges to, and the residual norm
+# at which the handed-on Jacobian's own step stagnates
+@pytest.mark.parametrize("step, a, b, stagnant", [
+    (0.08, 0.6005008375452862, -0.6515348960940153, "4.555e-04"),
+    (0.1, 0.6005004792322809, -0.651535028332875, "4.655e-04"),
+])
+def test_chord_retry_rescues_a_real_stage(monkeypatch, step, a, b, stagnant):
+    # at Pr 1.5 on eta_max 20 the requested stage's first step with the
+    # handed-on Jacobian stagnates; iteration 0 is redone with forward
+    # differences, and the stage converges in 3 iterations
+    cfg = ShootConfig(eta_max=20.0, step=step)
+    handed = []
+
+    def solve(residual, x0, cfg, jacobian=None):
+        if cfg.eta_max == 20.0:
+            handed.append((x0, [tuple(row) for row in jacobian]))
+        return newton_solve(residual, x0, cfg, jacobian)
+
+    monkeypatch.setattr(shooting, "newton_solve", solve)
+    res = shoot_solve(1.5, cfg)
+    assert (res.a, res.b, res.iterations) == (a, b, 3)
+    # without the retry: the handed-on rows stand in at every iterate
+    (x0, jac), = handed
+    chord = lambda x: Residual(boundary_residual(x[0], x[1], 1.5, cfg), lambda: jac)
+    with pytest.raises(NonConvergenceError, match=f"stagnated at residual norm {stagnant}"):
+        newton_solve(chord, x0, cfg)
+
+
+def test_unphysical_oracle_root_warns():
+    # a step as long as the domain converges to B > 0; the root is returned,
+    # with the closure's sign warning
+    with pytest.warns(UserWarning, match="violates the expected signs") as caught:
+        res = shoot_solve(1.0, ShootConfig(step=10.0))
+    assert len(caught) == 1
+    assert (res.a, res.b, res.iterations) == (0.42935952991467913, 0.0047207203140689664, 5)
+
+
+@pytest.mark.parametrize("step", [0.01, 0.02])
+@pytest.mark.parametrize("problem, pr", [(Problem.FREE_CONVECTION, 0.5),
+                                         (Problem.FREE_CONVECTION, 0.72),
+                                         (Problem.FREE_CONVECTION, 1.0),
+                                         (Problem.BLASIUS, 1.0)])
+def test_benchmark_shaped_oracle_roots_do_not_warn(problem, pr, step):
+    cfg = ShootConfig(eta_max=8.0, step=step, tol=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for jitter in (1.0 - 1e-6, 1.0, 1.0 + 1e-6):
+            shoot_solve(pr, cfg, x0=[v * jitter for v in DEFAULT_GUESS[problem]],
+                        problem=problem)
 
 
 @pytest.mark.parametrize("eta_max, step, stages", [
