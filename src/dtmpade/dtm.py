@@ -164,7 +164,8 @@ def advance_free_convection(
     f_next = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
 
     s2 = sum(map(mul, map(mul, lin, f), theta[k + 1:0:-1]))
-    theta_next = -3.0 * pr * s2 / ((k + 1) * (k + 2))
+    # 0.0 - x keeps an exact zero +0.0, where -3.0 * pr * s2 gave -0.0
+    theta_next = 0.0 - 3.0 * pr * s2 / ((k + 1) * (k + 2))
     return f_next, theta_next
 
 

@@ -6,15 +6,18 @@ on the far-boundary mismatch. Infinity is realized as the truncation point
 eta_max, where f'(eta_max) = 0 and theta(eta_max) = 0 (f' = 1 for Blasius)
 are imposed; there is no domain mapping.
 
-Newton runs in up to three stages with one stopping rule, each seeding the
-next (continuation in eta_max, then nested iteration). On a domain longer
-than SHORT_ETA_MAX, a short stage first solves on eta_max = SHORT_ETA_MAX
-from the caller's guess, at SHORT_STEP or the requested step if coarser:
-f'(eta_max) and theta(eta_max) grow exponentially with the error in the
-guess, over a shorter span there, so Newton takes fewer damped trials and
-blows up less often. For a requested step below COARSE_STEP, the coarse
-stage then solves on the full domain at COARSE_STEP, with fewer RK4 steps
-per trajectory; the fine stage last solves at the requested step, so a
+Newton runs in up to four stages with one stopping rule, each seeding the
+next (continuation in eta_max, then nested iteration down a ladder of
+halving steps). On a domain longer than SHORT_ETA_MAX, a short stage first
+solves on eta_max = SHORT_ETA_MAX from the caller's guess, at SHORT_STEP or
+the requested step if coarser: f'(eta_max) and theta(eta_max) grow
+exponentially with the error in the guess, over a shorter span there, so
+Newton takes fewer damped trials and blows up less often. On the full
+domain, a middle stage then solves at 2 * COARSE_STEP for a requested step
+below that, and a coarse stage at COARSE_STEP for a requested step below
+that: the damped trials run at the middle stage's 50 RK4 steps per
+trajectory on eta_max = 8, and the coarse stage mostly takes its residual
+and one step. The fine stage last solves at the requested step, so a
 returned root meets tol at that step. Each stage's first iteration reuses
 the previous stage's last Jacobian, which differs from its own by
 discretisation and truncation error, in place of two forward-difference
@@ -43,15 +46,18 @@ from .errors import BlowUpError, NonConvergenceError
 from .rootfind import SolveResult, check_signs, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
-# the coarse Newton stage runs at COARSE_STEP for every finer requested
-# step; at a coarse step of 0.16 on eta_max = 8, Pr 0.5 and 1 blew up
+# the coarse Newton stage runs at COARSE_STEP, and the middle stage at
+# 2 * COARSE_STEP, for every finer requested step. From the default guess
+# the middle stage blows up on eta_max = 8 at Pr 0.5 and 1; seeded by the
+# short stage it converges. Without the coarse stage, the fine stage's
+# chord step from the middle root often misses tol
 COARSE_STEP = 0.08
 # the short stage's domain and finest step, for every longer domain; on
-# eta_max = 6 the step 0.16 converges where it blew up on eta_max = 8. A
-# coarser requested step runs the short stage at that step: as robust in a
-# sweep of steps 0.2-0.4, and cheaper
+# eta_max = 6 the step 0.32 converges from the default guess at Pr 0.5 and
+# 1, where 0.16 and 0.32 blow up on eta_max = 8. A coarser requested step
+# runs the short stage at that step
 SHORT_ETA_MAX = 6.0
-SHORT_STEP = 2 * COARSE_STEP
+SHORT_STEP = 4 * COARSE_STEP
 # eta_max / step above this is refused, as parse_grid refuses over 10**6
 # points: at ~1 us per RK4 step, a trajectory would take 10 s or more
 MAX_RK4_STEPS = 10**7
@@ -209,9 +215,10 @@ def shoot_solve(
     """Newton on the far-boundary mismatch; returns the oracle (A, B).
 
     A short stage on eta_max = SHORT_ETA_MAX, at SHORT_STEP or cfg.step if
-    coarser, runs first whenever cfg.eta_max > SHORT_ETA_MAX, and a coarse
-    stage at COARSE_STEP whenever cfg.step < COARSE_STEP; each converged
-    stage seeds the next and hands on its last Jacobian (see the module
+    coarser, runs first whenever cfg.eta_max > SHORT_ETA_MAX; then a middle
+    stage at 2 * COARSE_STEP whenever cfg.step is finer, and a coarse stage
+    at COARSE_STEP whenever cfg.step < COARSE_STEP. Each converged stage
+    seeds the next and hands on its last Jacobian (see the module
     docstring). The result's iterations count the stage at cfg.step. A
     root off the signs A > 0, B < 0 warns, as solve_problem's does.
     """
@@ -236,8 +243,8 @@ def _stages(cfg: ShootConfig) -> list[ShootConfig]:
     stages = []
     if cfg.eta_max > SHORT_ETA_MAX:
         stages.append(replace(cfg, eta_max=SHORT_ETA_MAX, step=max(SHORT_STEP, cfg.step)))
-    if cfg.step < COARSE_STEP:
-        stages.append(replace(cfg, step=COARSE_STEP))
+    stages += [replace(cfg, step=step) for step in (2 * COARSE_STEP, COARSE_STEP)
+               if cfg.step < step]
     return stages
 
 

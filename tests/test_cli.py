@@ -690,7 +690,7 @@ def test_digits_sets_the_significant_digits_of_csv_and_table_cells(capsys):
     argv = ["series", "--order", "6", "--mode", "paper", "--a", "1", "--b", "1", "--digits", "3"]
     assert run(argv + ["--format", "csv"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-4:] == [
-        "3,-0.167,-0", "4,-0.0417,-0.125", "5,0.0208,0.025", "6,-0.00972,0.00417"]
+        "3,-0.167,0", "4,-0.0417,-0.125", "5,0.0208,0.025", "6,-0.00972,0.00417"]
     assert run(argv + ["--format", "table"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "  6  -0.00972      0.00417"
 

@@ -141,6 +141,16 @@ def test_published_series_at_unit_constants():
         assert got == pytest.approx(want, abs=1e-15)
 
 
+@pytest.mark.parametrize("mode", [CORRECTED, FIDELITY])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.6421, -0.5671)])
+def test_theta_exact_zeros_are_positive(mode, a, b):
+    # Theta(2) and Theta(3) are exact zeros (f(0) = f'(0) = 0); the step
+    # 0.0 - 3 Pr s2 / ... keeps them +0.0 where -3 Pr s2 / ... gave -0.0
+    theta = generate(ProblemParams(a=a, b=b, order=6, mode=mode)).theta_series.coeffs
+    for k in (2, 3):
+        assert math.copysign(1.0, theta[k]) == 1.0
+
+
 def test_zero_b_freezes_theta():
     sol = generate(ProblemParams(a=0.0, b=0.0, order=10, mode=CORRECTED))
     assert sol.theta_series.coeffs == (1.0,) + (0.0,) * 10
@@ -343,7 +353,7 @@ def reference_advance_free_convection(
     f_next = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
 
     s2 = sum((k - r + 1) * f[r] * theta[k - r + 1] for r in range(k + 1))
-    theta_next = -3.0 * pr * s2 / ((k + 1) * (k + 2))
+    theta_next = 0.0 - 3.0 * pr * s2 / ((k + 1) * (k + 2))
     return f_next, theta_next
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -267,41 +268,46 @@ def test_residuals_pinned_bit_for_bit():
 def test_bench_shoot_roots_pinned_bit_for_bit():
     # the roots at the benchmark's shoot_oracle settings, from the default guess;
     # any change to a trajectory or to Newton's path shows here. The short
-    # stage (eta_max 6, step 0.16) seeds the coarse stage at 0.08, which
-    # leaves the stage at 0.02 one iteration at Pr = 1 and none for Blasius;
-    # one-stage Newton took 7 and 3 to roots that stay close. The Pr = 1
-    # iteration steps with the coarse stage's last Jacobian. The older
-    # literals: without the short stage, then also with forward differences
-    # in the fine stage, then one-stage Newton
+    # stage (eta_max 6, step 0.32) seeds the middle stage at 0.16 and the
+    # coarse stage at 0.08, which leave the stage at 0.02 one iteration at
+    # Pr = 1 and none for Blasius; one-stage Newton took 7 and 3 to roots
+    # that stay close. The Pr = 1 iteration steps with the coarse stage's
+    # last Jacobian. The older literals: with the short stage at 0.16 and no
+    # middle stage, then also without the short stage, then also with
+    # forward differences in the fine stage, then one-stage Newton
     cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787637325477, -0.5671373995978505, 1)
-    for a, b in ((0.6421787637326019, -0.5671373995932919),
+    assert (res.a, res.b, res.iterations) == (0.6421787637293898, -0.5671373995939012, 1)
+    for a, b in ((0.6421787637325477, -0.5671373995978505),
+                 (0.6421787637326019, -0.5671373995932919),
                  (0.6421787637328251, -0.5671373996003624),
                  (0.6421787637344606, -0.5671373996114442)):
         assert abs(res.a - a) < 1e-9 and abs(res.b - b) < 1e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.3320591954888135, 0)
+    assert (res.a, res.iterations) == (0.33205919549314233, 0)
+    assert abs(res.a - 0.3320591954888135) < 5e-9
     assert abs(res.a - 0.33205919549331037) < 5e-9
     # the coarse root already meets tol at 0.02, within tol / |d residual / dA| of the old one
     assert abs(res.a - 0.3320591917502373) < 5e-9
 
 
 def test_bench_shoot_roots_at_the_default_step_pinned_bit_for_bit():
-    # at step 0.01 the short and coarse stages run as at 0.02, so Pr = 1
-    # takes one chord iteration from the same coarse root, and the Blasius
-    # coarse root already meets tol at 0.01: the 0.02 root, bit for bit. The
-    # older literals: without the short stage, then with a coarse stage at
+    # at step 0.01 the short, middle and coarse stages run as at 0.02, so
+    # Pr = 1 takes one chord iteration from the same coarse root, and the
+    # Blasius coarse root already meets tol at 0.01: the 0.02 root, bit for
+    # bit. The older literals: with the short stage at 0.16 and no middle
+    # stage, then also without the short stage, then with a coarse stage at
     # 4 * 0.01 = 0.04
     cfg = ShootConfig(eta_max=8.0, step=0.01, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787646221649, -0.5671373992451232, 1)
-    for a, b in ((0.6421787646222189, -0.5671373992405486),
+    assert (res.a, res.b, res.iterations) == (0.6421787646189954, -0.5671373992411605, 1)
+    for a, b in ((0.6421787646221649, -0.5671373992451232),
+                 (0.6421787646222189, -0.5671373992405486),
                  (0.6421787646224484, -0.5671373992469261)):
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.3320591954888135, 0)
-    for a in (0.33205919549331037, 0.3320591919776551):
+    assert (res.a, res.iterations) == (0.33205919549314233, 0)
+    for a in (0.3320591954888135, 0.33205919549331037, 0.3320591919776551):
         assert abs(res.a - a) < 5e-9
 
 
@@ -326,6 +332,37 @@ def test_fine_stage_steps_with_the_coarse_jacobian(monkeypatch, pr, step):
     assert trajectories.count((8.0, step)) == 2
 
 
+# the trajectories per stage, and the RK4 steps in all, of a request at each
+# benchmark shoot_oracle case (eta_max 8, tol 1e-8) from the default guess.
+# Each seeding stage halves the step, so the damped Newton trials run at
+# 0.32 on eta_max 6 and at 0.16 (50 steps); the coarse stage at 0.08 takes
+# its residual and one chord trial, and the fine stage two trajectories.
+# With the short stage at 0.16 and no middle stage the free-convection
+# requests took 3 008 / 3 108 / 2 894 RK4 steps at step 0.01 and 2 208 /
+# 2 308 / 2 094 at 0.02, and Blasius 1 466 and 1 066
+@pytest.mark.parametrize("problem, pr, short, middle, rk4_steps", [
+    (Problem.FREE_CONVECTION, 0.5, 16, 8, {0.01: 2504, 0.02: 1704}),
+    (Problem.FREE_CONVECTION, 0.72, 16, 9, {0.01: 2554, 0.02: 1754}),
+    (Problem.FREE_CONVECTION, 1.0, 13, 10, {0.01: 2547, 0.02: 1747}),
+    (Problem.BLASIUS, 1.0, 7, 4, {0.01: 1333, 0.02: 933}),
+])
+@pytest.mark.parametrize("step", [0.01, 0.02])
+def test_benchmark_requests_count_rk4_steps_and_trajectories(monkeypatch, problem, pr, short,
+                                                             middle, rk4_steps, step):
+    steps = []
+    for name in ("_advance_free_convection", "_advance_blasius"):
+        def counted(state, eta, h, nsub, *args, _original=getattr(shooting, name), **kwargs):
+            steps.append(nsub)
+            return _original(state, eta, h, nsub, *args, **kwargs)
+        monkeypatch.setattr(shooting, name, counted)
+    trajectories = _record_trajectories(monkeypatch)
+    shoot_solve(pr, ShootConfig(eta_max=8.0, step=step, tol=1e-8), problem=problem)
+    fine = 1 if problem is Problem.BLASIUS else 2
+    assert dict(Counter(trajectories)) == {
+        (6.0, 0.32): short, (8.0, 0.16): middle, (8.0, 0.08): 2, (8.0, step): fine}
+    assert sum(steps) == rk4_steps[step]
+
+
 def _change_handed_on_jacobian(monkeypatch, stage, change):
     """shoot_solve from here on hands change(rows) in place of the Jacobian
     rows that the stage at (eta_max, step) = stage is handed, which must be
@@ -348,13 +385,14 @@ def _change_handed_on_jacobian(monkeypatch, stage, change):
     (lambda jac: [(math.nan,) * 2] * 2, 0),
     (lambda jac: [tuple(-v for v in row) for row in jac], 9),  # an ascent step
 ])
-@pytest.mark.parametrize("stage", [(8.0, 0.08), (8.0, 0.02)], ids=["coarse", "fine"])
+@pytest.mark.parametrize("stage", [(8.0, 0.08), (8.0, 0.02), (8.0, 0.16)],
+                         ids=["coarse", "fine", "middle"])
 def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, bad, extra,
                                                                  stage):
     # iteration 0 is redone with forward differences at the stage's first
     # iterate, so shoot_solve returns, bit for bit, the root it returns when
     # that stage is handed no Jacobian. Without the fine stage's hand-off,
-    # that is the two-stage root with forward differences (last digit aside)
+    # that is within 2e-15 of the two-stage root with forward differences
     cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
     with monkeypatch.context() as m:
         _change_handed_on_jacobian(m, stage, lambda jac: [])
@@ -363,7 +401,9 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
         want_count = trajectories.count(stage)
     if stage == (8.0, 0.02):
         # the residual, the two forward-difference columns and the trial of their step
-        assert (want.a, want.b, want.iterations) == (0.642178763732825, -0.5671373996003624, 1)
+        assert (want.a, want.b, want.iterations) == (0.6421787637328255, -0.5671373996003635, 1)
+        assert abs(want.a - 0.642178763732825) < 2e-15
+        assert abs(want.b + 0.5671373996003624) < 2e-15
         assert want_count == 1 + 2 + 1
     _change_handed_on_jacobian(monkeypatch, stage, bad)
     trajectories = _record_trajectories(monkeypatch)
@@ -371,33 +411,38 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
     assert trajectories.count(stage) == want_count + extra
 
 
-# the stage at the requested step on eta_max 20, handed the short stage's
-# Jacobian from eta_max 6: the root it converges to, and the residual norm
-# at which the handed-on Jacobian's own step stagnates
-@pytest.mark.parametrize("step, a, b, stagnant", [
-    (0.08, 0.6005008375452862, -0.6515348960940153, "4.555e-04"),
-    (0.1, 0.6005004792322809, -0.651535028332875, "4.655e-04"),
+# the stage at the requested step 0.2, handed the short stage's Jacobian
+# from eta_max 6: the root it converges to, and the residual norm at which
+# the handed-on Jacobian's own first step stagnates
+@pytest.mark.parametrize("pr, eta_max, a, b, stagnant", [
+    (1.5, 10.0, 0.6004909780477994, -0.6515380759716992, "3.287e-04"),
+    (2.0, 12.0, 0.5712533660221133, -0.7164698487433209, "2.834e-04"),
 ])
-def test_chord_retry_rescues_a_real_stage(monkeypatch, step, a, b, stagnant):
-    # at Pr 1.5 on eta_max 20 the requested stage's first step with the
-    # handed-on Jacobian stagnates; iteration 0 is redone with forward
-    # differences, and the stage converges in 3 iterations
-    cfg = ShootConfig(eta_max=20.0, step=step)
+def test_chord_retry_rescues_a_real_stage(monkeypatch, pr, eta_max, a, b, stagnant):
+    # the requested stage's first step with the handed-on Jacobian
+    # stagnates; iteration 0 is redone with forward differences, and the
+    # stage converges in 2 iterations. At Pr 1.5 on eta_max 20, steps 0.08
+    # and 0.1, which reached the retry before, now run a middle stage at
+    # 0.16, and their first chord steps hold
+    cfg = ShootConfig(eta_max=eta_max, step=0.2)
     handed = []
 
     def solve(residual, x0, cfg, jacobian=None):
-        if cfg.eta_max == 20.0:
+        if cfg.eta_max == eta_max:
             handed.append((x0, [tuple(row) for row in jacobian]))
         return newton_solve(residual, x0, cfg, jacobian)
 
     monkeypatch.setattr(shooting, "newton_solve", solve)
-    res = shoot_solve(1.5, cfg)
-    assert (res.a, res.b, res.iterations) == (a, b, 3)
-    # without the retry: the handed-on rows stand in at every iterate
+    res = shoot_solve(pr, cfg)
+    assert (res.a, res.b, res.iterations) == (a, b, 2)
+    # without the retry: the handed-on rows stand in at every iterate, and
+    # the first step already stagnates
     (x0, jac), = handed
-    chord = lambda x: Residual(boundary_residual(x[0], x[1], 1.5, cfg), lambda: jac)
-    with pytest.raises(NonConvergenceError, match=f"stagnated at residual norm {stagnant}"):
+    chord = lambda x: Residual(boundary_residual(x[0], x[1], pr, cfg), lambda: jac)
+    with pytest.raises(NonConvergenceError,
+                       match=f"stagnated at residual norm {stagnant}") as info:
         newton_solve(chord, x0, cfg)
+    assert info.value.iterations == 0
 
 
 def test_unphysical_oracle_root_warns():
@@ -424,28 +469,31 @@ def test_benchmark_shaped_oracle_roots_do_not_warn(problem, pr, step):
 
 
 @pytest.mark.parametrize("eta_max, step, stages", [
-    (8.0, 0.02, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.02)]),
-    (8.0, 0.0175, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.0175)]),
-    (8.0, 0.03, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.03)]),
-    (8.0, 0.05, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.05)]),
-    (8.0, 0.01, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.01)]),
-    (8.0, 0.005, [(6.0, 0.16), (8.0, 0.08), (8.0, 0.005)]),
-    (8.0, 0.08, [(6.0, 0.16), (8.0, 0.08)]),
-    (8.0, 0.1, [(6.0, 0.16), (8.0, 0.1)]),
-    (8.0, 0.16, [(6.0, 0.16), (8.0, 0.16)]),
-    # a requested step coarser than 0.16 runs the short stage at that step
-    (8.0, 0.2, [(6.0, 0.2), (8.0, 0.2)]),
-    (6.5, 0.01, [(6.0, 0.16), (6.5, 0.08), (6.5, 0.01)]),
-    (12.0, 0.01, [(6.0, 0.16), (12.0, 0.08), (12.0, 0.01)]),
+    (8.0, 0.02, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.02)]),
+    (8.0, 0.0175, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.0175)]),
+    (8.0, 0.03, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.03)]),
+    (8.0, 0.05, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.05)]),
+    (8.0, 0.01, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.01)]),
+    (8.0, 0.005, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.005)]),
+    (8.0, 0.08, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08)]),
+    (8.0, 0.1, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.1)]),
+    (8.0, 0.16, [(6.0, 0.32), (8.0, 0.16)]),
+    (8.0, 0.2, [(6.0, 0.32), (8.0, 0.2)]),
+    (6.5, 0.01, [(6.0, 0.32), (6.5, 0.16), (6.5, 0.08), (6.5, 0.01)]),
+    (12.0, 0.01, [(6.0, 0.32), (12.0, 0.16), (12.0, 0.08), (12.0, 0.01)]),
     # eta_max 6 or less runs no short stage
-    (6.0, 0.02, [(6.0, 0.08), (6.0, 0.02)]),
-    (6.0, 0.08, [(6.0, 0.08)]),
-    (5.0, 0.01, [(5.0, 0.08), (5.0, 0.01)]),
+    (6.0, 0.02, [(6.0, 0.16), (6.0, 0.08), (6.0, 0.02)]),
+    (6.0, 0.08, [(6.0, 0.16), (6.0, 0.08)]),
+    (5.0, 0.01, [(5.0, 0.16), (5.0, 0.08), (5.0, 0.01)]),
+    (6.0, 0.16, [(6.0, 0.16)]),
+    # a requested step coarser than 0.32 runs the short stage at that step
+    (8.0, 0.4, [(6.0, 0.4), (8.0, 0.4)]),
 ])
 def test_coarse_stage_runs_up_to_the_cap(monkeypatch, eta_max, step, stages):
-    # every eta_max above 6 gets a short stage on eta_max 6 first, every
-    # step below 0.08 a coarse stage at 0.08 next, and 0.08 or a larger
-    # step none; the stages run in this order, the requested one last
+    # every eta_max above 6 gets a short stage on eta_max 6 first; the full
+    # domain then runs a middle stage at 0.16 for every step below 0.16 and
+    # a coarse stage at 0.08 for every step below 0.08; the stages run in
+    # this order, the requested one last
     trajectories = _record_trajectories(monkeypatch)
     shoot_solve(1.0, ShootConfig(eta_max=eta_max, step=step))
     assert list(dict.fromkeys(trajectories)) == stages
@@ -454,41 +502,57 @@ def test_coarse_stage_runs_up_to_the_cap(monkeypatch, eta_max, step, stages):
 
 def test_step_at_or_above_cap_roots_pinned_bit_for_bit():
     # a step of 0.08 or more runs no coarse stage; on eta_max 8 the short
-    # stage seeds the requested one, whose roots stay within 5e-9 of the
-    # one-stage Newton's (the older literals). Pr = 1 and 2 at step 0.1
-    # blew up without the short stage
+    # stage seeds the middle stage at 0.16, which leaves the requested one
+    # a single iteration. The roots stay within 5e-9 of the older literals:
+    # the short stage alone seeding the requested one (3 and 2 iterations),
+    # then one-stage Newton. Pr = 1 and 2 at step 0.1 blew up without the
+    # short stage
     assert shoot_solve(1.0, ShootConfig(step=0.08)) == SolveResult(
-        0.6421785162057587, -0.56713749789079, 4.511620620145781e-14, 3)
+        0.6421785161474405, -0.567137497535021, 2.8008530371184884e-09, 1)
     assert shoot_solve(0.72, ShootConfig(step=0.08)) == SolveResult(
-        0.6759780829910935, -0.5046178482857858, 5.06362928888763e-10, 3)
+        0.6759780829982968, -0.5046178477420363, 3.853565201031504e-09, 1)
     assert shoot_solve(0.72, ShootConfig(step=0.1)) == SolveResult(
-        0.675977711127337, -0.5046179871309188, 5.04948169474339e-10, 3)
+        0.6759777111351752, -0.504617986654227, 3.3167324707069652e-09, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.1)) == SolveResult(
-        0.6421781533730846, -0.567137642116067, 4.187817796805649e-14, 3)
+        0.6421781533253567, -0.567137641815309, 2.3689662415463163e-09, 1)
     assert shoot_solve(2.0, ShootConfig(step=0.1)) == SolveResult(
-        0.5712560096862684, -0.7164533952734372, 1.3146441954033685e-09, 2)
+        0.5712560095097322, -0.7164533948138471, 1.96631978353475e-09, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.08), problem=Problem.BLASIUS) == SolveResult(
-        0.3320591954888135, None, 9.036438264331537e-12, 2)
+        0.33205919549314233, None, 3.4505731605349865e-13, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.1), problem=Problem.BLASIUS) == SolveResult(
-        0.3320592007536827, None, 9.0383256434734e-12, 2)
-    for pr, step, a, b in ((1.0, 0.08, 0.642178516207393, -0.5671374979022337),
+        0.3320592007580311, None, 3.078648447285559e-13, 1)
+    for pr, step, a, b in ((1.0, 0.08, 0.6421785162057587, -0.56713749789079),
+                           (1.0, 0.08, 0.642178516207393, -0.5671374979022337),
+                           (0.72, 0.08, 0.6759780829910935, -0.5046178482857858),
                            (0.72, 0.08, 0.67597808298671, -0.504617848222868),
-                           (0.72, 0.1, 0.6759777111229627, -0.504617987068177)):
+                           (0.72, 0.1, 0.675977711127337, -0.5046179871309188),
+                           (0.72, 0.1, 0.6759777111229627, -0.504617987068177),
+                           (1.0, 0.1, 0.6421781533730846, -0.567137642116067),
+                           (2.0, 0.1, 0.5712560096862684, -0.7164533952734372)):
         res = shoot_solve(pr, ShootConfig(step=step))
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
-    for step, a in ((0.08, 0.33205919549331037), (0.1, 0.3320592007581807)):
+    for step, a in ((0.08, 0.3320591954888135), (0.08, 0.33205919549331037),
+                    (0.1, 0.3320592007536827), (0.1, 0.3320592007581807)):
         assert abs(shoot_solve(1.0, ShootConfig(step=step), problem=Problem.BLASIUS).a - a) < 5e-9
 
 
-def test_eta_max_6_keeps_one_stage_newton_bits():
-    # no short stage and no coarse stage: the one-stage Newton's roots
+def test_eta_max_6_roots_pinned_bit_for_bit():
+    # no short stage and no coarse stage: the middle stage at 0.16 seeds the
+    # requested one, whose roots stay within 5e-9 of the one-stage Newton's
+    # (the older literals, in 4, 5 and 3 iterations)
     assert shoot_solve(1.0, ShootConfig(eta_max=6.0, step=0.08)) == SolveResult(
-        0.6420082246309354, -0.5670376766273787, 2.8321606211097585e-09, 4)
+        0.6420082246692536, -0.5670376758037127, 2.4510237001086014e-09, 1)
     assert shoot_solve(0.72, ShootConfig(eta_max=6.0, step=0.1)) == SolveResult(
-        0.6755096813001116, -0.5045939766529004, 5.83985442469126e-14, 5)
+        0.675509681300069, -0.5045939765415619, 7.405300548116167e-10, 1)
     assert shoot_solve(1.0, ShootConfig(eta_max=6.0, step=0.08),
                        problem=Problem.BLASIUS) == SolveResult(
-        0.33256594110334026, None, 2.1649348980190553e-14, 3)
+        0.33256594110331134, None, 8.01581023779363e-14, 1)
+    for pr, step, a, b in ((1.0, 0.08, 0.6420082246309354, -0.5670376766273787),
+                           (0.72, 0.1, 0.6755096813001116, -0.5045939766529004)):
+        res = shoot_solve(pr, ShootConfig(eta_max=6.0, step=step))
+        assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
+    res = shoot_solve(1.0, ShootConfig(eta_max=6.0, step=0.08), problem=Problem.BLASIUS)
+    assert abs(res.a - 0.33256594110334026) < 5e-9
 
 
 def _min_f_prime(res, pr, cfg) -> float:
@@ -501,23 +565,27 @@ def test_eta_max_12_returns_the_physical_root(monkeypatch):
     # at eta_max = 12 the coarse stage at 0.08 blew up from the default
     # guess, and the stage at 0.01 then returned a reverse-flow root
     # (A = 0.6391764853781349, f' ~ -0.08 at eta = 6). Seeded from the short
-    # stage, the coarse stage converges and no stage falls back
+    # stage, the middle and coarse stages converge and no stage falls back;
+    # the older literal is the root with the short stage at 0.16 and no
+    # middle stage
     trajectories = _record_trajectories(monkeypatch)
     cfg = ShootConfig(eta_max=12.0)
     res = shoot_solve(1.0, cfg)
-    assert res == SolveResult(0.6421881396644465, -0.5671464740400749, 3.1795602045070596e-10, 1)
+    assert res == SolveResult(0.6421881396682823, -0.567146474069262, 3.6044471871729887e-11, 1)
+    assert abs(res.a - 0.6421881396644465) < 5e-9 and abs(res.b + 0.5671464740400749) < 5e-9
     assert abs(res.a - 0.6391764853781349) > 1e-3
     assert trajectories.count((12.0, 0.01)) == 2
     assert _min_f_prime(res, 1.0, cfg) > -1e-8
 
 
 def test_coarse_stage_failure_keeps_the_physical_root_at_pr_0_1():
-    # at Pr = 0.1, eta_max = 6 the coarse stage blows up and the stage at
-    # 0.01 from the default guess (one-stage Newton) returns a physical root:
-    # f' stays nonnegative. No short stage runs on eta_max 6. The only such
-    # rescue in a sweep of Pr 0.01-100, eta_max 5-20 and steps 0.005-0.02
-    # before the short stage; the other fallbacks that converged returned
-    # reverse-flow roots, which the short stage replaced by physical ones
+    # at Pr = 0.1, eta_max = 6 the middle and coarse stages blow up and the
+    # stage at 0.01 from the default guess (one-stage Newton) returns a
+    # physical root: f' stays nonnegative. No short stage runs on eta_max 6.
+    # The only such rescue in a sweep of Pr 0.01-100, eta_max 5-20 and steps
+    # 0.005-0.02 before the short stage; the other fallbacks that converged
+    # returned reverse-flow roots, which the short stage replaced by
+    # physical ones
     cfg = ShootConfig(eta_max=6.0, step=0.01)
     with pytest.raises(BlowUpError):
         shoot_solve(0.1, ShootConfig(eta_max=6.0, step=0.08))
@@ -529,16 +597,21 @@ def test_coarse_stage_failure_keeps_the_physical_root_at_pr_0_1():
     assert _min_f_prime(res, 0.1, cfg) > -1e-8
 
 
-# the root at eta_max 8, step 0.02 with these stages failing: without the
-# short stage it is the two-stage root, without the coarse stage the stage
-# at 0.02 starts from the short root with forward differences, and without
-# both it is one-stage Newton's benchmark root
+# the root at eta_max 8, step 0.02 with these stages failing. From the
+# default guess the middle stage blows up, so without the short stage the
+# coarse stage starts from the guess: the two-stage root, and without the
+# short and coarse stages it is one-stage Newton's benchmark root. Without
+# the middle and coarse stages, the stage at 0.02 starts from the short
+# root with forward differences
 FALLBACK_ROOTS = {
     "short": (0.6421787637326019, -0.5671373995932919, 1),
-    "coarse": (0.6421787637368304, -0.5671373996231858, 2),
+    "middle": (0.6421787637327376, -0.5671373995892772, 1),
+    "coarse": (0.6421787637420138, -0.5671373999014597, 1),
     "short+coarse": (0.6421787637344606, -0.5671373996114442, 7),
+    "middle+coarse": (0.6421787637416093, -0.5671373996497694, 2),
+    "short+middle+coarse": (0.6421787637344606, -0.5671373996114442, 7),
 }
-STAGES = {"short": (6.0, 0.16), "coarse": (8.0, 0.08)}
+STAGES = {"short": (6.0, 0.32), "middle": (8.0, 0.16), "coarse": (8.0, 0.08)}
 
 
 @pytest.mark.parametrize("failing", list(FALLBACK_ROOTS))
@@ -559,18 +632,19 @@ def test_each_stage_error_falls_back(monkeypatch, error, failing):
     assert (res.a, res.b, res.iterations) == FALLBACK_ROOTS[failing]
 
 
-@pytest.mark.parametrize("failing", ["short", "coarse"])
+@pytest.mark.parametrize("failing", ["short", "middle", "coarse"])
 def test_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch, failing):
     # the stage accepts its first step, which writes its Jacobian into the
     # list, then stops with NonConvergenceError; the next stage starts as
-    # if the failing stage had raised at once, with no Jacobian handed on
+    # if the failing stage had raised at once, with no Jacobian handed on.
+    # The coarse stage's first step meets tol 1e-8, so no stage stops at tol
     original = shooting.newton_solve
 
     def stops_after_one_step(residual, x0, cfg, jacobian=None):
         if (cfg.eta_max, cfg.step) != STAGES[failing]:
             return original(residual, x0, cfg, jacobian)
         with pytest.raises(NonConvergenceError, match="in 1 iterations"):
-            original(residual, x0, replace(cfg, max_iter=1), jacobian)
+            original(residual, x0, replace(cfg, max_iter=1, tol=1e-300), jacobian)
         assert jacobian
         raise NonConvergenceError("stage")
 
@@ -610,13 +684,17 @@ def test_pr_1_5_converges_on_the_default_domain_and_at_eta_max_7():
     # from the default guess the oracle blew up at Pr 1.5, eta_max 8 (near
     # eta = 6.34), so compare --pr 1.5 exited 3 while every DTM-Pade rung
     # answered; the short stage seeds a root there. At eta_max 7 it
-    # converged already; the older literal is that root without the short stage
+    # converged already. The older literals: with the short stage at 0.16
+    # and no middle stage, then at eta_max 7 also without the short stage
     res = shoot_solve(1.5, ShootConfig())
     assert ShootConfig().eta_max == 8.0
-    assert (res.a, res.b, res.iterations) == (0.6004966239713835, -0.6515257759969173, 1)
+    assert (res.a, res.b, res.iterations) == (0.6004966239616517, -0.6515257759554697, 1)
+    assert abs(res.a - 0.6004966239713835) < 5e-9 and abs(res.b + 0.6515257759969173) < 5e-9
     res = shoot_solve(1.5, ShootConfig(eta_max=7.0))
-    assert (res.a, res.b, res.iterations) == (0.6004829360322651, -0.6515002792411994, 1)
-    assert abs(res.a - 0.6004829360311521) < 5e-9 and abs(res.b + 0.6515002792121631) < 5e-9
+    assert (res.a, res.b, res.iterations) == (0.6004829360278263, -0.6515002792320201, 1)
+    for a, b in ((0.6004829360322651, -0.6515002792411994),
+                 (0.6004829360311521, -0.6515002792121631)):
+        assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
 
 
 @pytest.mark.parametrize("problem, pr, eta_max, step", [
