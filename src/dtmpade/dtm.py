@@ -22,8 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul, truediv
-from typing import NamedTuple
+from operator import mul
 
 from .series import TruncatedSeries
 
@@ -109,69 +108,72 @@ def init_transforms(params: ProblemParams) -> tuple[tuple[float, ...], tuple[flo
     return f_prefix, (1.0, params.b)
 
 
-class Weights(NamedTuple):
-    """The convolution weights of the steps k < n, as exact small-integer floats.
+class Coefficients:
+    """The coefficients so far, with the scaled copies the recurrence sums read.
 
-    The last k+1 entries of desc are k+1, k, ..., 1 (the weight k-r+1 for
-    r = 0..k) and those of pair are (k+1)(k+2), ..., 1*2 (the weight
-    (k-r+1)(k-r+2)); asc is 1, 2, ..., n. divisors is r! (inf past r = 170)
-    in paper-fidelity mode and None in corrected mode.
+    d1[j] = j F(j), d2[j] = j (j-1) F(j) and t1[j] = j Theta(j) carry the
+    derivative weights, so that every sum is a plain Cauchy product. g[j] is
+    F(j)/j! in paper-fidelity mode, up to j = 170 (past it j! exceeds every
+    float and the summand is taken as 0), and F itself in corrected mode.
     """
 
-    asc: tuple[float, ...]
-    desc: tuple[float, ...]
-    pair: tuple[float, ...]
-    divisors: tuple[float, ...] | None
+    __slots__ = ("f", "d1", "d2", "g", "theta", "t1")
+
+    def __init__(self, f_prefix, theta_prefix, mode: RecurrenceMode):
+        self.f, self.d1, self.d2, self.theta, self.t1 = [], [], [], [], []
+        self.g = [] if mode is RecurrenceMode.PAPER_FIDELITY else self.f
+        for x in f_prefix:
+            self.push_f(x)
+        for x in theta_prefix:
+            self.push_theta(x)
+
+    def push_f(self, x: float) -> None:
+        j = len(self.f)
+        self.f.append(x)
+        self.d1.append(j * x)
+        self.d2.append(j * (j - 1) * x)
+        if self.g is not self.f and j < len(_FACTORIALS):
+            self.g.append(x / _FACTORIALS[j])
+
+    def push_theta(self, x: float) -> None:
+        self.t1.append(len(self.theta) * x)
+        self.theta.append(x)
 
 
-def recurrence_weights(n: int, mode: RecurrenceMode = RecurrenceMode.CORRECTED) -> Weights:
-    """The weights of the steps k < n; generate builds them once per call."""
-    desc = tuple(map(float, range(n, 0, -1)))
-    pair = tuple(map(mul, desc, map(float, range(n + 1, 1, -1))))
-    divisors = None
-    if mode is RecurrenceMode.PAPER_FIDELITY:
-        divisors = _FACTORIALS[:n] + (math.inf,) * (n - len(_FACTORIALS))
-    return Weights(desc[::-1], desc, pair, divisors)
+# Each sum is one dot product that map and sum run in C over the scaled
+# lists: s3 = sum g[r] d2[k+2-r] and s2 = sum F(r) t1[k+1-r] for r = 2..k in
+# that order, the terms r = 0, 1 being exact zeros (F(0) = F(1) = 0). s1 =
+# sum d1[r+1] d1[k-r+1] is symmetric in r <-> k-r, so it is twice the sum
+# over r+1 < k-r+1 plus, for even k, the middle square d1[k/2+1]^2: half the
+# products. In paper mode, g stops at j = 170 and map stops with it.
 
 
-# Each sum is a dot product run by map and sum in C: the summand
-# weight * f[r] * f[k-r+...] (divided by r! in paper mode) in the order
-# r = 0..k, as a term-by-term sum would take it. An exact float weight
-# rounds the product as the int weight does, so the coefficients are bit for
-# bit those of the term-by-term sum on the same interpreter.
+def free_convection_f(c: Coefficients, k: int) -> float:
+    """F(k+3) from F(0..k) and Theta(k): step k of the f-recurrence.
 
-
-def advance_free_convection(
-    f: list[float],
-    theta: list[float],
-    k: int,
-    pr: float,
-    weights: Weights,
-) -> tuple[float, float]:
-    """One recurrence step: compute F(k+3) and Theta(k+2) from lower coefficients.
-
-    Needs f[0..k+2], theta[0..k+1] and the weights of some n > k. In
-    paper-fidelity mode the summand of the third sum carries an extra 1/r!
-    factor.
+    In paper-fidelity mode the summand of the third sum carries an extra
+    1/r! factor.
     """
-    asc, desc, pair, divisors = weights
-    lin, quad = desc[-k - 1:], pair[-k - 1:]
-    s1 = sum(map(mul, map(mul, map(mul, asc, lin), f[1:k + 2]), f[k + 1:0:-1]))
-    terms = map(mul, map(mul, quad, f), f[k + 2:1:-1])
-    if divisors is not None:
-        terms = map(truediv, terms, divisors)
-    s3 = sum(terms)
-    f_next = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
+    d1 = c.d1
+    mid = (k + 3) // 2
+    s1 = 2.0 * sum(map(mul, d1[2:mid], d1[k:k + 2 - mid:-1]))
+    if k % 2 == 0:
+        s1 += d1[mid] * d1[mid]
+    s3 = sum(map(mul, c.g[2:k + 1], c.d2[k:1:-1]))
+    return (2.0 * s1 - c.theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
 
-    s2 = sum(map(mul, map(mul, lin, f), theta[k + 1:0:-1]))
+
+def free_convection_theta(c: Coefficients, k: int, pr: float) -> float:
+    """Theta(k+2) from F(0..k) and Theta(0..k-1): step k of the theta-recurrence."""
+    # at k = 0 the F slice is empty and map stops before the t1 slice
+    s2 = sum(map(mul, c.f[2:k + 1], c.t1[k - 1:0:-1]))
     # 0.0 - x keeps an exact zero +0.0, where -3.0 * pr * s2 gave -0.0
-    theta_next = 0.0 - 3.0 * pr * s2 / ((k + 1) * (k + 2))
-    return f_next, theta_next
+    return 0.0 - 3.0 * pr * s2 / ((k + 1) * (k + 2))
 
 
-def advance_blasius(f: list[float], k: int, weights: Weights) -> float:
-    """One step of the Blasius recurrence for f''' = -(1/2) f f''."""
-    s = sum(map(mul, map(mul, weights.pair[-k - 1:], f), f[k + 2:1:-1]))
+def blasius_f(c: Coefficients, k: int) -> float:
+    """F(k+3) of the Blasius recurrence for f''' = -(1/2) f f''."""
+    s = sum(map(mul, c.f[2:k + 1], c.d2[k:1:-1]))
     return -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
 
 
@@ -185,7 +187,9 @@ def _tangent_weights(n: int, mode: RecurrenceMode) -> tuple[tuple[float, ...], .
     factor (s = r) and s(s-1) / (k+2-s)! from its second (s = k+2-r), the
     factorials being 1 in corrected mode.
     """
-    div = recurrence_weights(n + 2, mode).divisors or (1.0,) * (n + 2)
+    div = (1.0,) * (n + 2)
+    if mode is RecurrenceMode.PAPER_FIDELITY:
+        div = _FACTORIALS[:n + 2] + (math.inf,) * (n + 2 - len(_FACTORIALS))
     return tuple(
         tuple(4.0 * s * (k + 2 - s)
               - 3.0 * ((k + 2 - s) * (k + 1 - s) / div[s] + s * (s - 1) / div[k + 2 - s])
@@ -209,7 +213,7 @@ def free_convection_tangents(
     """
     f, theta = sol.f_series.coeffs, sol.theta_series.coeffs
     m = sol.f_series.order
-    desc = recurrence_weights(m - 1).desc
+    desc = tuple(map(float, range(m - 1, 0, -1)))
     weights = _tangent_weights(m - 1, mode)
     # F(2) = A/2 and Theta(1) = B; the other wall values are constants
     df, dth = [0j, 0j, 0.5 + 0j], [0j, 1j]
@@ -224,32 +228,27 @@ def free_convection_tangents(
     return df, dth
 
 
+def _finite(x: float, name: str, index: int) -> float:
+    if not math.isfinite(x):
+        raise OverflowError(f"non-finite {name}-coefficient at index {index}")
+    return x
+
+
 def generate(params: ProblemParams) -> DtmSolution:
     """Run the recurrence up to params.order and return the series pair.
 
     Raises OverflowError naming the first index whose coefficient leaves the
     finite range (which happens for wild (A, B) at high order).
     """
-    f_prefix, theta_prefix = init_transforms(params)
-    f = list(f_prefix)
-    theta = list(theta_prefix)
+    c = Coefficients(*init_transforms(params), params.mode)
     m = params.order
-    weights = recurrence_weights(m, params.mode)
-
     if params.problem is Problem.BLASIUS:
         for k in range(m - 2):
-            f.append(advance_blasius(f, k, weights))
-            if not math.isfinite(f[-1]):
-                raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
-        return DtmSolution(TruncatedSeries(f), None)
+            c.push_f(_finite(blasius_f(c, k), "f", k + 3))
+        return DtmSolution(TruncatedSeries(c.f), None)
 
     for k in range(m - 1):
-        f_next, theta_next = advance_free_convection(f, theta, k, params.pr, weights)
-        if k + 3 <= m:  # the last step's F(m+1) lies past the order
-            if not math.isfinite(f_next):
-                raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
-            f.append(f_next)
-        if not math.isfinite(theta_next):
-            raise OverflowError(f"non-finite theta-coefficient at index {k + 2}")
-        theta.append(theta_next)
-    return DtmSolution(TruncatedSeries(f), TruncatedSeries(theta))
+        if k + 3 <= m:  # the last step's F(m+1) would lie past the order
+            c.push_f(_finite(free_convection_f(c, k), "f", k + 3))
+        c.push_theta(_finite(free_convection_theta(c, k, params.pr), "theta", k + 2))
+    return DtmSolution(TruncatedSeries(c.f), TruncatedSeries(c.theta))

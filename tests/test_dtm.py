@@ -6,16 +6,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from dtmpade.dtm import (
     MAX_ORDER,
+    Coefficients,
     DtmSolution,
     Problem,
     ProblemParams,
     RecurrenceMode,
-    advance_blasius,
-    advance_free_convection,
+    blasius_f,
+    free_convection_f,
     free_convection_tangents,
+    free_convection_theta,
     generate,
     init_transforms,
-    recurrence_weights,
 )
 from dtmpade.series import TruncatedSeries
 
@@ -94,15 +95,17 @@ def test_params_validation():
 def test_advance_first_steps(mode):
     # F(3) = -Theta(0)/6 regardless of mode; F(4) = -B/24
     b = 0.7
-    f = [0.0, 0.0, 0.5]
-    theta = [1.0, b]
-    weights = recurrence_weights(2, mode)
-    f3, t2 = advance_free_convection(f, theta, 0, 1.0, weights)
+    c = Coefficients([0.0, 0.0, 0.5], [1.0, b], mode)
+    f3 = free_convection_f(c, 0)
     assert f3 == pytest.approx(-1 / 6, abs=1e-15)
-    f.append(f3)
-    theta.append(t2)
-    f4, t3 = advance_free_convection(f, theta, 1, 1.0, weights)
-    assert f4 == pytest.approx(-b / 24, abs=1e-15)
+    c.push_f(f3)
+    c.push_theta(free_convection_theta(c, 0, 1.0))
+    # the scaled copies: d1[j] = j F(j), d2[j] = j (j-1) F(j), t1[j] = j Theta(j)
+    assert c.d1 == [0.0, 0.0, 1.0, 3 * f3] and c.d2 == [0.0, 0.0, 1.0, 6 * f3]
+    assert c.t1 == [0.0, b, 0.0]
+    # F(j)/j! in paper mode, F itself in corrected mode
+    assert c.g == (c.f if mode is CORRECTED else [0.0, 0.0, 0.25, f3 / 6])
+    assert free_convection_f(c, 1) == pytest.approx(-b / 24, abs=1e-15)
 
 
 def test_f5_mode_split():
@@ -181,15 +184,18 @@ def test_tangent_pass_against_ansatz_derivatives():
 @pytest.mark.parametrize("mode", [FIDELITY, CORRECTED])
 def test_tangent_pass_against_symbolic_recurrence(mode, order):
     # the paper recurrence does not satisfy the ODE, so the ansatz cannot
-    # check it: run the term-by-term reference recurrence on symbols A and
-    # B instead, with generate's k + 3 <= m rule, and differentiate that
+    # check it: run the recurrence with its weights on symbols A and B
+    # instead, with generate's k + 3 <= m rule, and differentiate that
     A, B = sympy.symbols("A B")
     f, theta = [sympy.Integer(0), sympy.Integer(0), A / 2], [sympy.Integer(1), B]
+    div = sympy.factorial if mode is FIDELITY else (lambda r: 1)
     for k in range(order - 1):
-        f_next, theta_next = reference_advance_free_convection(f, theta, k, 0.72, mode)
+        s1 = sum((r + 1) * (k - r + 1) * f[r + 1] * f[k - r + 1] for r in range(k + 1))
+        s3 = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] / div(r) for r in range(k + 1))
+        s2 = sum((k - r + 1) * f[r] * theta[k - r + 1] for r in range(k + 1))
         if k + 3 <= order:
-            f.append(sympy.expand(f_next))
-        theta.append(sympy.expand(theta_next))
+            f.append(sympy.expand((2 * s1 - theta[k] - 3 * s3) / ((k + 1) * (k + 2) * (k + 3))))
+        theta.append(sympy.expand(-3 * 0.72 * s2 / ((k + 1) * (k + 2))))
     for a, b in ((0.6421, -0.5671), (0.8, -1.2), (-0.37, 1.3)):
         sol = generate(ProblemParams(pr=0.72, a=a, b=b, order=order, mode=mode))
         df, dtheta = free_convection_tangents(sol, 0.72, mode)
@@ -202,7 +208,7 @@ def test_tangent_pass_against_symbolic_recurrence(mode, order):
 
 def test_blasius_f3_zero_and_f5():
     a = 0.47
-    assert advance_blasius([0.0, 0.0, a / 2], 0, recurrence_weights(1)) == 0.0
+    assert blasius_f(Coefficients([0.0, 0.0, a / 2], (), CORRECTED), 0) == 0.0
     sol = generate(ProblemParams(problem=Problem.BLASIUS, a=a, order=5))
     # ansatz oracle on f''' = -f f''/2 gives c5 = -A^2/240
     c, _ = ansatz_coefficients(5, Problem.BLASIUS)
@@ -298,8 +304,8 @@ def test_generate_overflow_reports_index():
 
 
 def test_coefficient_past_the_order_is_not_checked():
-    # the last free-convection step also yields F(m+1), which overflows here
-    # while every coefficient up to the order is finite
+    # the last free-convection step would also yield F(m+1), which overflows
+    # here while every coefficient up to the order is finite; generate skips it
     sol = generate(ProblemParams(a=1e90, b=0.0, order=10))
     low = generate(ProblemParams(a=1e90, b=0.0, order=9))
     for s, lo in ((sol.f_series, low.f_series), (sol.theta_series, low.theta_series)):
@@ -329,36 +335,34 @@ def test_paper_mode_beyond_float_factorials():
         assert [c.hex() for c in hi_s.coeffs[:173]] == [c.hex() for c in lo_s.coeffs]
 
 
-# The term-by-term recurrence that the dot-product kernel replaced, kept
-# verbatim as the reference the kernel must equal bit for bit.
+# The recurrence as generator-expression sums over the same scaled products
+# (j F(j), j (j-1) F(j), j Theta(j), F(r)/r!) in the same order as the
+# kernel's dot products, which must equal it bit for bit on each interpreter.
 _FACTORIALS = tuple(float(math.factorial(r)) for r in range(171))
 
 
-def reference_advance_free_convection(
-    f: list[float],
-    theta: list[float],
-    k: int,
-    pr: float,
-    mode: RecurrenceMode,
-) -> tuple[float, float]:
-    s1 = sum((r + 1) * (k - r + 1) * f[r + 1] * f[k - r + 1] for r in range(k + 1))
+def reference_free_convection_f(f, theta, k: int, mode: RecurrenceMode) -> float:
+    # s1 is symmetric in r <-> k - r: twice the pairs r < k - r, then the middle
+    s1 = 2.0 * sum((r + 1) * f[r + 1] * ((k - r + 1) * f[k - r + 1])
+                   for r in range(1, (k + 1) // 2))
+    if k % 2 == 0:
+        s1 += (k // 2 + 1) * f[k // 2 + 1] * ((k // 2 + 1) * f[k // 2 + 1])
     if mode is RecurrenceMode.PAPER_FIDELITY:
-        s3 = sum(
-            (k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2]
-            / (_FACTORIALS[r] if r < len(_FACTORIALS) else math.inf)
-            for r in range(k + 1)
-        )
+        # r! leaves the float range past r = 170, where the summand is 0
+        s3 = sum(f[r] / _FACTORIALS[r] * ((k - r + 2) * (k - r + 1) * f[k - r + 2])
+                 for r in range(2, min(k, 170) + 1))
     else:
-        s3 = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] for r in range(k + 1))
-    f_next = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
-
-    s2 = sum((k - r + 1) * f[r] * theta[k - r + 1] for r in range(k + 1))
-    theta_next = 0.0 - 3.0 * pr * s2 / ((k + 1) * (k + 2))
-    return f_next, theta_next
+        s3 = sum(f[r] * ((k - r + 2) * (k - r + 1) * f[k - r + 2]) for r in range(2, k + 1))
+    return (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
 
 
-def reference_advance_blasius(f: list[float], k: int) -> float:
-    s = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2] for r in range(k + 1))
+def reference_free_convection_theta(f, theta, k: int, pr: float) -> float:
+    s2 = sum(f[r] * ((k - r + 1) * theta[k - r + 1]) for r in range(2, k + 1))
+    return 0.0 - 3.0 * pr * s2 / ((k + 1) * (k + 2))
+
+
+def reference_blasius_f(f, k: int) -> float:
+    s = sum(f[r] * ((k - r + 2) * (k - r + 1) * f[k - r + 2]) for r in range(2, k + 1))
     return -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
 
 
@@ -370,17 +374,18 @@ def reference_generate(params: ProblemParams) -> DtmSolution:
 
     if params.problem is Problem.BLASIUS:
         for k in range(m - 2):
-            f.append(reference_advance_blasius(f, k))
+            f.append(reference_blasius_f(f, k))
             if not math.isfinite(f[-1]):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
         return DtmSolution(TruncatedSeries(f), None)
 
     for k in range(m - 1):
-        f_next, theta_next = reference_advance_free_convection(f, theta, k, params.pr, params.mode)
-        if k + 3 <= m:  # the last step's F(m+1) lies past the order
+        if k + 3 <= m:  # the last step's F(m+1) would lie past the order
+            f_next = reference_free_convection_f(f, theta, k, params.mode)
             if not math.isfinite(f_next):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
             f.append(f_next)
+        theta_next = reference_free_convection_theta(f, theta, k, params.pr)
         if not math.isfinite(theta_next):
             raise OverflowError(f"non-finite theta-coefficient at index {k + 2}")
         theta.append(theta_next)
@@ -423,3 +428,58 @@ def test_generate_equals_term_by_term_reference(case, pr, a, b, order):
     params = ProblemParams(problem, pr, a, b, order, mode)
     assert hex_coefficients(generate, params) == hex_coefficients(reference_generate, params)
 
+
+
+def decimal_recurrence(params: ProblemParams):
+    """The recurrence with its weights, at 60 significant digits from the same
+    float wall values: F and Theta (None for Blasius) as Decimals."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k_max = params.order - 2 if params.problem is Problem.BLASIUS else params.order - 1
+        f = [Decimal(0), Decimal(0), Decimal(params.a) / 2]
+        theta = [Decimal(1), Decimal(params.b)]
+        paper = params.mode is FIDELITY
+        for k in range(k_max):
+            s3 = sum((k - r + 1) * (k - r + 2) * f[r] * f[k - r + 2]
+                     / (math.factorial(r) if paper else 1) for r in range(k + 1))
+            if params.problem is Problem.BLASIUS:
+                f.append(-s3 / 2 / ((k + 1) * (k + 2) * (k + 3)))
+                continue
+            s1 = sum((r + 1) * (k - r + 1) * f[r + 1] * f[k - r + 1] for r in range(k + 1))
+            s2 = sum((k - r + 1) * f[r] * theta[k - r + 1] for r in range(k + 1))
+            if k + 3 <= params.order:
+                f.append((2 * s1 - theta[k] - 3 * s3) / ((k + 1) * (k + 2) * (k + 3)))
+            theta.append(-3 * Decimal(params.pr) * s2 / ((k + 1) * (k + 2)))
+        return f, (None if params.problem is Problem.BLASIUS else theta)
+
+
+@pytest.mark.parametrize("order", [40, 101])
+@pytest.mark.parametrize("problem, mode, a, b, bound", [
+    (Problem.FREE_CONVECTION, CORRECTED, 0.6421, -0.5671, 1e-14),
+    (Problem.FREE_CONVECTION, FIDELITY, 0.6421, -0.5671, 5e-13),
+    (Problem.BLASIUS, CORRECTED, 0.332, 0.0, 1e-14),
+])
+def test_generate_against_decimal_recurrence(problem, mode, a, b, bound, order):
+    # at the Pr 1 table root and Blasius' wall value: every coefficient within
+    # bound of the 60-digit recurrence, relative, and the exact zeros (F(1),
+    # Theta(2), Theta(3), corrected F(6) and two of three Blasius F) near 0.
+    # Order 101 measured 1.6e-15 corrected, 6.5e-14 paper and 2.3e-15 Blasius
+    # (the weighted kernel before the scaled lists: 3.0e-15, 3.1e-14, 2.3e-15)
+    from decimal import Decimal
+
+    params = ProblemParams(problem, 1.0, a, b, order, mode)
+    sol = generate(params)
+    want_f, want_theta = decimal_recurrence(params)
+    pairs = [(sol.f_series.coeffs, want_f)]
+    if want_theta is not None:
+        pairs.append((sol.theta_series.coeffs, want_theta))
+    for got, want in pairs:
+        assert len(got) == len(want) == order + 1
+        scale = max(map(abs, got))
+        for x, d in zip(got, want):
+            if d == 0:
+                assert abs(x) <= bound * scale
+            else:
+                assert float(abs(Decimal(x) - d) / abs(d)) <= bound
