@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import repeat
 
 from . import __version__
 from .dtm import Problem, ProblemParams, RecurrenceMode, generate
@@ -235,11 +237,73 @@ def _fmt(x, digits: int) -> str:
     return str(x)
 
 
+# the types json writes as arrays and objects
+_CONTAINERS = (list, tuple, dict)
+_WRITE_CHUNK = 1 << 16
+
+
+@functools.cache
+def _encoder(indent: str):
+    """The C encoder's encode with one item per line at indent.
+
+    CPython up to 3.12 runs json's pure-Python encoder whenever indent is
+    set; without indent, and these separators, the C encoder lays out a
+    container that holds no container just as indent would inside it.
+    """
+    return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
+
+
+def _is_flat(items) -> bool:
+    return not any(map(isinstance, items, repeat(_CONTAINERS)))
+
+
+def _json_text(o, indent: str) -> str:
+    r"""json.dumps(o, indent=2) for o nested at indent.
+
+    One C call lays out a container that holds no container, a block of
+    non-empty rows of scalars, whose rows are then split at the "],\n["
+    joins, or the entries of a dict, with null in place of each container.
+    Both encoders escape every control character, so a raw newline only
+    comes from a separator.
+    """
+    inner = indent + "  "
+    if not isinstance(o, _CONTAINERS) or not o:
+        return _encoder(inner)(o)
+    brackets = "{}" if isinstance(o, dict) else "[]"
+    if _is_flat(o.values() if isinstance(o, dict) else o):
+        body = inner + _encoder(inner)(o)[1:-1]
+    elif isinstance(o, dict):
+        # each container is laid out in place of the null that ends its entry
+        stub = {k: None if isinstance(v, _CONTAINERS) else v for k, v in o.items()}
+        entries = _encoder(inner)(stub)[1:-1].split(",\n" + inner)
+        body = ",\n".join(
+            inner + (e[:-4] + _json_text(v, inner) if isinstance(v, _CONTAINERS) else e)
+            for e, v in zip(entries, o.values()))
+    elif all(isinstance(row, (list, tuple)) and row and _is_flat(row) for row in o):
+        cell = inner + "  "
+        rows = _encoder(cell)(o)[2:-2].replace(f"],\n{cell}[", f"\n{inner}],\n{inner}[\n{cell}")
+        body = f"{inner}[\n{cell}{rows}\n{inner}]"
+    else:
+        body = ",\n".join(inner + _json_text(v, inner) for v in o)
+    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
+
+
 def emit(manifest: dict, result: dict, stream) -> None:
+    """Write the result in the manifest's format.
+
+    json writes exactly json.dumps({"manifest": ..., "result": ...},
+    indent=2) and a newline, laid out in C (see _json_text) and written in
+    64 KiB pieces. One large write to an unbuffered stdout (PYTHONUNBUFFERED,
+    python -u) can end short without an error when the pipe's reader closes
+    during it, so the exit would be 0; the next piece's write raises
+    BrokenPipeError instead.
+    """
     fmt = manifest["format"]
     if fmt == "json":
-        json.dump({"manifest": manifest, "result": result}, stream, indent=2)
-        stream.write("\n")
+        text = (f'{{\n  "manifest": {_json_text(manifest, "  ")},\n'
+                f'  "result": {_json_text(result, "  ")}\n}}\n')
+        for i in range(0, len(text), _WRITE_CHUNK):
+            stream.write(text[i:i + _WRITE_CHUNK])
     elif fmt == "csv":
         _emit_csv(manifest, result, stream)
     else:

@@ -146,6 +146,11 @@ class Coefficients:
 # sum d1[r+1] d1[k-r+1] is symmetric in r <-> k-r, so it is twice the sum
 # over r+1 < k-r+1 plus, for even k, the middle square d1[k/2+1]^2: half the
 # products. In paper mode, g stops at j = 170 and map stops with it.
+# Blasius' F(j) is an exact zero unless j = 2 (mod 3), so a summand
+# F(r) d2[k+2-r] of its sum is nonzero only when r and k+2-r are both 2
+# (mod 3), that is, on the steps k = 2 (mod 3) at r = 2, 5, ..., k. The
+# strided dot product over those equals the full sum bit for bit: the zero
+# summands it skips leave a float sum unchanged.
 
 
 def free_convection_f(c: Coefficients, k: int) -> float:
@@ -172,8 +177,12 @@ def free_convection_theta(c: Coefficients, k: int, pr: float) -> float:
 
 
 def blasius_f(c: Coefficients, k: int) -> float:
-    """F(k+3) of the Blasius recurrence for f''' = -(1/2) f f''."""
-    s = sum(map(mul, c.f[2:k + 1], c.d2[k:1:-1]))
+    """F(k+3) of the Blasius recurrence for f''' = -(1/2) f f''.
+
+    Only the steps k = 2 (mod 3) sum, over r = 2, 5, ..., k; on the others
+    the sum 0 gives the -0.0 that the full sum of zeros gave.
+    """
+    s = sum(map(mul, c.f[2:k + 1:3], c.d2[k:1:-3])) if k % 3 == 2 else 0
     return -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
 
 

@@ -2,6 +2,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -538,6 +539,49 @@ def test_compare_rejects_an_empty_ladder(monkeypatch):
     manifest = cli._manifest(cli.build_parser().parse_args(["compare", "--format", "json"]))
     with pytest.raises(UsageError, match="at least one Pade degree"):
         execute(dict(manifest, pade=[]))
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    # a row join, raw newlines, quotes, backslashes and non-ASCII inside strings
+    st.text(), st.sampled_from(['"],\n      ["', "],\n      [", "a\nb", 'q"\\', "é€😀"]),
+)
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=3).map(tuple),
+    # json writes int, float, bool and None keys as strings
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none()),
+                    inner, max_size=4),
+    # blocks of rows: mostly non-empty rows of scalars, some empty or holding containers
+    st.lists(st.one_of(st.lists(json_scalars, min_size=1, max_size=4),
+                       st.lists(inner, max_size=3)), min_size=1, max_size=4),
+), max_leaves=30)
+
+
+@given(st.dictionaries(st.text(), json_values, max_size=4), json_values)
+def test_json_emit_is_json_dumps_with_indent(manifest, result):
+    manifest = dict(manifest, format="json")
+    buf = io.StringIO()
+    cli.emit(manifest, result, buf)
+    assert buf.getvalue() == json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--source", "both", "--a", "0.6421", "--b", "-0.5671", "--grid", "0:2:0.01"],
+    # Blasius rows hold null theta cells
+    ["profile", "--source", "both", "--problem", "blasius", "--a", "0.332", "--grid", "0:2:0.01"],
+    ["compare", "--pade", "2,3"],  # rows of dicts
+    ["solve"],
+    ["series", "--order", "301"],
+    ["shoot", "--guess", "0.6,-0.6"],  # a manifest holding a list
+])
+def test_json_emit_of_real_results_is_json_dumps_with_indent(capsys, argv):
+    assert run(argv + ["--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    manifest = json.loads(out)["manifest"]
+    result = execute(manifest)
+    assert out == json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n"
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -423,6 +423,15 @@ wall_value = st.one_of(
 @example((Problem.FREE_CONVECTION, FIDELITY), 0.72, 0.6, -0.5, 171)
 @example((Problem.FREE_CONVECTION, FIDELITY), 1.0, 0.55, -0.86, 172)
 @example((Problem.FREE_CONVECTION, FIDELITY), 7.0, -1.3, 0.4, 173)
+# Blasius sums only on the steps k = 2 (mod 3): orders 3-5 hold its first
+# zero steps and first summing one; signed zero walls, and one that overflows
+@example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 3)
+@example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 4)
+@example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 5)
+@example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 301)
+@example((Problem.BLASIUS, CORRECTED), 1.0, 0.0, 0.0, 301)
+@example((Problem.BLASIUS, CORRECTED), 1.0, -0.0, 0.0, 301)
+@example((Problem.BLASIUS, CORRECTED), 1.0, -1e30, 0.0, 301)
 def test_generate_equals_term_by_term_reference(case, pr, a, b, order):
     problem, mode = case
     params = ProblemParams(problem, pr, a, b, order, mode)
