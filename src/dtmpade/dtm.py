@@ -108,84 +108,6 @@ def init_transforms(params: ProblemParams) -> tuple[tuple[float, ...], tuple[flo
     return f_prefix, (1.0, params.b)
 
 
-class Coefficients:
-    """The coefficients so far, with the scaled copies the recurrence sums read.
-
-    d1[j] = j F(j), d2[j] = j (j-1) F(j) and t1[j] = j Theta(j) carry the
-    derivative weights, so that every sum is a plain Cauchy product. g[j] is
-    F(j)/j! in paper-fidelity mode, up to j = 170 (past it j! exceeds every
-    float and the summand is taken as 0), and F itself in corrected mode.
-    """
-
-    __slots__ = ("f", "d1", "d2", "g", "theta", "t1")
-
-    def __init__(self, f_prefix, theta_prefix, mode: RecurrenceMode):
-        self.f, self.d1, self.d2, self.theta, self.t1 = [], [], [], [], []
-        self.g = [] if mode is RecurrenceMode.PAPER_FIDELITY else self.f
-        for x in f_prefix:
-            self.push_f(x)
-        for x in theta_prefix:
-            self.push_theta(x)
-
-    def push_f(self, x: float) -> None:
-        j = len(self.f)
-        self.f.append(x)
-        self.d1.append(j * x)
-        self.d2.append(j * (j - 1) * x)
-        if self.g is not self.f and j < len(_FACTORIALS):
-            self.g.append(x / _FACTORIALS[j])
-
-    def push_theta(self, x: float) -> None:
-        self.t1.append(len(self.theta) * x)
-        self.theta.append(x)
-
-
-# Each sum is one dot product that map and sum run in C over the scaled
-# lists: s3 = sum g[r] d2[k+2-r] and s2 = sum F(r) t1[k+1-r] for r = 2..k in
-# that order, the terms r = 0, 1 being exact zeros (F(0) = F(1) = 0). s1 =
-# sum d1[r+1] d1[k-r+1] is symmetric in r <-> k-r, so it is twice the sum
-# over r+1 < k-r+1 plus, for even k, the middle square d1[k/2+1]^2: half the
-# products. In paper mode, g stops at j = 170 and map stops with it.
-# Blasius' F(j) is an exact zero unless j = 2 (mod 3), so a summand
-# F(r) d2[k+2-r] of its sum is nonzero only when r and k+2-r are both 2
-# (mod 3), that is, on the steps k = 2 (mod 3) at r = 2, 5, ..., k. The
-# strided dot product over those equals the full sum bit for bit: the zero
-# summands it skips leave a float sum unchanged.
-
-
-def free_convection_f(c: Coefficients, k: int) -> float:
-    """F(k+3) from F(0..k) and Theta(k): step k of the f-recurrence.
-
-    In paper-fidelity mode the summand of the third sum carries an extra
-    1/r! factor.
-    """
-    d1 = c.d1
-    mid = (k + 3) // 2
-    s1 = 2.0 * sum(map(mul, d1[2:mid], d1[k:k + 2 - mid:-1]))
-    if k % 2 == 0:
-        s1 += d1[mid] * d1[mid]
-    s3 = sum(map(mul, c.g[2:k + 1], c.d2[k:1:-1]))
-    return (2.0 * s1 - c.theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
-
-
-def free_convection_theta(c: Coefficients, k: int, pr: float) -> float:
-    """Theta(k+2) from F(0..k) and Theta(0..k-1): step k of the theta-recurrence."""
-    # at k = 0 the F slice is empty and map stops before the t1 slice
-    s2 = sum(map(mul, c.f[2:k + 1], c.t1[k - 1:0:-1]))
-    # 0.0 - x keeps an exact zero +0.0, where -3.0 * pr * s2 gave -0.0
-    return 0.0 - 3.0 * pr * s2 / ((k + 1) * (k + 2))
-
-
-def blasius_f(c: Coefficients, k: int) -> float:
-    """F(k+3) of the Blasius recurrence for f''' = -(1/2) f f''.
-
-    Only the steps k = 2 (mod 3) sum, over r = 2, 5, ..., k; on the others
-    the sum 0 gives the -0.0 that the full sum of zeros gave.
-    """
-    s = sum(map(mul, c.f[2:k + 1:3], c.d2[k:1:-3])) if k % 3 == 2 else 0
-    return -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
-
-
 @functools.cache
 def _tangent_weights(n: int, mode: RecurrenceMode) -> tuple[tuple[float, ...], ...]:
     """For each step k < n, the weights of dF(s) F(k+2-s), s = 2..k+2, in
@@ -237,27 +159,76 @@ def free_convection_tangents(
     return df, dth
 
 
-def _finite(x: float, name: str, index: int) -> float:
-    if not math.isfinite(x):
-        raise OverflowError(f"non-finite {name}-coefficient at index {index}")
-    return x
+# generate keeps the coefficients in lists next to scaled copies that carry
+# the derivative weights, so that every sum is a plain Cauchy product:
+# d1[j] = j F(j), d2[j] = j (j-1) F(j), t1[j] = j Theta(j), and g[j] = F(j)/j!
+# in paper-fidelity mode (up to j = 170; past it j! exceeds every float and
+# the summand is taken as 0), F itself in corrected mode.
+#
+# Each sum is one dot product that map and sum run in C over the scaled
+# lists: s3 = sum g[r] d2[k+2-r] and s2 = sum F(r) t1[k+1-r] for r = 2..k in
+# that order, the terms r = 0, 1 being exact zeros (F(0) = F(1) = 0). s1 =
+# sum d1[r+1] d1[k-r+1] is symmetric in r <-> k-r, so it is twice the sum
+# over r+1 < k-r+1 plus, for even k, the middle square d1[k/2+1]^2: half the
+# products. In paper mode, g stops at j = 170 and map stops with it.
+# Blasius' F(j) is an exact zero unless j = 2 (mod 3), so a summand
+# F(r) d2[k+2-r] of its sum is nonzero only when r and k+2-r are both 2
+# (mod 3), that is, on the steps k = 2 (mod 3) at r = 2, 5, ..., k. The
+# strided dot product over those equals the full sum bit for bit: the zero
+# summands it skips leave a float sum unchanged; on the other steps the sum
+# 0 gives the -0.0 that the full sum of zeros gave.
 
 
 def generate(params: ProblemParams) -> DtmSolution:
     """Run the recurrence up to params.order and return the series pair.
 
-    Raises OverflowError naming the first index whose coefficient leaves the
-    finite range (which happens for wild (A, B) at high order).
+    Step k gives F(k+3) of the f-recurrence (in paper-fidelity mode the
+    summand of its third sum carries an extra 1/r! factor), then Theta(k+2)
+    of the theta-recurrence; F stops at the order. Raises OverflowError
+    naming the first index whose coefficient leaves the finite range (which
+    happens for wild (A, B) at high order).
     """
-    c = Coefficients(*init_transforms(params), params.mode)
+    f_prefix, theta_prefix = init_transforms(params)
     m = params.order
+    isfinite = math.isfinite
+    f = list(f_prefix)
+    d2 = [j * (j - 1) * x for j, x in enumerate(f)]
     if params.problem is Problem.BLASIUS:
         for k in range(m - 2):
-            c.push_f(_finite(blasius_f(c, k), "f", k + 3))
-        return DtmSolution(TruncatedSeries(c.f), None)
+            s = sum(map(mul, f[2:k + 1:3], d2[k:1:-3])) if k % 3 == 2 else 0
+            x = -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
+            if not isfinite(x):
+                raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
+            f.append(x)
+            d2.append((k + 3) * (k + 2) * x)
+        return DtmSolution(TruncatedSeries(f), None)
 
+    theta = list(theta_prefix)
+    d1 = [j * x for j, x in enumerate(f)]
+    t1 = [j * x for j, x in enumerate(theta)]
+    paper = params.mode is RecurrenceMode.PAPER_FIDELITY
+    g = [x / _FACTORIALS[j] for j, x in enumerate(f)] if paper else f
+    pr3 = 3.0 * params.pr
     for k in range(m - 1):
         if k + 3 <= m:  # the last step's F(m+1) would lie past the order
-            c.push_f(_finite(free_convection_f(c, k), "f", k + 3))
-        c.push_theta(_finite(free_convection_theta(c, k, params.pr), "theta", k + 2))
-    return DtmSolution(TruncatedSeries(c.f), TruncatedSeries(c.theta))
+            mid = (k + 3) // 2
+            s1 = 2.0 * sum(map(mul, d1[2:mid], d1[k:k + 2 - mid:-1]))
+            if k % 2 == 0:
+                s1 += d1[mid] * d1[mid]
+            s3 = sum(map(mul, g[2:k + 1], d2[k:1:-1]))
+            x = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
+            if not isfinite(x):
+                raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
+            f.append(x)
+            d1.append((k + 3) * x)
+            d2.append((k + 3) * (k + 2) * x)
+            if paper and k + 3 < len(_FACTORIALS):
+                g.append(x / _FACTORIALS[k + 3])
+        # at k = 0 the F slice is empty and map stops before the t1 slice;
+        # 0.0 - x keeps an exact zero +0.0, where -3.0 * pr * s2 gave -0.0
+        y = 0.0 - pr3 * sum(map(mul, f[2:k + 1], t1[k - 1:0:-1])) / ((k + 1) * (k + 2))
+        if not isfinite(y):
+            raise OverflowError(f"non-finite theta-coefficient at index {k + 2}")
+        theta.append(y)
+        t1.append((k + 2) * y)
+    return DtmSolution(TruncatedSeries(f), TruncatedSeries(theta))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import DegenerateApproximantError, DegenerateLimitError, PoleError
@@ -40,9 +40,9 @@ class RationalApproximant:
     denominator: tuple[float, ...]
 
     def __post_init__(self):
-        num = tuple(float(a) for a in self.numerator)
-        den = tuple(float(b) for b in self.denominator)
-        if not all(math.isfinite(v) for v in num + den):
+        num = tuple(map(float, self.numerator))
+        den = tuple(map(float, self.denominator))
+        if not (all(map(math.isfinite, num)) and all(map(math.isfinite, den))):
             raise ValueError("approximant coefficients must be finite")
         if den[0] != 1.0:
             raise ValueError("denominator must be normalized to b0 = 1")
@@ -164,17 +164,16 @@ def _finish(cc: tuple[float, ...], L: int, M: int, b_tail: list[float]) -> Ratio
     """The approximant with denominator 1, b_tail; raises unless it is
     finite and matches its series cc."""
     b = (1.0,) + tuple(b_tail)
-    a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
-    if not all(math.isfinite(v) for v in a + b):
+    a = tuple([sum(map(mul, b, cc[i::-1])) for i in range(L + 1)])
+    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
         raise DegenerateApproximantError(f"[{L}/{M}] approximant coefficients overflow")
     result = RationalApproximant(a, b)
 
     # the condition estimate alone does not guarantee the matching conditions
     # were actually met; verify the expansion against the input and fail loudly
-    scale = max(1.0, max(abs(v) for v in cc[: L + M + 1]))
-    mismatch = max(
-        abs(p - q) for p, q in zip(_expand(result, L + M), cc[: L + M + 1])
-    )
+    window = cc[: L + M + 1]
+    scale = max(1.0, max(map(abs, window)))
+    mismatch = max(map(abs, map(sub, _expand(result, L + M), window)))
     if mismatch > MATCH_TOLERANCE * scale:
         raise DegenerateApproximantError(
             f"[{L}/{M}] approximant only matches its series to {mismatch:.3g}; "
@@ -219,19 +218,25 @@ def limit_at_infinity(r: RationalApproximant) -> float:
         raise DegenerateApproximantError(
             f"limit at infinity needs equal degrees, got [{L}/{M}]"
         )
-    d = _effective_degree(r.denominator)
-    num_floor = LEADING_COEFF_FLOOR * max(abs(a) for a in r.numerator)
-    if any(abs(a) > num_floor for a in r.numerator[d + 1 :]):
-        raise DegenerateLimitError(
-            f"numerator outgrows effective denominator degree {d}: the limit diverges"
-        )
-    return r.numerator[d] / r.denominator[d]
+    num, den = r.numerator, r.denominator
+    d = _effective_degree(den)
+    if d < L:
+        num_floor = LEADING_COEFF_FLOOR * max(map(abs, num))
+        if any(map(num_floor.__lt__, map(abs, num[d + 1 :]))):
+            raise DegenerateLimitError(
+                f"numerator outgrows effective denominator degree {d}: the limit diverges"
+            )
+    return num[d] / den[d]
 
 
 def _effective_degree(den: tuple[float, ...]) -> int:
-    """The highest j whose |b_j| is at least LEADING_COEFF_FLOOR times the largest."""
-    den_scale = max(abs(b) for b in den)  # >= 1 since b0 = 1
-    return max(j for j, b in enumerate(den) if abs(b) >= LEADING_COEFF_FLOOR * den_scale)
+    """The highest j whose |b_j| is at least LEADING_COEFF_FLOOR times the largest,
+    scanned down from the top; the largest itself passes, so the scan stops."""
+    floor = LEADING_COEFF_FLOOR * max(map(abs, den))
+    d = len(den) - 1
+    while not abs(den[d]) >= floor:
+        d -= 1
+    return d
 
 
 def limit_tangents(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import eq, mul
 from typing import Callable, Sequence
 
 from . import pade
@@ -138,7 +139,7 @@ def closure_residual(
         Problem.FREE_CONVECTION, pr=pr, a=a, b=b, order=max(top, 3), mode=mode))
 
     def derivative(c, zero):  # f' to F(top), zero-padded to the fit's 2n+1 terms
-        return [(k + 1) * c[k + 1] for k in range(top)] + [zero] * (2 * n + 1 - top)
+        return list(map(mul, range(1, top + 1), c[1 : top + 1])) + [zero] * (2 * n + 1 - top)
 
     fp = derivative(sol.f_series.coeffs, 0.0)
     fits = pade.build_many((TruncatedSeries(fp), sol.theta_series), n, n)
@@ -214,8 +215,8 @@ def initial_guess(problem: Problem, x0: Sequence[float] | None = None) -> tuple[
 
 def _inf_norm(r: Sequence[float]) -> float:
     """max |r_i|; NaN if any r_i is NaN, so a NaN residual never counts as converged."""
-    norm = max(abs(v) for v in r)
-    return norm if all(v == v for v in r) else math.nan
+    norm = max(map(abs, r))
+    return norm if all(map(eq, r, r)) else math.nan
 
 
 def _step(jac, r) -> list[float] | None:
@@ -292,7 +293,7 @@ def newton_solve(
     def at(x: tuple[float, ...]):
         """The residual at x and a call that gives its Jacobian rows there."""
         values = residual(x)
-        r = [float(v) for v in values]
+        r = list(map(float, values))
         exact = getattr(values, "jacobian", None)
         return r, exact or (lambda: _jacobian(at, x, r))
 

@@ -20,12 +20,12 @@ class TruncatedSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if len(coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
-        for k, c in enumerate(coeffs):
-            if not math.isfinite(c):
-                raise OverflowError(f"non-finite coefficient at index {k}: {c!r}")
+        if not all(map(math.isfinite, coeffs)):
+            k = next(k for k, c in enumerate(coeffs) if not math.isfinite(c))
+            raise OverflowError(f"non-finite coefficient at index {k}: {coeffs[k]!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

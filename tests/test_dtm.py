@@ -6,15 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from dtmpade.dtm import (
     MAX_ORDER,
-    Coefficients,
     DtmSolution,
     Problem,
     ProblemParams,
     RecurrenceMode,
-    blasius_f,
-    free_convection_f,
     free_convection_tangents,
-    free_convection_theta,
     generate,
     init_transforms,
 )
@@ -94,18 +90,18 @@ def test_params_validation():
 @pytest.mark.parametrize("mode", [CORRECTED, FIDELITY])
 def test_advance_first_steps(mode):
     # F(3) = -Theta(0)/6 regardless of mode; F(4) = -B/24
+    # the first two steps at orders 3 and 4, the edge of the k + 3 <= m rule
     b = 0.7
-    c = Coefficients([0.0, 0.0, 0.5], [1.0, b], mode)
-    f3 = free_convection_f(c, 0)
+    sol = generate(ProblemParams(a=1.0, b=b, order=3, mode=mode))
+    f3 = sol.f_series.coeffs[3]
+    assert sol.f_series.coeffs[:3] == (0.0, 0.0, 0.5)
     assert f3 == pytest.approx(-1 / 6, abs=1e-15)
-    c.push_f(f3)
-    c.push_theta(free_convection_theta(c, 0, 1.0))
-    # the scaled copies: d1[j] = j F(j), d2[j] = j (j-1) F(j), t1[j] = j Theta(j)
-    assert c.d1 == [0.0, 0.0, 1.0, 3 * f3] and c.d2 == [0.0, 0.0, 1.0, 6 * f3]
-    assert c.t1 == [0.0, b, 0.0]
-    # F(j)/j! in paper mode, F itself in corrected mode
-    assert c.g == (c.f if mode is CORRECTED else [0.0, 0.0, 0.25, f3 / 6])
-    assert free_convection_f(c, 1) == pytest.approx(-b / 24, abs=1e-15)
+    # Theta(2) = 0, and step 1 runs for Theta(3) alone, F(4) lying past the order
+    assert sol.theta_series.coeffs[:3] == (1.0, b, 0.0)
+    assert len(sol.f_series.coeffs) == len(sol.theta_series.coeffs) == 4
+    sol = generate(ProblemParams(a=1.0, b=b, order=4, mode=mode))
+    assert sol.f_series.coeffs[3] == f3
+    assert sol.f_series.coeffs[4] == pytest.approx(-b / 24, abs=1e-15)
 
 
 def test_f5_mode_split():
@@ -208,7 +204,7 @@ def test_tangent_pass_against_symbolic_recurrence(mode, order):
 
 def test_blasius_f3_zero_and_f5():
     a = 0.47
-    assert blasius_f(Coefficients([0.0, 0.0, a / 2], (), CORRECTED), 0) == 0.0
+    assert generate(ProblemParams(problem=Problem.BLASIUS, a=a, order=3)).f_series.coeffs[3] == 0.0
     sol = generate(ProblemParams(problem=Problem.BLASIUS, a=a, order=5))
     # ansatz oracle on f''' = -f f''/2 gives c5 = -A^2/240
     c, _ = ansatz_coefficients(5, Problem.BLASIUS)
@@ -423,10 +419,17 @@ wall_value = st.one_of(
 @example((Problem.FREE_CONVECTION, FIDELITY), 0.72, 0.6, -0.5, 171)
 @example((Problem.FREE_CONVECTION, FIDELITY), 1.0, 0.55, -0.86, 172)
 @example((Problem.FREE_CONVECTION, FIDELITY), 7.0, -1.3, 0.4, 173)
+# orders 3 and 4: the last step runs for Theta alone (F under k + 3 <= m)
+@example((Problem.FREE_CONVECTION, CORRECTED), 1.0, 0.6421, -0.5671, 3)
+@example((Problem.FREE_CONVECTION, CORRECTED), 0.72, -0.0, 0.0, 4)
+@example((Problem.FREE_CONVECTION, FIDELITY), 1.0, 0.5506, -0.8654, 3)
+@example((Problem.FREE_CONVECTION, FIDELITY), 7.0, 1e30, -1e30, 4)
 # Blasius sums only on the steps k = 2 (mod 3): orders 3-5 hold its first
 # zero steps and first summing one; signed zero walls, and one that overflows
 @example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 3)
 @example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 4)
+@example((Problem.BLASIUS, CORRECTED), 1.0, -0.0, 0.0, 3)
+@example((Problem.BLASIUS, CORRECTED), 1.0, -1e30, 0.0, 4)
 @example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 5)
 @example((Problem.BLASIUS, CORRECTED), 1.0, 0.332, 0.0, 301)
 @example((Problem.BLASIUS, CORRECTED), 1.0, 0.0, 0.0, 301)

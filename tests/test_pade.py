@@ -1,9 +1,10 @@
 import math
 import random
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dtmpade import pade
 from dtmpade.errors import DegenerateApproximantError, DegenerateLimitError, PoleError
@@ -198,6 +199,115 @@ def test_expand_equals_term_by_term_reference(num, den_tail, order):
     r = RationalApproximant(tuple(num), (1.0,) + tuple(den_tail))
     # large coefficients overflow to inf and nan, which hex() spells out too
     assert [c.hex() for c in _expand(r, order)] == [c.hex() for c in reference_expand(r, order)]
+
+
+def reference_finish(cc, L, M, b_tail):
+    """pade._finish in its generator-expression form, verbatim."""
+    b = (1.0,) + tuple(b_tail)
+    a = tuple(sum(map(mul, b, cc[i::-1])) for i in range(L + 1))
+    if not all(math.isfinite(v) for v in a + b):
+        raise DegenerateApproximantError(f"[{L}/{M}] approximant coefficients overflow")
+    result = RationalApproximant(a, b)
+
+    # the condition estimate alone does not guarantee the matching conditions
+    # were actually met; verify the expansion against the input and fail loudly
+    scale = max(1.0, max(abs(v) for v in cc[: L + M + 1]))
+    mismatch = max(
+        abs(p - q) for p, q in zip(_expand(result, L + M), cc[: L + M + 1])
+    )
+    if mismatch > pade.MATCH_TOLERANCE * scale:
+        raise DegenerateApproximantError(
+            f"[{L}/{M}] approximant only matches its series to {mismatch:.3g}; "
+            "the system is numerically rank-deficient"
+        )
+    return result
+
+
+def reference_limit_at_infinity(r):
+    """pade.limit_at_infinity in its generator-expression form, verbatim."""
+    L, M = r.degrees
+    if L != M:
+        raise DegenerateApproximantError(
+            f"limit at infinity needs equal degrees, got [{L}/{M}]"
+        )
+    d = reference_effective_degree(r.denominator)
+    num_floor = pade.LEADING_COEFF_FLOOR * max(abs(a) for a in r.numerator)
+    if any(abs(a) > num_floor for a in r.numerator[d + 1 :]):
+        raise DegenerateLimitError(
+            f"numerator outgrows effective denominator degree {d}: the limit diverges"
+        )
+    return r.numerator[d] / r.denominator[d]
+
+
+def reference_effective_degree(den):
+    """pade._effective_degree as a max over every qualifying j, verbatim."""
+    den_scale = max(abs(b) for b in den)  # >= 1 since b0 = 1
+    return max(j for j, b in enumerate(den) if abs(b) >= pade.LEADING_COEFF_FLOOR * den_scale)
+
+
+def outcome(fn, *args):
+    """A fit's or a limit's bits, or the error's class and message."""
+    try:
+        value = fn(*args)
+    except (DegenerateApproximantError, ValueError) as exc:
+        return type(exc), str(exc)
+    return value.hex() if isinstance(value, float) else fit_bits(value)
+
+
+# signed zeros, and magnitudes from tiny to past the 1e10 floor around b0 = 1
+mixed = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-20, 20)),
+)
+
+
+@st.composite
+def finish_inputs(draw):
+    """(cc, L, M, b_tail): a series and a denominator tail that may or may
+    not match it; the matching ones come from expanding a rational function."""
+    L, M = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    tail = st.one_of(mixed, st.sampled_from([1e300, -1e300, math.inf, math.nan]))
+    b_tail = draw(st.lists(tail, min_size=M, max_size=M))
+    if draw(st.booleans()) or not all(map(math.isfinite, b_tail)):
+        cc = draw(st.lists(mixed, min_size=L + M + 1, max_size=L + M + 1))
+    else:
+        num = draw(st.lists(mixed, min_size=L + 1, max_size=L + 1))
+        cc = reference_expand(RationalApproximant(num, [1.0] + b_tail), L + M)
+        assume(all(map(math.isfinite, cc)))
+    return tuple(cc), L, M, b_tail
+
+
+@given(finish_inputs())
+# a denominator whose largest |b_j| puts the floor above b0 = 1; b1 = 0.5
+# against 1, 1, 1, which its expansion misses; a b-tail that overflows a
+@example(((1.0, 2.0, 3.0, -0.0, 0.0), 2, 2, [5e10, 2e11]))
+@example(((1.0, 1.0, 1.0), 1, 1, [0.5]))
+@example(((1.0, 1e300, 0.0), 1, 1, [1e300]))
+def test_finish_and_limit_equal_their_references(case):
+    cc, L, M, b_tail = case
+    fit = outcome(pade._finish, cc, L, M, b_tail)
+    assert fit == outcome(reference_finish, cc, L, M, b_tail)
+    if not isinstance(fit[0], type):
+        r = pade._finish(cc, L, M, b_tail)
+        assert outcome(limit_at_infinity, r) == outcome(reference_limit_at_infinity, r)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(mixed, min_size=n + 1, max_size=n + 1), st.lists(mixed, min_size=n, max_size=n))))
+# trivially polynomial fits, as build_many gives a series whose block is zero
+@example(([0.5, -0.0, 0.0], [0.0, -0.0]))
+@example(([0.5, -0.0, 0.25], [-0.0, 0.0]))
+# the floor lies above b0 = 1 and b2: the effective degree is 1, and a2 outgrows it
+@example(([1.0, 1.0, 1.0], [2e11, 1.0]))
+@example(([1.0, 1.0, 1e-12], [2e11, 1.0]))
+@example(([1.0, 2.0, 3.0], [5e10, 2e11]))
+# b1 at the floor exactly counts: the effective degree is 1
+@example(([1.0, 1.0], [1e-10]))
+def test_limit_equals_its_reference(case):
+    num, den_tail = case
+    r = RationalApproximant(num, [1.0] + den_tail)
+    assert outcome(limit_at_infinity, r) == outcome(reference_limit_at_infinity, r)
+    assert pade._effective_degree(r.denominator) == reference_effective_degree(r.denominator)
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9), st.integers(0, 4),

@@ -46,6 +46,19 @@ def test_constructor_rejects_nan():
         TruncatedSeries((1.0, math.nan))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_constructor_names_the_first_non_finite_index(bad, index):
+    # the first, a middle and the last position
+    coeffs = [1.0, -0.0, 0.5, 0.0, -2.0]
+    coeffs[index] = bad
+    with pytest.raises(OverflowError, match=f"^non-finite coefficient at index {index}: {bad!r}$"):
+        TruncatedSeries(coeffs)
+    # the first one is named where several are non-finite
+    with pytest.raises(OverflowError, match=f"^non-finite coefficient at index {index}: {bad!r}$"):
+        TruncatedSeries(coeffs + [math.nan, -math.inf])
+
+
 def test_constructor_rejects_an_empty_series():
     with pytest.raises(ValueError, match="at least the constant coefficient"):
         TruncatedSeries(())
