@@ -18,13 +18,34 @@ below that, and a coarse stage at COARSE_STEP for a requested step below
 that: the damped trials run at the middle stage's 50 RK4 steps per
 trajectory on eta_max = 8, and the coarse stage mostly takes its residual
 and one step. The fine stage last solves at the requested step, so a
-returned root meets tol at that step. Each stage's first iteration reuses
-the previous stage's last Jacobian, which differs from its own by
-discretisation and truncation error, in place of two forward-difference
-trajectories (newton_solve falls back to them where that step fails). A
+returned root meets tol at that step. The short stage hands on its root
+alone: its last Jacobian, from eta_max = 6, cost the middle stage more
+trajectories than forward differences. Each later stage's first iteration
+reuses the previous stage's last Jacobian, which differs from its own by
+discretisation error, in place of two forward-difference trajectories
+(newton_solve falls back to them where that step fails).
+
+Where the middle and coarse stages both converge, the fine stage starts
+from a Richardson extrapolation instead of the coarse root. A fixed-step
+RK4 root has the global error C h^4 + O(h^5), so the roots x_m at 2c and
+x_c at c (c = COARSE_STEP) predict the root at step h as
+x(h) = x_c + (x_c - x_m) (h^4 - c^4) / (c^4 - (2c)^4). At the benchmark's
+free-convection cases that seed's residual at h is 3.9e-8 to 6.1e-8 (the
+coarse root's 7.9e-7 to 9.8e-7), still above tol = 1e-8.
+Below c / 2, where the coarse stage's last Jacobian J predicts a residual
+|J (x_c - x(h))| above tol, a probe runs one trajectory at c / 2 from
+x(c / 2) and takes one chord step with J, unverified; the extrapolation
+through x_c and the probe point reads 0.75e-9 to 2.0e-9 at the requested
+step, so the fine stage runs its residual alone. A probe that blows up or
+whose step counts as singular is skipped, leaving the two-level seed. A
 stage that blows up or does not converge hands on neither root nor
 Jacobian: the next starts from the last converged root, or the caller's
-guess, as if it had not run.
+guess, as if it had not run, and no seed is extrapolated.
+
+From the default guess on eta_max = 8, at steps 0.01 and 0.02, the short,
+middle and coarse stages, the probe and the fine stage run 13-16, 7-10, 2,
+1 and 1 trajectories at Pr 0.5-1 (1 397 to 2 004 RK4 steps per request),
+and 7, 5, 2, none and 1 for Blasius (983 and 1 383 steps).
 
 Free convection integrates the first-order system of
 (f, f', f'', theta, theta') with
@@ -40,17 +61,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import mul
 
 from .dtm import Problem, check_prandtl, check_wall_values
 from .errors import BlowUpError, NonConvergenceError
-from .rootfind import SolveResult, check_signs, check_stopping, initial_guess, newton_solve
+from .rootfind import SolveResult, _step, check_signs, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
 # the coarse Newton stage runs at COARSE_STEP, and the middle stage at
 # 2 * COARSE_STEP, for every finer requested step. From the default guess
 # the middle stage blows up on eta_max = 8 at Pr 0.5 and 1; seeded by the
 # short stage it converges. Without the coarse stage, the fine stage's
-# chord step from the middle root often misses tol
+# chord step from the middle root often misses tol. The probe runs at
+# COARSE_STEP / 2, for requested steps below that
 COARSE_STEP = 0.08
 # the short stage's domain and finest step, for every longer domain; on
 # eta_max = 6 the step 0.32 converges from the default guess at Pr 0.5 and
@@ -218,7 +241,9 @@ def shoot_solve(
     coarser, runs first whenever cfg.eta_max > SHORT_ETA_MAX; then a middle
     stage at 2 * COARSE_STEP whenever cfg.step is finer, and a coarse stage
     at COARSE_STEP whenever cfg.step < COARSE_STEP. Each converged stage
-    seeds the next and hands on its last Jacobian (see the module
+    seeds the next, and each full-domain one hands on its last Jacobian;
+    the stage at cfg.step starts from the Richardson extrapolation of the
+    middle and coarse roots where both converged (see the module
     docstring). The result's iterations count the stage at cfg.step. A
     root off the signs A > 0, B < 0 warns, as solve_problem's does.
     """
@@ -229,12 +254,19 @@ def shoot_solve(
     else:
         residual = lambda c: lambda x: boundary_residual(x[0], x[1], pr, c)
     jac = []
+    roots = {}  # step: root of each converged full-domain stage
     for stage in _stages(cfg):
+        full = stage.eta_max == cfg.eta_max
         try:
-            root = newton_solve(residual(stage), x, stage, jac)
-            x = (root.a,) if root.b is None else (root.a, root.b)
+            root = newton_solve(residual(stage), x, stage, jac if full else None)
         except (BlowUpError, NonConvergenceError):
             jac.clear()
+            continue
+        x = (root.a,) if root.b is None else (root.a, root.b)
+        if full:
+            roots[stage.step] = x
+    if len(roots) == 2:
+        x = _richardson_seed(residual, cfg, roots[2 * COARSE_STEP], roots[COARSE_STEP], jac)
     return check_signs(newton_solve(residual(cfg), x, cfg, jac))
 
 
@@ -246,6 +278,36 @@ def _stages(cfg: ShootConfig) -> list[ShootConfig]:
     stages += [replace(cfg, step=step) for step in (2 * COARSE_STEP, COARSE_STEP)
                if cfg.step < step]
     return stages
+
+
+def _extrapolate(fine, coarse, step: float, h: float) -> tuple[float, ...]:
+    """The root at step h that the roots at step (fine) and 2 * step
+    (coarse) predict, with an error C step^4 in each:
+    fine + (fine - coarse) (h^4 - step^4) / (step^4 - (2 step)^4)."""
+    r = h / step
+    w = (1.0 - r * r * r * r) / 15.0
+    return tuple(v + (v - u) * w for v, u in zip(fine, coarse))
+
+
+def _richardson_seed(residual, cfg: ShootConfig, middle, coarse, jac: list) -> tuple[float, ...]:
+    """The fine stage's seed from the middle and coarse roots, through a
+    probe at COARSE_STEP / 2 where jac predicts a residual above cfg.tol
+    (see the module docstring)."""
+    c = COARSE_STEP
+    seed = _extrapolate(coarse, middle, c, cfg.step)
+    shift = [u - v for u, v in zip(coarse, seed)]
+    predicted = max((abs(math.fsum(map(mul, row, shift))) for row in jac), default=0.0)
+    if not (cfg.step < c / 2 and predicted > cfg.tol):
+        return seed
+    half = _extrapolate(coarse, middle, c, c / 2)
+    try:
+        chord = _step(jac, residual(replace(cfg, step=c / 2))(half))
+    except BlowUpError:
+        chord = None
+    if chord is None:
+        return seed
+    probe = tuple(v - s for v, s in zip(half, chord))
+    return _extrapolate(probe, coarse, c / 2, cfg.step)
 
 
 def tabulate_profile(

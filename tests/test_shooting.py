@@ -269,45 +269,54 @@ def test_bench_shoot_roots_pinned_bit_for_bit():
     # the roots at the benchmark's shoot_oracle settings, from the default guess;
     # any change to a trajectory or to Newton's path shows here. The short
     # stage (eta_max 6, step 0.32) seeds the middle stage at 0.16 and the
-    # coarse stage at 0.08, which leave the stage at 0.02 one iteration at
-    # Pr = 1 and none for Blasius; one-stage Newton took 7 and 3 to roots
-    # that stay close. The Pr = 1 iteration steps with the coarse stage's
-    # last Jacobian. The older literals: with the short stage at 0.16 and no
-    # middle stage, then also without the short stage, then also with
-    # forward differences in the fine stage, then one-stage Newton
+    # coarse stage at 0.08; at Pr = 1 one chord step from the Richardson
+    # extrapolation of their roots to 0.04 (the probe) seeds the stage at
+    # 0.02, and the extrapolation to 0.02 from the coarse and probe roots
+    # meets tol there: no iteration. Blasius runs no probe, and the
+    # extrapolation of the middle and coarse roots meets tol. One-stage
+    # Newton took 7 and 3 iterations to roots that stay close. The older
+    # literals: one chord iteration from the coarse root with the coarse
+    # Jacobian (1, and 0 for Blasius from the coarse root), then with the
+    # short stage at 0.16 and no middle stage, then also without the short
+    # stage, then also with forward differences in the fine stage, then
+    # one-stage Newton
     cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787637293898, -0.5671373995939012, 1)
-    for a, b in ((0.6421787637325477, -0.5671373995978505),
+    assert (res.a, res.b, res.iterations) == (0.642178763965301, -0.5671373995284787, 0)
+    for a, b in ((0.6421787637293898, -0.5671373995939012),
+                 (0.6421787637325477, -0.5671373995978505),
                  (0.6421787637326019, -0.5671373995932919),
                  (0.6421787637328251, -0.5671373996003624),
                  (0.6421787637344606, -0.5671373996114442)):
         assert abs(res.a - a) < 1e-9 and abs(res.b - b) < 1e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.33205919549314233, 0)
-    assert abs(res.a - 0.3320591954888135) < 5e-9
-    assert abs(res.a - 0.33205919549331037) < 5e-9
-    # the coarse root already meets tol at 0.02, within tol / |d residual / dA| of the old one
+    assert (res.a, res.iterations) == (0.3320591920104239, 0)
+    for a in (0.33205919549314233, 0.3320591954888135, 0.33205919549331037):
+        assert abs(res.a - a) < 5e-9
+    # within tol / |d residual / dA| of the root that Newton at 0.02 converges to
     assert abs(res.a - 0.3320591917502373) < 5e-9
 
 
 def test_bench_shoot_roots_at_the_default_step_pinned_bit_for_bit():
-    # at step 0.01 the short, middle and coarse stages run as at 0.02, so
-    # Pr = 1 takes one chord iteration from the same coarse root, and the
-    # Blasius coarse root already meets tol at 0.01: the 0.02 root, bit for
-    # bit. The older literals: with the short stage at 0.16 and no middle
-    # stage, then also without the short stage, then with a coarse stage at
-    # 4 * 0.01 = 0.04
+    # at step 0.01 the short, middle and coarse stages and the probe at 0.04
+    # run as at 0.02, and the seed extrapolated to 0.01 meets tol: no
+    # iteration for Pr = 1 or Blasius. The older literals: one chord
+    # iteration from the coarse root (Blasius: the coarse root, the 0.02
+    # root bit for bit), then with the short stage at 0.16 and no middle
+    # stage, then also without the short stage, then with a coarse stage
+    # at 4 * 0.01 = 0.04
     cfg = ShootConfig(eta_max=8.0, step=0.01, tol=1e-8)
     res = shoot_solve(1.0, cfg)
-    assert (res.a, res.b, res.iterations) == (0.6421787646189954, -0.5671373992411605, 1)
-    for a, b in ((0.6421787646221649, -0.5671373992451232),
+    assert (res.a, res.b, res.iterations) == (0.6421787648763924, -0.5671373991683242, 0)
+    for a, b in ((0.6421787646189954, -0.5671373992411605),
+                 (0.6421787646221649, -0.5671373992451232),
                  (0.6421787646222189, -0.5671373992405486),
                  (0.6421787646224484, -0.5671373992469261)):
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.33205919549314233, 0)
-    for a in (0.3320591954888135, 0.33205919549331037, 0.3320591919776551):
+    assert (res.a, res.iterations) == (0.3320591919976192, 0)
+    for a in (0.33205919549314233, 0.3320591954888135, 0.33205919549331037,
+              0.3320591919776551):
         assert abs(res.a - a) < 5e-9
 
 
@@ -324,31 +333,39 @@ def _record_trajectories(monkeypatch) -> list[tuple[float, float]]:
 
 @pytest.mark.parametrize("pr", [0.5, 0.72, 1.0])
 @pytest.mark.parametrize("step", [0.01, 0.02, 0.005])
-def test_fine_stage_steps_with_the_coarse_jacobian(monkeypatch, pr, step):
-    # the fine stage's one iteration runs the residual and the trial step;
-    # the coarse stage's last Jacobian stands in for two forward differences
+def test_fine_stage_is_one_trajectory_from_the_probe_seed(monkeypatch, pr, step):
+    # the probe runs one trajectory at 0.04, and the seed extrapolated from
+    # it and the coarse root meets tol at the requested step: the fine stage
+    # runs its residual alone. Before the probe, one chord iteration with
+    # the coarse Jacobian ran the residual and the trial step
     trajectories = _record_trajectories(monkeypatch)
-    assert shoot_solve(pr, ShootConfig(step=step)).iterations == 1
-    assert trajectories.count((8.0, step)) == 2
+    assert shoot_solve(pr, ShootConfig(step=step)).iterations == 0
+    assert trajectories.count((8.0, 0.04)) == 1
+    assert trajectories.count((8.0, step)) == 1
 
 
 # the trajectories per stage, and the RK4 steps in all, of a request at each
 # benchmark shoot_oracle case (eta_max 8, tol 1e-8) from the default guess.
 # Each seeding stage halves the step, so the damped Newton trials run at
-# 0.32 on eta_max 6 and at 0.16 (50 steps); the coarse stage at 0.08 takes
-# its residual and one chord trial, and the fine stage two trajectories.
-# With the short stage at 0.16 and no middle stage the free-convection
-# requests took 3 008 / 3 108 / 2 894 RK4 steps at step 0.01 and 2 208 /
-# 2 308 / 2 094 at 0.02, and Blasius 1 466 and 1 066
-@pytest.mark.parametrize("problem, pr, short, middle, rk4_steps", [
-    (Problem.FREE_CONVECTION, 0.5, 16, 8, {0.01: 2504, 0.02: 1704}),
-    (Problem.FREE_CONVECTION, 0.72, 16, 9, {0.01: 2554, 0.02: 1754}),
-    (Problem.FREE_CONVECTION, 1.0, 13, 10, {0.01: 2547, 0.02: 1747}),
-    (Problem.BLASIUS, 1.0, 7, 4, {0.01: 1333, 0.02: 933}),
+# 0.32 on eta_max 6 and at 0.16 (50 steps), where the middle stage starts
+# with forward differences; the coarse stage at 0.08 takes its residual and
+# one chord trial, the probe at 0.04 one trajectory (free convection only)
+# and the fine stage one. With the short stage's Jacobian handed on and no
+# probe the middle stage ran 8 / 9 / 10 / 4 trajectories and the fine stage
+# 2 (1 for Blasius): 2 504 / 2 554 / 2 547 / 1 333 RK4 steps at step 0.01
+# and 1 704 / 1 754 / 1 747 / 933 at 0.02. With the short stage at 0.16
+# and no middle stage the free-convection requests took 3 008 / 3 108 /
+# 2 894 at step 0.01 and 2 208 / 2 308 / 2 094 at 0.02, and Blasius 1 466
+# and 1 066
+@pytest.mark.parametrize("problem, pr, short, middle, probe, rk4_steps", [
+    (Problem.FREE_CONVECTION, 0.5, 16, 10, 1, {0.01: 2004, 0.02: 1604}),
+    (Problem.FREE_CONVECTION, 0.72, 16, 7, 1, {0.01: 1854, 0.02: 1454}),
+    (Problem.FREE_CONVECTION, 1.0, 13, 7, 1, {0.01: 1797, 0.02: 1397}),
+    (Problem.BLASIUS, 1.0, 7, 5, 0, {0.01: 1383, 0.02: 983}),
 ])
 @pytest.mark.parametrize("step", [0.01, 0.02])
 def test_benchmark_requests_count_rk4_steps_and_trajectories(monkeypatch, problem, pr, short,
-                                                             middle, rk4_steps, step):
+                                                             middle, probe, rk4_steps, step):
     steps = []
     for name in ("_advance_free_convection", "_advance_blasius"):
         def counted(state, eta, h, nsub, *args, _original=getattr(shooting, name), **kwargs):
@@ -357,9 +374,9 @@ def test_benchmark_requests_count_rk4_steps_and_trajectories(monkeypatch, proble
         monkeypatch.setattr(shooting, name, counted)
     trajectories = _record_trajectories(monkeypatch)
     shoot_solve(pr, ShootConfig(eta_max=8.0, step=step, tol=1e-8), problem=problem)
-    fine = 1 if problem is Problem.BLASIUS else 2
-    assert dict(Counter(trajectories)) == {
-        (6.0, 0.32): short, (8.0, 0.16): middle, (8.0, 0.08): 2, (8.0, step): fine}
+    want = {(6.0, 0.32): short, (8.0, 0.16): middle, (8.0, 0.08): 2, (8.0, 0.04): probe,
+            (8.0, step): 1}
+    assert dict(Counter(trajectories)) == {k: n for k, n in want.items() if n}
     assert sum(steps) == rk4_steps[step]
 
 
@@ -378,6 +395,12 @@ def _change_handed_on_jacobian(monkeypatch, stage, change):
     monkeypatch.setattr(shooting, "newton_solve", solve)
 
 
+# the root at Pr 1, eta_max 8, step 0.05 when the fine stage is handed no
+# Jacobian; with the coarse Jacobian it is 0.6421787272009267,
+# -0.5671374140959526 in 1 iteration
+FINE_FD_ROOT = (0.6421787272008463, -0.5671374140958082, 1)
+
+
 # the stage's extra trajectories: none where its step counts as singular,
 # the 9 damped trials of a stagnating step for an ascent step
 @pytest.mark.parametrize("bad, extra", [
@@ -385,25 +408,24 @@ def _change_handed_on_jacobian(monkeypatch, stage, change):
     (lambda jac: [(math.nan,) * 2] * 2, 0),
     (lambda jac: [tuple(-v for v in row) for row in jac], 9),  # an ascent step
 ])
-@pytest.mark.parametrize("stage", [(8.0, 0.08), (8.0, 0.02), (8.0, 0.16)],
-                         ids=["coarse", "fine", "middle"])
+# the fine stage steps at 0.05, where no probe runs and the two-level seed
+# misses tol; below 0.04 the probe's seed leaves it no step to take
+@pytest.mark.parametrize("stage, step", [((8.0, 0.08), 0.02), ((8.0, 0.05), 0.05)],
+                         ids=["coarse", "fine"])
 def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, bad, extra,
-                                                                 stage):
+                                                                 stage, step):
     # iteration 0 is redone with forward differences at the stage's first
     # iterate, so shoot_solve returns, bit for bit, the root it returns when
-    # that stage is handed no Jacobian. Without the fine stage's hand-off,
-    # that is within 2e-15 of the two-stage root with forward differences
-    cfg = ShootConfig(eta_max=8.0, step=0.02, tol=1e-8)
+    # that stage is handed no Jacobian
+    cfg = ShootConfig(eta_max=8.0, step=step, tol=1e-8)
     with monkeypatch.context() as m:
         _change_handed_on_jacobian(m, stage, lambda jac: [])
         trajectories = _record_trajectories(m)
         want = shoot_solve(1.0, cfg)
         want_count = trajectories.count(stage)
-    if stage == (8.0, 0.02):
+    if stage == (8.0, 0.05):
         # the residual, the two forward-difference columns and the trial of their step
-        assert (want.a, want.b, want.iterations) == (0.6421787637328255, -0.5671373996003635, 1)
-        assert abs(want.a - 0.642178763732825) < 2e-15
-        assert abs(want.b + 0.5671373996003624) < 2e-15
+        assert (want.a, want.b, want.iterations) == FINE_FD_ROOT
         assert want_count == 1 + 2 + 1
     _change_handed_on_jacobian(monkeypatch, stage, bad)
     trajectories = _record_trajectories(monkeypatch)
@@ -411,47 +433,58 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
     assert trajectories.count(stage) == want_count + extra
 
 
-# the stage at the requested step 0.2, handed the short stage's Jacobian
-# from eta_max 6: the root it converges to, and the residual norm at which
-# the handed-on Jacobian's own first step stagnates
+def test_middle_stage_starts_with_forward_differences(monkeypatch):
+    # the short stage hands on its root alone: its last Jacobian, from
+    # eta_max 6, cost the middle stage on eta_max 8 more trajectories than
+    # forward differences (a benchmark round: 1 808.1 against 1 785.4 RK4
+    # steps per request before the probe). The coarse and fine stages are
+    # handed the previous stage's rows
+    handed = {}
+
+    def solve(residual, x0, cfg, jacobian=None):
+        handed[(cfg.eta_max, cfg.step)] = None if jacobian is None else len(jacobian)
+        return newton_solve(residual, x0, cfg, jacobian)
+
+    monkeypatch.setattr(shooting, "newton_solve", solve)
+    shoot_solve(1.0, ShootConfig(step=0.02))
+    assert handed == {(6.0, 0.32): None, (8.0, 0.16): 0, (8.0, 0.08): 2, (8.0, 0.02): 2}
+
+
+# a requested step of 0.2, from the short stage's root: the root the stage
+# converges to, and the residual norm at which the short stage's own last
+# Jacobian would stagnate at its first step
 @pytest.mark.parametrize("pr, eta_max, a, b, stagnant", [
     (1.5, 10.0, 0.6004909780477994, -0.6515380759716992, "3.287e-04"),
     (2.0, 12.0, 0.5712533660221133, -0.7164698487433209, "2.834e-04"),
 ])
-def test_chord_retry_rescues_a_real_stage(monkeypatch, pr, eta_max, a, b, stagnant):
-    # the requested stage's first step with the handed-on Jacobian
-    # stagnates; iteration 0 is redone with forward differences, and the
-    # stage converges in 2 iterations. At Pr 1.5 on eta_max 20, steps 0.08
-    # and 0.1, which reached the retry before, now run a middle stage at
-    # 0.16, and their first chord steps hold
+def test_short_stage_jacobian_would_stagnate(pr, eta_max, a, b, stagnant):
+    # before the short stage's hand-off was dropped, the requested stage's
+    # chord step with the eta_max 6 Jacobian stagnated here, and iteration
+    # 0 was redone with forward differences at the same iterate. The stage
+    # now starts there, so its root and 2 iterations are the same bit for bit
     cfg = ShootConfig(eta_max=eta_max, step=0.2)
-    handed = []
-
-    def solve(residual, x0, cfg, jacobian=None):
-        if cfg.eta_max == eta_max:
-            handed.append((x0, [tuple(row) for row in jacobian]))
-        return newton_solve(residual, x0, cfg, jacobian)
-
-    monkeypatch.setattr(shooting, "newton_solve", solve)
     res = shoot_solve(pr, cfg)
     assert (res.a, res.b, res.iterations) == (a, b, 2)
-    # without the retry: the handed-on rows stand in at every iterate, and
-    # the first step already stagnates
-    (x0, jac), = handed
+    short = replace(cfg, eta_max=6.0, step=0.32)
+    jac = []
+    x0 = newton_solve(lambda x: boundary_residual(x[0], x[1], pr, short),
+                      DEFAULT_GUESS[Problem.FREE_CONVECTION], short, jac)
     chord = lambda x: Residual(boundary_residual(x[0], x[1], pr, cfg), lambda: jac)
     with pytest.raises(NonConvergenceError,
                        match=f"stagnated at residual norm {stagnant}") as info:
-        newton_solve(chord, x0, cfg)
+        newton_solve(chord, (x0.a, x0.b), cfg)
     assert info.value.iterations == 0
 
 
 def test_unphysical_oracle_root_warns():
     # a step as long as the domain converges to B > 0; the root is returned,
-    # with the closure's sign warning
+    # with the closure's sign warning. The older literal, in 5 iterations,
+    # is the root when the short stage's Jacobian was handed on
     with pytest.warns(UserWarning, match="violates the expected signs") as caught:
         res = shoot_solve(1.0, ShootConfig(step=10.0))
     assert len(caught) == 1
-    assert (res.a, res.b, res.iterations) == (0.42935952991467913, 0.0047207203140689664, 5)
+    assert (res.a, res.b, res.iterations) == (0.42935952991467935, 0.004720720314068964, 4)
+    assert abs(res.a - 0.42935952991467913) < 1e-15 and abs(res.b - 0.0047207203140689664) < 1e-15
 
 
 @pytest.mark.parametrize("step", [0.01, 0.02])
@@ -469,22 +502,24 @@ def test_benchmark_shaped_oracle_roots_do_not_warn(problem, pr, step):
 
 
 @pytest.mark.parametrize("eta_max, step, stages", [
-    (8.0, 0.02, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.02)]),
-    (8.0, 0.0175, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.0175)]),
-    (8.0, 0.03, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.03)]),
+    (8.0, 0.02, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.04), (8.0, 0.02)]),
+    (8.0, 0.0175, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.04), (8.0, 0.0175)]),
+    (8.0, 0.03, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.04), (8.0, 0.03)]),
+    # at 0.04, half the coarse step, and above it no probe runs
+    (8.0, 0.04, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.04)]),
     (8.0, 0.05, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.05)]),
-    (8.0, 0.01, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.01)]),
-    (8.0, 0.005, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.005)]),
+    (8.0, 0.01, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.04), (8.0, 0.01)]),
+    (8.0, 0.005, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08), (8.0, 0.04), (8.0, 0.005)]),
     (8.0, 0.08, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.08)]),
     (8.0, 0.1, [(6.0, 0.32), (8.0, 0.16), (8.0, 0.1)]),
     (8.0, 0.16, [(6.0, 0.32), (8.0, 0.16)]),
     (8.0, 0.2, [(6.0, 0.32), (8.0, 0.2)]),
-    (6.5, 0.01, [(6.0, 0.32), (6.5, 0.16), (6.5, 0.08), (6.5, 0.01)]),
-    (12.0, 0.01, [(6.0, 0.32), (12.0, 0.16), (12.0, 0.08), (12.0, 0.01)]),
+    (6.5, 0.01, [(6.0, 0.32), (6.5, 0.16), (6.5, 0.08), (6.5, 0.04), (6.5, 0.01)]),
+    (12.0, 0.01, [(6.0, 0.32), (12.0, 0.16), (12.0, 0.08), (12.0, 0.04), (12.0, 0.01)]),
     # eta_max 6 or less runs no short stage
-    (6.0, 0.02, [(6.0, 0.16), (6.0, 0.08), (6.0, 0.02)]),
+    (6.0, 0.02, [(6.0, 0.16), (6.0, 0.08), (6.0, 0.04), (6.0, 0.02)]),
     (6.0, 0.08, [(6.0, 0.16), (6.0, 0.08)]),
-    (5.0, 0.01, [(5.0, 0.16), (5.0, 0.08), (5.0, 0.01)]),
+    (5.0, 0.01, [(5.0, 0.16), (5.0, 0.08), (5.0, 0.04), (5.0, 0.01)]),
     (6.0, 0.16, [(6.0, 0.16)]),
     # a requested step coarser than 0.32 runs the short stage at that step
     (8.0, 0.4, [(6.0, 0.4), (8.0, 0.4)]),
@@ -492,8 +527,9 @@ def test_benchmark_shaped_oracle_roots_do_not_warn(problem, pr, step):
 def test_coarse_stage_runs_up_to_the_cap(monkeypatch, eta_max, step, stages):
     # every eta_max above 6 gets a short stage on eta_max 6 first; the full
     # domain then runs a middle stage at 0.16 for every step below 0.16 and
-    # a coarse stage at 0.08 for every step below 0.08; the stages run in
-    # this order, the requested one last
+    # a coarse stage at 0.08 for every step below 0.08, and at Pr 1 the
+    # probe at 0.04 for every step below 0.04; the stages run in this
+    # order, the requested one last
     trajectories = _record_trajectories(monkeypatch)
     shoot_solve(1.0, ShootConfig(eta_max=eta_max, step=step))
     assert list(dict.fromkeys(trajectories)) == stages
@@ -502,26 +538,32 @@ def test_coarse_stage_runs_up_to_the_cap(monkeypatch, eta_max, step, stages):
 
 def test_step_at_or_above_cap_roots_pinned_bit_for_bit():
     # a step of 0.08 or more runs no coarse stage; on eta_max 8 the short
-    # stage seeds the middle stage at 0.16, which leaves the requested one
-    # a single iteration. The roots stay within 5e-9 of the older literals:
-    # the short stage alone seeding the requested one (3 and 2 iterations),
-    # then one-stage Newton. Pr = 1 and 2 at step 0.1 blew up without the
-    # short stage
+    # stage seeds the middle stage at 0.16, which starts with forward
+    # differences and leaves the requested one a single iteration. The
+    # roots stay within 5e-9 of the older literals: the middle stage handed
+    # the short stage's Jacobian, then the short stage alone seeding the
+    # requested one (3 and 2 iterations), then one-stage Newton. Pr = 1 and
+    # 2 at step 0.1 blew up without the short stage
     assert shoot_solve(1.0, ShootConfig(step=0.08)) == SolveResult(
-        0.6421785161474405, -0.567137497535021, 2.8008530371184884e-09, 1)
+        0.6421785161484674, -0.5671374974904932, 3.1577751732157614e-09, 1)
     assert shoot_solve(0.72, ShootConfig(step=0.08)) == SolveResult(
-        0.6759780829982968, -0.5046178477420363, 3.853565201031504e-09, 1)
+        0.6759780830401841, -0.5046178474708307, 6.014044977091618e-09, 1)
     assert shoot_solve(0.72, ShootConfig(step=0.1)) == SolveResult(
-        0.6759777111351752, -0.504617986654227, 3.3167324707069652e-09, 1)
+        0.6759777111731448, -0.5046179864081342, 5.277172449057445e-09, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.1)) == SolveResult(
-        0.6421781533253567, -0.567137641815309, 2.3689662415463163e-09, 1)
+        0.6421781533262882, -0.5671376417749855, 2.6921894345434985e-09, 1)
     assert shoot_solve(2.0, ShootConfig(step=0.1)) == SolveResult(
-        0.5712560095097322, -0.7164533948138471, 1.96631978353475e-09, 1)
+        0.5712560094953999, -0.716453394740492, 2.5309688961270573e-09, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.08), problem=Problem.BLASIUS) == SolveResult(
-        0.33205919549314233, None, 3.4505731605349865e-13, 1)
+        0.3320591954933048, None, 1.887379141862766e-14, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.1), problem=Problem.BLASIUS) == SolveResult(
-        0.3320592007580311, None, 3.078648447285559e-13, 1)
-    for pr, step, a, b in ((1.0, 0.08, 0.6421785162057587, -0.56713749789079),
+        0.33205920075817735, None, 1.4099832412739488e-14, 1)
+    for pr, step, a, b in ((1.0, 0.08, 0.6421785161474405, -0.567137497535021),
+                           (0.72, 0.08, 0.6759780829982968, -0.5046178477420363),
+                           (0.72, 0.1, 0.6759777111351752, -0.504617986654227),
+                           (1.0, 0.1, 0.6421781533253567, -0.567137641815309),
+                           (2.0, 0.1, 0.5712560095097322, -0.7164533948138471),
+                           (1.0, 0.08, 0.6421785162057587, -0.56713749789079),
                            (1.0, 0.08, 0.642178516207393, -0.5671374979022337),
                            (0.72, 0.08, 0.6759780829910935, -0.5046178482857858),
                            (0.72, 0.08, 0.67597808298671, -0.504617848222868),
@@ -531,7 +573,8 @@ def test_step_at_or_above_cap_roots_pinned_bit_for_bit():
                            (2.0, 0.1, 0.5712560096862684, -0.7164533952734372)):
         res = shoot_solve(pr, ShootConfig(step=step))
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
-    for step, a in ((0.08, 0.3320591954888135), (0.08, 0.33205919549331037),
+    for step, a in ((0.08, 0.33205919549314233), (0.1, 0.3320592007580311),
+                    (0.08, 0.3320591954888135), (0.08, 0.33205919549331037),
                     (0.1, 0.3320592007536827), (0.1, 0.3320592007581807)):
         assert abs(shoot_solve(1.0, ShootConfig(step=step), problem=Problem.BLASIUS).a - a) < 5e-9
 
@@ -565,16 +608,20 @@ def test_eta_max_12_returns_the_physical_root(monkeypatch):
     # at eta_max = 12 the coarse stage at 0.08 blew up from the default
     # guess, and the stage at 0.01 then returned a reverse-flow root
     # (A = 0.6391764853781349, f' ~ -0.08 at eta = 6). Seeded from the short
-    # stage, the middle and coarse stages converge and no stage falls back;
-    # the older literal is the root with the short stage at 0.16 and no
-    # middle stage
+    # stage, the middle and coarse stages converge and no stage falls back,
+    # and the probe's seed meets tol at 0.01. The older literals: one chord
+    # iteration from the coarse root, then the root with the short stage at
+    # 0.16 and no middle stage
     trajectories = _record_trajectories(monkeypatch)
     cfg = ShootConfig(eta_max=12.0)
     res = shoot_solve(1.0, cfg)
-    assert res == SolveResult(0.6421881396682823, -0.567146474069262, 3.6044471871729887e-11, 1)
-    assert abs(res.a - 0.6421881396644465) < 5e-9 and abs(res.b + 0.5671464740400749) < 5e-9
+    assert res == SolveResult(0.6421881399191578, -0.5671464739675601, 2.8789232614521762e-09, 0)
+    for a, b in ((0.6421881396682823, -0.567146474069262),
+                 (0.6421881396644465, -0.5671464740400749)):
+        assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
     assert abs(res.a - 0.6391764853781349) > 1e-3
-    assert trajectories.count((12.0, 0.01)) == 2
+    assert trajectories.count((12.0, 0.04)) == 1
+    assert trajectories.count((12.0, 0.01)) == 1
     assert _min_f_prime(res, 1.0, cfg) > -1e-8
 
 
@@ -602,11 +649,15 @@ def test_coarse_stage_failure_keeps_the_physical_root_at_pr_0_1():
 # coarse stage starts from the guess: the two-stage root, and without the
 # short and coarse stages it is one-stage Newton's benchmark root. Without
 # the middle and coarse stages, the stage at 0.02 starts from the short
-# root with forward differences
+# root with forward differences. With the middle or the coarse stage
+# failing no seed is extrapolated, and the stage at 0.02 starts from the
+# last converged root. Without the coarse stage the root was
+# 0.6421787637420138, -0.5671373999014597 while the middle stage was
+# handed the short stage's Jacobian
 FALLBACK_ROOTS = {
     "short": (0.6421787637326019, -0.5671373995932919, 1),
     "middle": (0.6421787637327376, -0.5671373995892772, 1),
-    "coarse": (0.6421787637420138, -0.5671373999014597, 1),
+    "coarse": (0.6421787637420014, -0.5671373999014508, 1),
     "short+coarse": (0.6421787637344606, -0.5671373996114442, 7),
     "middle+coarse": (0.6421787637416093, -0.5671373996497694, 2),
     "short+middle+coarse": (0.6421787637344606, -0.5671373996114442, 7),
@@ -635,9 +686,10 @@ def test_each_stage_error_falls_back(monkeypatch, error, failing):
 @pytest.mark.parametrize("failing", ["short", "middle", "coarse"])
 def test_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch, failing):
     # the stage accepts its first step, which writes its Jacobian into the
-    # list, then stops with NonConvergenceError; the next stage starts as
-    # if the failing stage had raised at once, with no Jacobian handed on.
-    # The coarse stage's first step meets tol 1e-8, so no stage stops at tol
+    # list (the short stage is handed none), then stops with
+    # NonConvergenceError; the next stage starts as if the failing stage had
+    # raised at once, with no Jacobian handed on. The coarse stage's first
+    # step meets tol 1e-8, so no stage stops at tol
     original = shooting.newton_solve
 
     def stops_after_one_step(residual, x0, cfg, jacobian=None):
@@ -645,7 +697,7 @@ def test_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch, failing):
             return original(residual, x0, cfg, jacobian)
         with pytest.raises(NonConvergenceError, match="in 1 iterations"):
             original(residual, x0, replace(cfg, max_iter=1, tol=1e-300), jacobian)
-        assert jacobian
+        assert jacobian is None if failing == "short" else jacobian
         raise NonConvergenceError("stage")
 
     monkeypatch.setattr(shooting, "newton_solve", stops_after_one_step)
@@ -684,15 +736,19 @@ def test_pr_1_5_converges_on_the_default_domain_and_at_eta_max_7():
     # from the default guess the oracle blew up at Pr 1.5, eta_max 8 (near
     # eta = 6.34), so compare --pr 1.5 exited 3 while every DTM-Pade rung
     # answered; the short stage seeds a root there. At eta_max 7 it
-    # converged already. The older literals: with the short stage at 0.16
-    # and no middle stage, then at eta_max 7 also without the short stage
+    # converged already. The older literals: one chord iteration from the
+    # coarse root, then with the short stage at 0.16 and no middle stage,
+    # then at eta_max 7 also without the short stage
     res = shoot_solve(1.5, ShootConfig())
     assert ShootConfig().eta_max == 8.0
-    assert (res.a, res.b, res.iterations) == (0.6004966239616517, -0.6515257759554697, 1)
-    assert abs(res.a - 0.6004966239713835) < 5e-9 and abs(res.b + 0.6515257759969173) < 5e-9
+    assert (res.a, res.b, res.iterations) == (0.6004966240264992, -0.6515257758339316, 0)
+    for a, b in ((0.6004966239616517, -0.6515257759554697),
+                 (0.6004966239713835, -0.6515257759969173)):
+        assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
     res = shoot_solve(1.5, ShootConfig(eta_max=7.0))
-    assert (res.a, res.b, res.iterations) == (0.6004829360278263, -0.6515002792320201, 1)
-    for a, b in ((0.6004829360322651, -0.6515002792411994),
+    assert (res.a, res.b, res.iterations) == (0.6004829357182391, -0.6515002792373629, 0)
+    for a, b in ((0.6004829360278263, -0.6515002792320201),
+                 (0.6004829360322651, -0.6515002792411994),
                  (0.6004829360311521, -0.6515002792121631)):
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
 
@@ -719,6 +775,127 @@ def test_two_stage_root_meets_tol_at_the_requested_step(problem, pr, eta_max, st
     assert max(abs(v) for v in residual(got)) <= cfg.tol
     one_stage = newton_solve(residual, DEFAULT_GUESS[problem], cfg)
     assert abs(res.a - one_stage.a) < 1e-8 and abs((res.b or 0.0) - (one_stage.b or 0.0)) < 1e-8
+
+
+def _record_stages(monkeypatch) -> list[list]:
+    """[cfg, x0, root] of every Newton stage that shoot_solve runs from here
+    on; root stays None where the stage raises."""
+    stages = []
+    original = shooting.newton_solve
+
+    def solve(residual, x0, cfg, jacobian=None):
+        stage = [cfg, tuple(x0), None]
+        stages.append(stage)
+        res = original(residual, x0, cfg, jacobian)
+        stage[2] = (res.a,) if res.b is None else (res.a, res.b)
+        return res
+
+    monkeypatch.setattr(shooting, "newton_solve", solve)
+    return stages
+
+
+def _record_probes(monkeypatch) -> list:
+    """The residual of every probe from here on; each probe's step counts as singular."""
+    probes = []
+    monkeypatch.setattr(shooting, "_step", lambda jac, r: probes.append(r))
+    return probes
+
+
+def _assert_two_level_seed(stages, step):
+    """The last three stages ran at 0.16, 0.08 and step, and the last
+    started from x(step) = x_c + (x_c - x_m) (step^4 - c^4) / (c^4 - (2c)^4),
+    c = COARSE_STEP, to within 1e-15 (the probe's seed is ~1e-8 away)."""
+    (_, _, xm), (_, _, xc), (_, x0, _) = stages[-3:]
+    assert [s[0].step for s in stages[-3:]] == [0.16, 0.08, step]
+    c = shooting.COARSE_STEP
+    want = [v + (v - u) * ((step**4 - c**4) / (c**4 - (2 * c) ** 4)) for u, v in zip(xm, xc)]
+    assert max(abs(u - v) for u, v in zip(x0, want)) < 1e-15
+
+
+def _probe_blows_up(monkeypatch):
+    original = shooting.boundary_residual
+
+    def residual(a, b, pr, cfg):
+        if cfg.step == shooting.COARSE_STEP / 2:
+            raise BlowUpError("probe")
+        return original(a, b, pr, cfg)
+
+    monkeypatch.setattr(shooting, "boundary_residual", residual)
+
+
+@pytest.mark.parametrize("spoil", [_probe_blows_up, _record_probes], ids=["blow-up", "singular"])
+@pytest.mark.parametrize("pr, step", [(0.5, 0.02), (1.0, 0.01), (0.72, 0.005), (2.0, 0.03)])
+def test_failed_probe_falls_back_to_the_two_level_seed(monkeypatch, spoil, pr, step):
+    # a probe that blows up, or whose chord step counts as singular, is
+    # skipped: the fine stage starts from the extrapolation of the middle
+    # and coarse roots, and converges at the requested step as with the probe
+    cfg = ShootConfig(step=step)
+    with_probe = shoot_solve(pr, cfg)
+    spoil(monkeypatch)
+    trajectories = _record_trajectories(monkeypatch)
+    stages = _record_stages(monkeypatch)
+    res = shoot_solve(pr, cfg)
+    assert trajectories.count((8.0, 0.04)) == 1
+    _assert_two_level_seed(stages, step)
+    assert max(map(abs, boundary_residual(res.a, res.b, pr, cfg))) <= cfg.tol
+    assert abs(res.a - with_probe.a) < 1e-8 and abs(res.b - with_probe.b) < 1e-8
+
+
+@pytest.mark.parametrize("problem, pr, step", [
+    # the coarse Jacobian predicts a residual below tol at the two-level seed
+    (Problem.BLASIUS, 1.0, 0.01),
+    (Problem.BLASIUS, 1.0, 0.0025),
+    # at and above half the coarse step no probe runs
+    (Problem.FREE_CONVECTION, 1.0, 0.04),
+    (Problem.FREE_CONVECTION, 0.72, 0.05),
+    (Problem.FREE_CONVECTION, 0.5, 0.07),
+])
+def test_no_probe_for_blasius_or_from_half_the_coarse_step(monkeypatch, problem, pr, step):
+    probes = _record_probes(monkeypatch)
+    stages = _record_stages(monkeypatch)
+    res = shoot_solve(pr, ShootConfig(step=step), problem=problem)
+    assert probes == []
+    _assert_two_level_seed(stages, step)
+    assert res.residual_norm <= 1e-8
+
+
+@pytest.mark.parametrize("failing", ["middle", "coarse"])
+def test_failed_seeding_stage_turns_extrapolation_off(monkeypatch, failing):
+    # the stage at the requested step starts from the last converged root,
+    # unextrapolated, and no probe runs
+    original = shooting.boundary_residual
+
+    def stage_fails(a, b, pr, cfg):
+        if (cfg.eta_max, cfg.step) == STAGES[failing]:
+            raise BlowUpError("stage")
+        return original(a, b, pr, cfg)
+
+    monkeypatch.setattr(shooting, "boundary_residual", stage_fails)
+    probes = _record_probes(monkeypatch)
+    stages = _record_stages(monkeypatch)
+    shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
+    assert probes == []
+    converged = [s for s in stages[:-1] if s[2] is not None]
+    assert STAGES[failing] not in [(s[0].eta_max, s[0].step) for s in converged]
+    assert stages[-1][1] == converged[-1][2]
+
+
+@pytest.mark.parametrize("step", [0.005, 0.02, 0.03, 0.05])
+@pytest.mark.parametrize("eta_max", [6.0, 8.0, 10.0])
+@pytest.mark.parametrize("problem, pr", [(Problem.FREE_CONVECTION, 0.5),
+                                         (Problem.FREE_CONVECTION, 1.0),
+                                         (Problem.FREE_CONVECTION, 2.0),
+                                         (Problem.BLASIUS, 1.0)])
+def test_every_returned_root_meets_tol_at_the_requested_step(problem, pr, eta_max, step):
+    # the seed, extrapolated or not, is verified by the stage at the
+    # requested step: the returned root's residual there is within tol
+    cfg = ShootConfig(eta_max=eta_max, step=step)
+    res = shoot_solve(pr, cfg, problem=problem)
+    if problem is Problem.BLASIUS:
+        r = (blasius_boundary_residual(res.a, cfg),)
+    else:
+        r = boundary_residual(res.a, res.b, pr, cfg)
+    assert max(map(abs, r)) == res.residual_norm <= cfg.tol
 
 
 def test_tabulate_blow_up_matches_boundary_residual():
