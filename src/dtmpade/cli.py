@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import __version__
 from .dtm import Problem, ProblemParams, RecurrenceMode, generate
@@ -156,39 +156,44 @@ def _exec_shoot(m: dict) -> dict:
     return asdict(shoot_solve(m["pr"], cfg, x0=m["guess"], problem=Problem(m["problem"])))
 
 
-def _series_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
+def _series_profile_columns(m: dict, grid: list[float]) -> tuple:
     sol = _generate(m)
     fp = differentiate(sol.f_series)
-    rows = []
-    for eta in grid:
-        theta = (series_evaluate(sol.theta_series, eta)
-                 if sol.theta_series is not None else None)
-        rows.append([eta, series_evaluate(sol.f_series, eta),
-                     series_evaluate(fp, eta), theta])
-    return rows
+    theta = sol.theta_series
+    return (list(map(series_evaluate, repeat(sol.f_series), grid)),
+            list(map(series_evaluate, repeat(fp), grid)),
+            repeat(None) if theta is None else list(map(series_evaluate, repeat(theta), grid)))
 
 
-def _integrator_profile_rows(m: dict, grid: list[float]) -> list[list[float]]:
+def _integrator_profile_columns(m: dict, grid: list[float]) -> tuple:
     # profile runs no Newton; the tol/max_iter keys of older manifests are ignored
     cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"])
     rows = tabulate_profile(m["a"], m["b"], m["pr"], grid, cfg, problem=Problem(m["problem"]))
-    return [list(row) for row in rows]
+    return tuple(zip(*rows))[1:]
 
 
 _PROFILE_COLUMNS = ["eta", "f", "fprime", "theta"]
-_PROFILE_ROWS = {"series": _series_profile_rows, "integrator": _integrator_profile_rows}
+_PROFILE_SOURCES = {"series": _series_profile_columns,
+                    "integrator": _integrator_profile_columns}
 
 
 def _exec_profile(m: dict) -> dict:
+    """(eta, f, f', theta) rows of one source, or of both side by side.
+
+    Each source gives its f, f' and theta columns, and each row is built
+    once from the grid and those columns.
+    """
     grid = parse_grid(m["grid"])
     source = m["source"]
-    if source in _PROFILE_ROWS:
-        return {"columns": list(_PROFILE_COLUMNS), "rows": _PROFILE_ROWS[source](m, grid)}
-    if source != "both":
+    if source in _PROFILE_SOURCES:
+        columns, sources = list(_PROFILE_COLUMNS), [source]
+    elif source == "both":
+        columns = ["eta"] + [f"{c}_{s}" for s in _PROFILE_SOURCES for c in _PROFILE_COLUMNS[1:]]
+        sources = list(_PROFILE_SOURCES)
+    else:
         raise UsageError(f"unknown profile source {source!r}")
-    s_rows, i_rows = (rows(m, grid) for rows in _PROFILE_ROWS.values())
-    columns = ["eta"] + [f"{c}_{s}" for s in _PROFILE_ROWS for c in _PROFILE_COLUMNS[1:]]
-    return {"columns": columns, "rows": [s + i[1:] for s, i in zip(s_rows, i_rows)]}
+    cells = [c for s in sources for c in _PROFILE_SOURCES[s](m, grid)]
+    return {"columns": columns, "rows": list(map(list, zip(grid, *cells)))}
 
 
 def _exec_compare(m: dict) -> dict:
@@ -237,8 +242,11 @@ def _fmt(x, digits: int) -> str:
     return str(x)
 
 
-# the types json writes as arrays and objects
+# the types json writes as arrays and objects, and the exact types of the
+# scalars and rows that one C encoder call lays out (see _json_text)
 _CONTAINERS = (list, tuple, dict)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
 _WRITE_CHUNK = 1 << 16
 
 
@@ -254,7 +262,12 @@ def _encoder(indent: str):
 
 
 def _is_flat(items) -> bool:
-    return not any(map(isinstance, items, repeat(_CONTAINERS)))
+    """Whether every item is of a type json writes as a scalar, checked in C.
+
+    The types must match exactly: a subclass, or any other type, goes down
+    _json_text's general path, which gives json.dumps' bytes for it too.
+    """
+    return _SCALARS.issuperset(map(type, items))
 
 
 def _json_text(o, indent: str) -> str:
@@ -279,7 +292,7 @@ def _json_text(o, indent: str) -> str:
         body = ",\n".join(
             inner + (e[:-4] + _json_text(v, inner) if isinstance(v, _CONTAINERS) else e)
             for e, v in zip(entries, o.values()))
-    elif all(isinstance(row, (list, tuple)) and row and _is_flat(row) for row in o):
+    elif _ROWS.issuperset(map(type, o)) and all(o) and _is_flat(chain.from_iterable(o)):
         cell = inner + "  "
         rows = _encoder(cell)(o)[2:-2].replace(f"],\n{cell}[", f"\n{inner}],\n{inner}[\n{cell}")
         body = f"{inner}[\n{cell}{rows}\n{inner}]"

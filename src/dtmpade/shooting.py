@@ -60,8 +60,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from operator import mul
+from itertools import repeat
+from operator import itemgetter, le, mul
 
 from .dtm import Problem, check_prandtl, check_wall_values
 from .errors import BlowUpError, NonConvergenceError
@@ -111,114 +111,126 @@ def _blown_up(reached: float) -> BlowUpError:
     return BlowUpError(f"trajectory blew up near eta = {reached:.4g}", eta_reached=reached)
 
 
-# The steppers run nsub classical RK4 steps of length h from eta on local
-# floats. No stage calls a right-hand-side function, whose call cost about
-# a quarter of a free-convection step: the derivative of f, f' or theta at a
-# stage is that stage's own f', f'' or theta', so each stage computes only
-# f''' (c) and theta'' (e). Every sum keeps the operand order of the vector
-# formula s + (h / 6) * (k1 + 2 k2 + 2 k3 + k4) with stages s + (h / 2) * k,
-# so the trajectories match float64 arrays bit for bit. A component outside
+# The steppers run a whole march in one call: for each (eta, h, nsub)
+# interval, nsub classical RK4 steps of length h from eta on local floats,
+# then the state at the interval's end, one tuple per interval. No stage
+# calls a right-hand-side function, whose call cost about a quarter of a
+# free-convection step: the derivative of f, f' or theta at a stage is that
+# stage's own f', f'' or theta', so each stage computes only f''' (c) and
+# theta'' (e). Every sum keeps the operand order of the vector formula
+# s + (h / 6) * (k1 + 2 k2 + 2 k3 + k4) with stages s + (h / 2) * k, so the
+# trajectories match float64 arrays bit for bit. A component outside
 # [-_BLOWUP_LIMIT, _BLOWUP_LIMIT], or NaN, after any step raises
-# BlowUpError; lo <= x <= hi has the truth value of abs(x) <= hi for
-# every float, infinities and NaN included.
+# BlowUpError at that step's end, eta + i h within its interval;
+# lo <= x <= hi has the truth value of abs(x) <= hi for every float,
+# infinities and NaN included.
 
-def _advance_free_convection(state, eta: float, h: float, nsub: int, pr: float) -> list[float]:
+def _advance_free_convection(state, intervals, pr: float) -> list[tuple[float, ...]]:
     f, fp, fpp, th, thp = state
     # m = -3 Pr, so m * f * thp groups as the (-3.0 * pr) * f * thp of the ODE
     m = -3.0 * pr
-    hh = 0.5 * h
-    h6 = h / 6.0
     hi = _BLOWUP_LIMIT
     lo = -hi
-    for i in range(nsub):
-        c1 = 2.0 * fp * fp - th - 3.0 * f * fpp
-        e1 = m * f * thp
-        f2 = f + hh * fp
-        fp2 = fp + hh * fpp
-        fpp2 = fpp + hh * c1
-        th2 = th + hh * thp
-        thp2 = thp + hh * e1
-        c2 = 2.0 * fp2 * fp2 - th2 - 3.0 * f2 * fpp2
-        e2 = m * f2 * thp2
-        f3 = f + hh * fp2
-        fp3 = fp + hh * fpp2
-        fpp3 = fpp + hh * c2
-        th3 = th + hh * thp2
-        thp3 = thp + hh * e2
-        c3 = 2.0 * fp3 * fp3 - th3 - 3.0 * f3 * fpp3
-        e3 = m * f3 * thp3
-        f4 = f + h * fp3
-        fp4 = fp + h * fpp3
-        fpp4 = fpp + h * c3
-        th4 = th + h * thp3
-        thp4 = thp + h * e3
-        c4 = 2.0 * fp4 * fp4 - th4 - 3.0 * f4 * fpp4
-        e4 = m * f4 * thp4
-        f = f + h6 * (fp + 2.0 * fp2 + 2.0 * fp3 + fp4)
-        fp = fp + h6 * (fpp + 2.0 * fpp2 + 2.0 * fpp3 + fpp4)
-        fpp = fpp + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        th = th + h6 * (thp + 2.0 * thp2 + 2.0 * thp3 + thp4)
-        thp = thp + h6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-        if not (lo <= f <= hi and lo <= fp <= hi and lo <= fpp <= hi
-                and lo <= th <= hi and lo <= thp <= hi):
-            raise _blown_up(eta + (i + 1) * h)
-    return [f, fp, fpp, th, thp]
-
-
-def _advance_blasius(state, eta: float, h: float, nsub: int) -> list[float]:
-    f, fp, fpp = state
-    hh = 0.5 * h
-    h6 = h / 6.0
-    hi = _BLOWUP_LIMIT
-    lo = -hi
-    for i in range(nsub):
-        c1 = -0.5 * f * fpp
-        f2 = f + hh * fp
-        fp2 = fp + hh * fpp
-        fpp2 = fpp + hh * c1
-        c2 = -0.5 * f2 * fpp2
-        f3 = f + hh * fp2
-        fp3 = fp + hh * fpp2
-        fpp3 = fpp + hh * c2
-        c3 = -0.5 * f3 * fpp3
-        f4 = f + h * fp3
-        fp4 = fp + h * fpp3
-        fpp4 = fpp + h * c3
-        c4 = -0.5 * f4 * fpp4
-        f = f + h6 * (fp + 2.0 * fp2 + 2.0 * fp3 + fp4)
-        fp = fp + h6 * (fpp + 2.0 * fpp2 + 2.0 * fpp3 + fpp4)
-        fpp = fpp + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        if not (lo <= f <= hi and lo <= fp <= hi and lo <= fpp <= hi):
-            raise _blown_up(eta + (i + 1) * h)
-    return [f, fp, fpp]
-
-
-def _march(advance, state, stops, step: float) -> list[list[float]]:
-    """RK4 from eta = 0 through each stop; the state at every stop.
-
-    Each interval between stops is split into equal sub-steps no longer than
-    step, so every stop is hit exactly; advance(state, eta, h, nsub) takes
-    them in one call and raises BlowUpError on a blow-up.
-    """
-    state = [float(v) for v in state]
     out = []
+    for eta, h, nsub in intervals:
+        hh = 0.5 * h
+        h6 = h / 6.0
+        for i in range(nsub):
+            c1 = 2.0 * fp * fp - th - 3.0 * f * fpp
+            e1 = m * f * thp
+            f2 = f + hh * fp
+            fp2 = fp + hh * fpp
+            fpp2 = fpp + hh * c1
+            th2 = th + hh * thp
+            thp2 = thp + hh * e1
+            c2 = 2.0 * fp2 * fp2 - th2 - 3.0 * f2 * fpp2
+            e2 = m * f2 * thp2
+            f3 = f + hh * fp2
+            fp3 = fp + hh * fpp2
+            fpp3 = fpp + hh * c2
+            th3 = th + hh * thp2
+            thp3 = thp + hh * e2
+            c3 = 2.0 * fp3 * fp3 - th3 - 3.0 * f3 * fpp3
+            e3 = m * f3 * thp3
+            f4 = f + h * fp3
+            fp4 = fp + h * fpp3
+            fpp4 = fpp + h * c3
+            th4 = th + h * thp3
+            thp4 = thp + h * e3
+            c4 = 2.0 * fp4 * fp4 - th4 - 3.0 * f4 * fpp4
+            e4 = m * f4 * thp4
+            f = f + h6 * (fp + 2.0 * fp2 + 2.0 * fp3 + fp4)
+            fp = fp + h6 * (fpp + 2.0 * fpp2 + 2.0 * fpp3 + fpp4)
+            fpp = fpp + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            th = th + h6 * (thp + 2.0 * thp2 + 2.0 * thp3 + thp4)
+            thp = thp + h6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            if not (lo <= f <= hi and lo <= fp <= hi and lo <= fpp <= hi
+                    and lo <= th <= hi and lo <= thp <= hi):
+                raise _blown_up(eta + (i + 1) * h)
+        out.append((f, fp, fpp, th, thp))
+    return out
+
+
+def _advance_blasius(state, intervals) -> list[tuple[float, ...]]:
+    f, fp, fpp = state
+    hi = _BLOWUP_LIMIT
+    lo = -hi
+    out = []
+    for eta, h, nsub in intervals:
+        hh = 0.5 * h
+        h6 = h / 6.0
+        for i in range(nsub):
+            c1 = -0.5 * f * fpp
+            f2 = f + hh * fp
+            fp2 = fp + hh * fpp
+            fpp2 = fpp + hh * c1
+            c2 = -0.5 * f2 * fpp2
+            f3 = f + hh * fp2
+            fp3 = fp + hh * fpp2
+            fpp3 = fpp + hh * c2
+            c3 = -0.5 * f3 * fpp3
+            f4 = f + h * fp3
+            fp4 = fp + h * fpp3
+            fpp4 = fpp + h * c3
+            c4 = -0.5 * f4 * fpp4
+            f = f + h6 * (fp + 2.0 * fp2 + 2.0 * fp3 + fp4)
+            fp = fp + h6 * (fpp + 2.0 * fpp2 + 2.0 * fpp3 + fpp4)
+            fpp = fpp + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            if not (lo <= f <= hi and lo <= fp <= hi and lo <= fpp <= hi):
+                raise _blown_up(eta + (i + 1) * h)
+        out.append((f, fp, fpp))
+    return out
+
+
+def _march(advance, state, stops, step: float, *args) -> list[tuple[float, ...]]:
+    """RK4 from eta = 0 through each stop in one call of advance; the state at every stop.
+
+    The interval from the last stop (or 0) to the next is split into nsub
+    equal sub-steps of h = span / nsub, no longer than step, so every stop
+    is hit exactly; a stop not past the last one is an interval of no steps.
+    advance(state, intervals, *args) runs the (eta, h, nsub) intervals in
+    turn, each from its own eta, where a blow-up is placed, and raises
+    BlowUpError on one.
+    """
+    intervals = []
     eta = 0.0
     for stop in stops:
         span = stop - eta
         if span > 0:
-            nsub = max(1, math.ceil(span / step - 1e-12))
-            state = advance(state, eta, span / nsub, nsub)
+            nsub = math.ceil(span / step - 1e-12) or 1
+            intervals.append((eta, span / nsub, nsub))
             eta = stop
-        out.append(state)
-    return out
+        else:
+            intervals.append((eta, 0.0, 0))
+    return advance([float(v) for v in state], intervals, *args)
 
 
 def boundary_residual(a: float, b: float, pr: float, cfg: ShootConfig) -> tuple[float, float]:
     """(f'(eta_max), theta(eta_max)) for wall derivatives (a, b); a bad pr raises ValueError."""
     check_prandtl(pr)
     check_wall_values(a, b)
-    state = _march(partial(_advance_free_convection, pr=pr), [0.0, 0.0, a, 1.0, b],
-                   [cfg.eta_max], cfg.step)[-1]
+    state = _march(_advance_free_convection, [0.0, 0.0, a, 1.0, b], [cfg.eta_max], cfg.step,
+                   pr)[-1]
     return state[1], state[3]
 
 
@@ -320,22 +332,23 @@ def tabulate_profile(
 ) -> tuple[tuple[float, float, float, float | None], ...]:
     """(eta, f, f', theta) rows at exactly the requested eta values; theta is None for Blasius.
 
-    Each inter-grid interval is integrated with a whole number of sub-steps
-    no larger than cfg.step, so grid points are hit without interpolation.
+    One march integrates each inter-grid interval with a whole number of
+    sub-steps no larger than cfg.step, so grid points are hit without
+    interpolation.
     """
     check_prandtl(pr)
     check_wall_values(a, b)
     cfg = cfg or ShootConfig()
-    grid = [float(g) for g in grid]
-    if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
+    grid = list(map(float, grid))
+    if any(map(le, grid[1:], grid)):
         raise ValueError("grid must be strictly increasing")
     if grid and (grid[0] < 0 or grid[-1] > cfg.eta_max + 1e-12):
         raise ValueError(f"grid must lie within [0, eta_max = {cfg.eta_max}]")
 
     if problem is Problem.BLASIUS:
-        advance, state = _advance_blasius, [0.0, 0.0, a]
+        states = _march(_advance_blasius, [0.0, 0.0, a], grid, cfg.step)
+        theta = repeat(None)
     else:
-        advance, state = partial(_advance_free_convection, pr=pr), [0.0, 0.0, a, 1.0, b]
-    states = _march(advance, state, grid, cfg.step)
-    return tuple((eta, s[0], s[1], s[3] if len(s) == 5 else None)
-                 for eta, s in zip(grid, states))
+        states = _march(_advance_free_convection, [0.0, 0.0, a, 1.0, b], grid, cfg.step, pr)
+        theta = map(itemgetter(3), states)
+    return tuple(zip(grid, map(itemgetter(0), states), map(itemgetter(1), states), theta))

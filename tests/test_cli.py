@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from decimal import Decimal
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,35 @@ def test_json_emit_is_json_dumps_with_indent(manifest, result):
     buf = io.StringIO()
     cli.emit(manifest, result, buf)
     assert buf.getvalue() == json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n"
+
+
+class _Float(float):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# cells of exact scalar types, among a float subclass and an IntEnum, which
+# the C type scan of _json_text sends down its general path
+mixed_cells = st.one_of(json_scalars, st.floats().map(_Float), st.sampled_from(_Level))
+mixed_rows = st.one_of(
+    st.lists(mixed_cells, min_size=1, max_size=4),
+    st.lists(mixed_cells, min_size=1, max_size=4).map(tuple),
+    st.just([]),
+    st.lists(mixed_cells, max_size=3).map(lambda row: row + [[0.5, None]]),
+)
+
+
+@given(st.one_of(
+    st.lists(mixed_cells, max_size=6),
+    st.dictionaries(st.text(), mixed_cells, max_size=6),
+    st.lists(mixed_rows, min_size=1, max_size=5),
+))
+def test_json_text_of_flat_containers_and_row_blocks_is_json_dumps(o):
+    assert cli._json_text(o, "") == json.dumps(o, indent=2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -84,8 +84,10 @@ def test_rk4_self_test_exponential():
     # theta'' = -3 Pr f theta' with Pr = 1, f = -1/3. Ten classical RK4 steps
     # of 0.1 land on e to about 2e-6; the coupling moves it by ~eps only
     eps = 1e-9
-    fpp = _advance_blasius([-2.0, 0.0, eps], 0.0, 0.1, 10)[2]
-    thp = _advance_free_convection([-1.0 / 3.0, 0.0, 0.0, 0.0, eps], 0.0, 0.1, 10, 1.0)[4]
+    (fpp_state,) = _advance_blasius([-2.0, 0.0, eps], [(0.0, 0.1, 10)])
+    (thp_state,) = _advance_free_convection([-1.0 / 3.0, 0.0, 0.0, 0.0, eps], [(0.0, 0.1, 10)],
+                                            1.0)
+    fpp, thp = fpp_state[2], thp_state[4]
     for y in (fpp, thp):
         assert y / eps == pytest.approx(math.e, abs=3e-6)
 
@@ -104,8 +106,9 @@ def test_rk4_fourth_order_slope():
 
 @pytest.mark.parametrize("problem", ["free_convection", "blasius"])
 def test_rk4_step_matches_numpy_vector_form(problem):
-    # one call of nsub steps equals nsub vector steps, each fed the last; the
-    # span nsub * h stays below 0.2 so that no random start blows up
+    # one interval of nsub steps equals nsub vector steps, each fed the last,
+    # and so does each interval of a march of several, at its end; the whole
+    # span stays below 0.2 so that no random start blows up
     advance, rhs, dim = STEPPERS[problem]
     rng = np.random.default_rng(7)
     for nsub in (1, 2, 7):
@@ -114,7 +117,18 @@ def test_rk4_step_matches_numpy_vector_form(problem):
             want = state
             for _ in range(nsub):
                 want = _vector_rk4_step(rhs, want, h)
-            assert advance(state.tolist(), 0.0, h, nsub) == want.tolist()
+            assert advance(state.tolist(), [(0.0, h, nsub)]) == [tuple(want.tolist())]
+    for _ in range(200):
+        start = state = rng.normal(scale=3.0, size=dim)
+        intervals, want, eta = [], [], 0.0
+        for nsub in rng.permutation([1, 2, 7]).tolist():
+            h = rng.uniform(1e-3, 0.2) / (3 * nsub)
+            intervals.append((eta, h, nsub))
+            eta += nsub * h
+            for _ in range(nsub):
+                state = _vector_rk4_step(rhs, state, h)
+            want.append(tuple(state.tolist()))
+        assert advance(start.tolist(), intervals) == want
 
 
 def test_step_halving_error_ratio_on_problem():
@@ -171,6 +185,12 @@ def test_blow_up_reports_eta():
         reached = info.value.eta_reached
         assert 1.0 < reached < 5.0
         assert reached == round(reached / 0.05) * 0.05
+        # through a stop at 1, the same steps of 0.05 (1 / 20 and 7 / 140 are
+        # that float) blow up in the second interval, counted from its eta
+        with pytest.raises(BlowUpError) as info:
+            _march(advance, state, [1.0, 8.0], 0.05)
+        assert info.value.eta_reached == 1.0 + round((reached - 1.0) / 0.05) * 0.05
+        assert info.value.eta_reached == pytest.approx(reached, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -253,6 +273,11 @@ def test_blow_up_check_sees_each_component(problem, component, start, h):
     with pytest.raises(BlowUpError) as info:
         _march(advance, start, [h], h)
     assert info.value.eta_reached == h
+    # in a later interval of a march of several stops (the first has no
+    # steps, the third is never reached), the same step blows up at the same eta
+    with pytest.raises(BlowUpError) as later:
+        _march(advance, start, [0.0, h, 2 * h], h)
+    assert later.value.eta_reached == info.value.eta_reached
 
 
 def test_residuals_pinned_bit_for_bit():
@@ -368,9 +393,9 @@ def test_benchmark_requests_count_rk4_steps_and_trajectories(monkeypatch, proble
                                                              middle, probe, rk4_steps, step):
     steps = []
     for name in ("_advance_free_convection", "_advance_blasius"):
-        def counted(state, eta, h, nsub, *args, _original=getattr(shooting, name), **kwargs):
-            steps.append(nsub)
-            return _original(state, eta, h, nsub, *args, **kwargs)
+        def counted(state, intervals, *args, _original=getattr(shooting, name)):
+            steps.extend(nsub for _, _, nsub in intervals)
+            return _original(state, intervals, *args)
         monkeypatch.setattr(shooting, name, counted)
     trajectories = _record_trajectories(monkeypatch)
     shoot_solve(pr, ShootConfig(eta_max=8.0, step=step, tol=1e-8), problem=problem)

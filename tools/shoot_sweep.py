@@ -9,8 +9,9 @@ with whichever dtmpade is importable, and writes one JSON row per case: its
 outcome (exit code and error class, as the CLI would map them), the root,
 the residual norm at the requested step recomputed from the root, the
 trajectories and the RK4 steps. A trajectory is counted at each call of
-boundary_residual or blasius_boundary_residual, and RK4 steps at each
-stepper call, up to the blow-up point of a trajectory that blows up.
+boundary_residual or blasius_boundary_residual, and RK4 steps as the nsub of
+the one interval each of their stepper calls runs, up to the blow-up point
+of a trajectory that blows up.
 
 `compare` reads two such files, case by case, and prints the outcome
 changes, the largest root move, the step totals and every case whose RK4
@@ -49,9 +50,11 @@ def run(path: str) -> None:
     counts = {"trajectories": 0, "rk4_steps": 0}
 
     def counted_stepper(original):
-        def advance(state, eta, h, nsub, *args, **kwargs):
+        def advance(state, intervals, *args):
+            # a residual marches to eta_max alone: one interval
+            (eta, h, nsub), = intervals
             try:
-                out = original(state, eta, h, nsub, *args, **kwargs)
+                out = original(state, intervals, *args)
             except BlowUpError as exc:
                 counts["rk4_steps"] += round((exc.eta_reached - eta) / h)
                 raise
