@@ -16,14 +16,19 @@ Newton takes fewer damped trials and blows up less often. On the full
 domain, a middle stage then solves at 2 * COARSE_STEP for a requested step
 below that, and a coarse stage at COARSE_STEP for a requested step below
 that: the damped trials run at the middle stage's 50 RK4 steps per
-trajectory on eta_max = 8, and the coarse stage mostly takes its residual
-and one step. The fine stage last solves at the requested step, so a
-returned root meets tol at that step. The short stage hands on its root
-alone: its last Jacobian, from eta_max = 6, cost the middle stage more
-trajectories than forward differences. Each later stage's first iteration
-reuses the previous stage's last Jacobian, which differs from its own by
-discretisation error, in place of two forward-difference trajectories
-(newton_solve falls back to them where that step fails).
+trajectory on eta_max = 8. Where the middle stage converged and handed on
+its last Jacobian J, the coarse stage is one chord step: one trajectory
+at COARSE_STEP from the middle root x_m and x_c = x_m - J^-1 r(x_m),
+unverified, as the probe below; where that trajectory blows up or the
+step counts as singular, Newton runs at COARSE_STEP from x_m as before.
+The fine stage last solves at the requested step, so a returned root
+meets tol at that step. For free convection the short stage hands on its
+root alone: its last Jacobian, from eta_max = 6, cost the middle stage
+more trajectories than forward differences; for Blasius it saves one.
+Each later stage's first iteration reuses the previous stage's last
+Jacobian, which differs from its own by discretisation error, in place of
+two forward-difference trajectories (newton_solve falls back to them
+where that step fails).
 
 Where the middle and coarse stages both converge, the fine stage starts
 from a Richardson extrapolation instead of the coarse root. A fixed-step
@@ -32,20 +37,21 @@ x_c at c (c = COARSE_STEP) predict the root at step h as
 x(h) = x_c + (x_c - x_m) (h^4 - c^4) / (c^4 - (2c)^4). At the benchmark's
 free-convection cases that seed's residual at h is 3.9e-8 to 6.1e-8 (the
 coarse root's 7.9e-7 to 9.8e-7), still above tol = 1e-8.
-Below c / 2, where the coarse stage's last Jacobian J predicts a residual
-|J (x_c - x(h))| above tol, a probe runs one trajectory at c / 2 from
-x(c / 2) and takes one chord step with J, unverified; the extrapolation
-through x_c and the probe point reads 0.75e-9 to 2.0e-9 at the requested
-step, so the fine stage runs its residual alone. A probe that blows up or
-whose step counts as singular is skipped, leaving the two-level seed. A
-stage that blows up or does not converge hands on neither root nor
-Jacobian: the next starts from the last converged root, or the caller's
-guess, as if it had not run, and no seed is extrapolated.
+Below c / 2, where J (or the coarse Newton stage's last Jacobian)
+predicts a residual |J (x_c - x(h))| above tol, a probe runs one
+trajectory at c / 2 from x(c / 2) and takes one chord step with it,
+unverified; the extrapolation through x_c and the probe point reads
+0.75e-9 to 2.0e-9 at the requested step, so the fine stage runs its
+residual alone. A probe that blows up or whose step counts as singular is
+skipped, leaving the two-level seed. A stage that blows up or does not
+converge hands on neither root nor Jacobian: the next starts from the
+last converged root, or the caller's guess, as if it had not run, and no
+seed is extrapolated.
 
 From the default guess on eta_max = 8, at steps 0.01 and 0.02, the short,
-middle and coarse stages, the probe and the fine stage run 13-16, 7-10, 2,
-1 and 1 trajectories at Pr 0.5-1 (1 397 to 2 004 RK4 steps per request),
-and 7, 5, 2, none and 1 for Blasius (983 and 1 383 steps).
+middle and coarse stages, the probe and the fine stage run 13-16, 7-10, 1,
+1 and 1 trajectories at Pr 0.5-1 (1 297 to 1 904 RK4 steps per request),
+and 7, 4, 1, none and 1 for Blasius (833 and 1 233 steps).
 
 Free convection integrates the first-order system of
 (f, f', f'', theta, theta') with
@@ -252,12 +258,14 @@ def shoot_solve(
     A short stage on eta_max = SHORT_ETA_MAX, at SHORT_STEP or cfg.step if
     coarser, runs first whenever cfg.eta_max > SHORT_ETA_MAX; then a middle
     stage at 2 * COARSE_STEP whenever cfg.step is finer, and a coarse stage
-    at COARSE_STEP whenever cfg.step < COARSE_STEP. Each converged stage
-    seeds the next, and each full-domain one hands on its last Jacobian;
-    the stage at cfg.step starts from the Richardson extrapolation of the
-    middle and coarse roots where both converged (see the module
-    docstring). The result's iterations count the stage at cfg.step. A
-    root off the signs A > 0, B < 0 warns, as solve_problem's does.
+    at COARSE_STEP whenever cfg.step < COARSE_STEP, one chord step from
+    the middle root where that converged. Each converged stage seeds the
+    next, and each full-domain one (and the Blasius short stage) hands on
+    its last Jacobian; the stage at cfg.step starts from the Richardson
+    extrapolation of the middle and coarse roots where both converged (see
+    the module docstring). The result's iterations count the stage at
+    cfg.step. A root off the signs A > 0, B < 0 warns, as solve_problem's
+    does.
     """
     check_prandtl(pr)
     x = initial_guess(problem, x0)
@@ -269,12 +277,16 @@ def shoot_solve(
     roots = {}  # step: root of each converged full-domain stage
     for stage in _stages(cfg):
         full = stage.eta_max == cfg.eta_max
-        try:
-            root = newton_solve(residual(stage), x, stage, jac if full else None)
-        except (BlowUpError, NonConvergenceError):
-            jac.clear()
-            continue
-        x = (root.a,) if root.b is None else (root.a, root.b)
+        root = _chord(residual, stage, x, jac) if stage.step == COARSE_STEP and jac else None
+        if root is None:
+            try:
+                res = newton_solve(residual(stage), x, stage,
+                                   jac if full or problem is Problem.BLASIUS else None)
+            except (BlowUpError, NonConvergenceError):
+                jac.clear()
+                continue
+            root = (res.a,) if res.b is None else (res.a, res.b)
+        x = root
         if full:
             roots[stage.step] = x
     if len(roots) == 2:
@@ -312,14 +324,19 @@ def _richardson_seed(residual, cfg: ShootConfig, middle, coarse, jac: list) -> t
     if not (cfg.step < c / 2 and predicted > cfg.tol):
         return seed
     half = _extrapolate(coarse, middle, c, c / 2)
+    probe = _chord(residual, replace(cfg, step=c / 2), half, jac)
+    return seed if probe is None else _extrapolate(probe, coarse, c / 2, cfg.step)
+
+
+def _chord(residual, cfg: ShootConfig, x, jac: list) -> tuple[float, ...] | None:
+    """x - J^-1 r(x): one trajectory of residual(cfg) and one chord step
+    with the rows jac, unverified; None where the trajectory raises, as a
+    Newton stage's would, or the step counts as singular."""
     try:
-        chord = _step(jac, residual(replace(cfg, step=c / 2))(half))
-    except BlowUpError:
-        chord = None
-    if chord is None:
-        return seed
-    probe = tuple(v - s for v, s in zip(half, chord))
-    return _extrapolate(probe, coarse, c / 2, cfg.step)
+        step = _step(jac, residual(cfg)(x))
+    except (BlowUpError, NonConvergenceError):
+        return None
+    return None if step is None else tuple(v - s for v, s in zip(x, step))
 
 
 def tabulate_profile(

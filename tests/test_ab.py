@@ -1,4 +1,4 @@
-"""tools/ab.py: the identity hash, the oracle sweep, batch sizing and the parent import."""
+"""tools/ab.py: the identity hash, the sweep, the layer cases, batch sizing and the export."""
 
 from __future__ import annotations
 
@@ -120,3 +120,23 @@ def test_packages_imports_the_commit_from_the_temporary_directory(tmp_path):
         assert {Path(m.__file__).resolve().parent for m in modules} == {where.resolve()}
         assert all(m.__name__.startswith(prefix + ".") for m in modules)
     assert sides["rev"]["shooting"] is not sides["head"]["shooting"]
+
+
+def test_shoot_round_case_solves_the_seed_1_shoot_oracle_round(monkeypatch, tmp_path):
+    # one shoot_solve per request, with the manifest's inputs: the results
+    # are those of cli.execute on the same round
+    monkeypatch.setattr(ab, "export", _copied)
+    pkg = ab.packages("unused", tmp_path)["head"]
+    shooting = pkg["shooting"]
+    requests = ab._first_round("shoot_oracle", 1, pkg["version"])
+    case = ab.cases(pkg)["shoot_round_us", "seed_1"]
+    original, calls = shooting.shoot_solve, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(shooting, "shoot_solve", counted)
+    results = case()
+    assert len(calls) == len(requests) == 11
+    assert [dataclasses.asdict(r) for r in results] == [pkg["cli"].execute(m) for m in requests]

@@ -293,12 +293,15 @@ def test_residuals_pinned_bit_for_bit():
 def test_bench_shoot_roots_pinned_bit_for_bit():
     # the roots at the benchmark's shoot_oracle settings, from the default guess;
     # any change to a trajectory or to Newton's path shows here. The short
-    # stage (eta_max 6, step 0.32) seeds the middle stage at 0.16 and the
-    # coarse stage at 0.08; at Pr = 1 one chord step from the Richardson
-    # extrapolation of their roots to 0.04 (the probe) seeds the stage at
+    # stage (eta_max 6, step 0.32) seeds the middle stage at 0.16, and one
+    # chord step from the middle root is the coarse root at 0.08, bit for
+    # bit the coarse Newton stage's; at Pr = 1 one chord step from the
+    # Richardson extrapolation of their roots to 0.04 (the probe) seeds the stage at
     # 0.02, and the extrapolation to 0.02 from the coarse and probe roots
     # meets tol there: no iteration. Blasius runs no probe, and the
-    # extrapolation of the middle and coarse roots meets tol. One-stage
+    # extrapolation of the middle and coarse roots meets tol; its middle
+    # stage starts from the short stage's Jacobian (the first older Blasius
+    # literal is the root with forward differences there). One-stage
     # Newton took 7 and 3 iterations to roots that stay close. The older
     # literals: one chord iteration from the coarse root with the coarse
     # Jacobian (1, and 0 for Blasius from the coarse root), then with the
@@ -315,8 +318,9 @@ def test_bench_shoot_roots_pinned_bit_for_bit():
                  (0.6421787637344606, -0.5671373996114442)):
         assert abs(res.a - a) < 1e-9 and abs(res.b - b) < 1e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.3320591920104239, 0)
-    for a in (0.33205919549314233, 0.3320591954888135, 0.33205919549331037):
+    assert (res.a, res.iterations) == (0.3320591920105522, 0)
+    for a in (0.3320591920104239, 0.33205919549314233, 0.3320591954888135,
+              0.33205919549331037):
         assert abs(res.a - a) < 5e-9
     # within tol / |d residual / dA| of the root that Newton at 0.02 converges to
     assert abs(res.a - 0.3320591917502373) < 5e-9
@@ -325,8 +329,9 @@ def test_bench_shoot_roots_pinned_bit_for_bit():
 def test_bench_shoot_roots_at_the_default_step_pinned_bit_for_bit():
     # at step 0.01 the short, middle and coarse stages and the probe at 0.04
     # run as at 0.02, and the seed extrapolated to 0.01 meets tol: no
-    # iteration for Pr = 1 or Blasius. The older literals: one chord
-    # iteration from the coarse root (Blasius: the coarse root, the 0.02
+    # iteration for Pr = 1 or Blasius. The older literals: Blasius with
+    # forward differences in the middle stage, then one chord iteration
+    # from the coarse root (Blasius: the coarse root, the 0.02
     # root bit for bit), then with the short stage at 0.16 and no middle
     # stage, then also without the short stage, then with a coarse stage
     # at 4 * 0.01 = 0.04
@@ -339,9 +344,9 @@ def test_bench_shoot_roots_at_the_default_step_pinned_bit_for_bit():
                  (0.6421787646224484, -0.5671373992469261)):
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
     res = shoot_solve(1.0, cfg, problem=Problem.BLASIUS)
-    assert (res.a, res.iterations) == (0.3320591919976192, 0)
-    for a in (0.33205919549314233, 0.3320591954888135, 0.33205919549331037,
-              0.3320591919776551):
+    assert (res.a, res.iterations) == (0.3320591919977485, 0)
+    for a in (0.3320591919976192, 0.33205919549314233, 0.3320591954888135,
+              0.33205919549331037, 0.3320591919776551):
         assert abs(res.a - a) < 5e-9
 
 
@@ -372,21 +377,26 @@ def test_fine_stage_is_one_trajectory_from_the_probe_seed(monkeypatch, pr, step)
 # the trajectories per stage, and the RK4 steps in all, of a request at each
 # benchmark shoot_oracle case (eta_max 8, tol 1e-8) from the default guess.
 # Each seeding stage halves the step, so the damped Newton trials run at
-# 0.32 on eta_max 6 and at 0.16 (50 steps), where the middle stage starts
-# with forward differences; the coarse stage at 0.08 takes its residual and
-# one chord trial, the probe at 0.04 one trajectory (free convection only)
-# and the fine stage one. With the short stage's Jacobian handed on and no
-# probe the middle stage ran 8 / 9 / 10 / 4 trajectories and the fine stage
+# 0.32 on eta_max 6 and at 0.16 (50 steps), where the free-convection
+# middle stage starts with forward differences and the Blasius one with the
+# short stage's Jacobian; the coarse level at 0.08 is one chord trajectory
+# from the middle root, the probe at 0.04 one trajectory (free convection
+# only) and the fine stage one. While the coarse stage ran Newton (its
+# residual and one chord trial) and Blasius' middle stage started with
+# forward differences (5 trajectories), the requests took 2 004 / 1 854 /
+# 1 797 / 1 383 RK4 steps at step 0.01 and 1 604 / 1 454 / 1 397 / 983 at
+# 0.02. With the short stage's Jacobian handed on for free convection too
+# and no probe the middle stage ran 8 / 9 / 10 / 4 trajectories and the fine stage
 # 2 (1 for Blasius): 2 504 / 2 554 / 2 547 / 1 333 RK4 steps at step 0.01
 # and 1 704 / 1 754 / 1 747 / 933 at 0.02. With the short stage at 0.16
 # and no middle stage the free-convection requests took 3 008 / 3 108 /
 # 2 894 at step 0.01 and 2 208 / 2 308 / 2 094 at 0.02, and Blasius 1 466
 # and 1 066
 @pytest.mark.parametrize("problem, pr, short, middle, probe, rk4_steps", [
-    (Problem.FREE_CONVECTION, 0.5, 16, 10, 1, {0.01: 2004, 0.02: 1604}),
-    (Problem.FREE_CONVECTION, 0.72, 16, 7, 1, {0.01: 1854, 0.02: 1454}),
-    (Problem.FREE_CONVECTION, 1.0, 13, 7, 1, {0.01: 1797, 0.02: 1397}),
-    (Problem.BLASIUS, 1.0, 7, 5, 0, {0.01: 1383, 0.02: 983}),
+    (Problem.FREE_CONVECTION, 0.5, 16, 10, 1, {0.01: 1904, 0.02: 1504}),
+    (Problem.FREE_CONVECTION, 0.72, 16, 7, 1, {0.01: 1754, 0.02: 1354}),
+    (Problem.FREE_CONVECTION, 1.0, 13, 7, 1, {0.01: 1697, 0.02: 1297}),
+    (Problem.BLASIUS, 1.0, 7, 4, 0, {0.01: 1233, 0.02: 833}),
 ])
 @pytest.mark.parametrize("step", [0.01, 0.02])
 def test_benchmark_requests_count_rk4_steps_and_trajectories(monkeypatch, problem, pr, short,
@@ -399,7 +409,7 @@ def test_benchmark_requests_count_rk4_steps_and_trajectories(monkeypatch, proble
         monkeypatch.setattr(shooting, name, counted)
     trajectories = _record_trajectories(monkeypatch)
     shoot_solve(pr, ShootConfig(eta_max=8.0, step=step, tol=1e-8), problem=problem)
-    want = {(6.0, 0.32): short, (8.0, 0.16): middle, (8.0, 0.08): 2, (8.0, 0.04): probe,
+    want = {(6.0, 0.32): short, (8.0, 0.16): middle, (8.0, 0.08): 1, (8.0, 0.04): probe,
             (8.0, step): 1}
     assert dict(Counter(trajectories)) == {k: n for k, n in want.items() if n}
     assert sum(steps) == rk4_steps[step]
@@ -418,6 +428,36 @@ def _change_handed_on_jacobian(monkeypatch, stage, change):
         return original(residual, x0, cfg, jacobian)
 
     monkeypatch.setattr(shooting, "newton_solve", solve)
+
+
+def _first_trajectory_raises(monkeypatch, stage, error):
+    """The first free-convection trajectory at (eta_max, step) = stage from
+    here on raises error: at COARSE_STEP the coarse chord step's, at
+    COARSE_STEP / 2 the probe's."""
+    original = shooting.boundary_residual
+    raised = []
+
+    def residual(a, b, pr, cfg):
+        if (cfg.eta_max, cfg.step) == stage and not raised:
+            raised.append(cfg)
+            raise error("chord")
+        return original(a, b, pr, cfg)
+
+    monkeypatch.setattr(shooting, "boundary_residual", residual)
+
+
+def _singular_chord(monkeypatch, step):
+    """The chord step at step (COARSE_STEP, or the probe's COARSE_STEP / 2)
+    counts as singular from here on: after its trajectory it steps with
+    rows of zeros."""
+    original = shooting._chord
+
+    def chord(residual, cfg, x, jac):
+        if cfg.step == step:
+            jac = [(0.0,) * len(x)] * len(jac)
+        return original(residual, cfg, x, jac)
+
+    monkeypatch.setattr(shooting, "_chord", chord)
 
 
 # the root at Pr 1, eta_max 8, step 0.05 when the fine stage is handed no
@@ -441,9 +481,13 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
                                                                  stage, step):
     # iteration 0 is redone with forward differences at the stage's first
     # iterate, so shoot_solve returns, bit for bit, the root it returns when
-    # that stage is handed no Jacobian
+    # that stage is handed no Jacobian. At 0.08 the chord step's trajectory
+    # blows up, so that the coarse Newton stage runs
     cfg = ShootConfig(eta_max=8.0, step=step, tol=1e-8)
+    chord_blows_up = stage[1] == shooting.COARSE_STEP
     with monkeypatch.context() as m:
+        if chord_blows_up:
+            _first_trajectory_raises(m, stage, BlowUpError)
         _change_handed_on_jacobian(m, stage, lambda jac: [])
         trajectories = _record_trajectories(m)
         want = shoot_solve(1.0, cfg)
@@ -452,6 +496,8 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
         # the residual, the two forward-difference columns and the trial of their step
         assert (want.a, want.b, want.iterations) == FINE_FD_ROOT
         assert want_count == 1 + 2 + 1
+    if chord_blows_up:
+        _first_trajectory_raises(monkeypatch, stage, BlowUpError)
     _change_handed_on_jacobian(monkeypatch, stage, bad)
     trajectories = _record_trajectories(monkeypatch)
     assert shoot_solve(1.0, cfg) == want
@@ -459,11 +505,14 @@ def test_bad_handed_on_jacobian_falls_back_to_forward_differences(monkeypatch, b
 
 
 def test_middle_stage_starts_with_forward_differences(monkeypatch):
-    # the short stage hands on its root alone: its last Jacobian, from
-    # eta_max 6, cost the middle stage on eta_max 8 more trajectories than
-    # forward differences (a benchmark round: 1 808.1 against 1 785.4 RK4
-    # steps per request before the probe). The coarse and fine stages are
-    # handed the previous stage's rows
+    # for free convection the short stage hands on its root alone: its last
+    # Jacobian, from eta_max 6, cost the middle stage on eta_max 8 more
+    # trajectories than forward differences (a benchmark round: 1 808.1
+    # against 1 785.4 RK4 steps per request before the probe). For Blasius
+    # it saves the middle stage one trajectory (1 283 -> 1 233 RK4 steps at
+    # step 0.01), so the Blasius short stage is handed the list too. The
+    # coarse level is one chord step with the middle stage's rows, run
+    # outside newton_solve, and the fine stage is handed those rows
     handed = {}
 
     def solve(residual, x0, cfg, jacobian=None):
@@ -472,7 +521,10 @@ def test_middle_stage_starts_with_forward_differences(monkeypatch):
 
     monkeypatch.setattr(shooting, "newton_solve", solve)
     shoot_solve(1.0, ShootConfig(step=0.02))
-    assert handed == {(6.0, 0.32): None, (8.0, 0.16): 0, (8.0, 0.08): 2, (8.0, 0.02): 2}
+    assert handed == {(6.0, 0.32): None, (8.0, 0.16): 0, (8.0, 0.02): 2}
+    handed.clear()
+    shoot_solve(1.0, ShootConfig(step=0.02), problem=Problem.BLASIUS)
+    assert handed == {(6.0, 0.32): 0, (8.0, 0.16): 1, (8.0, 0.02): 1}
 
 
 # a requested step of 0.2, from the short stage's root: the root the stage
@@ -564,9 +616,11 @@ def test_coarse_stage_runs_up_to_the_cap(monkeypatch, eta_max, step, stages):
 def test_step_at_or_above_cap_roots_pinned_bit_for_bit():
     # a step of 0.08 or more runs no coarse stage; on eta_max 8 the short
     # stage seeds the middle stage at 0.16, which starts with forward
-    # differences and leaves the requested one a single iteration. The
-    # roots stay within 5e-9 of the older literals: the middle stage handed
-    # the short stage's Jacobian, then the short stage alone seeding the
+    # differences (Blasius: with the short stage's Jacobian) and leaves the
+    # requested one a single iteration. The roots stay within 5e-9 of the
+    # older literals: Blasius with forward differences in the middle stage,
+    # the middle stage handed the short stage's Jacobian (free convection
+    # too), then the short stage alone seeding the
     # requested one (3 and 2 iterations), then one-stage Newton. Pr = 1 and
     # 2 at step 0.1 blew up without the short stage
     assert shoot_solve(1.0, ShootConfig(step=0.08)) == SolveResult(
@@ -580,9 +634,9 @@ def test_step_at_or_above_cap_roots_pinned_bit_for_bit():
     assert shoot_solve(2.0, ShootConfig(step=0.1)) == SolveResult(
         0.5712560094953999, -0.716453394740492, 2.5309688961270573e-09, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.08), problem=Problem.BLASIUS) == SolveResult(
-        0.3320591954933048, None, 1.887379141862766e-14, 1)
+        0.33205919549314233, None, 3.4505731605349865e-13, 1)
     assert shoot_solve(1.0, ShootConfig(step=0.1), problem=Problem.BLASIUS) == SolveResult(
-        0.33205920075817735, None, 1.4099832412739488e-14, 1)
+        0.3320592007580311, None, 3.078648447285559e-13, 1)
     for pr, step, a, b in ((1.0, 0.08, 0.6421785161474405, -0.567137497535021),
                            (0.72, 0.08, 0.6759780829982968, -0.5046178477420363),
                            (0.72, 0.1, 0.6759777111351752, -0.504617986654227),
@@ -598,7 +652,7 @@ def test_step_at_or_above_cap_roots_pinned_bit_for_bit():
                            (2.0, 0.1, 0.5712560096862684, -0.7164533952734372)):
         res = shoot_solve(pr, ShootConfig(step=step))
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
-    for step, a in ((0.08, 0.33205919549314233), (0.1, 0.3320592007580311),
+    for step, a in ((0.08, 0.3320591954933048), (0.1, 0.33205920075817735),
                     (0.08, 0.3320591954888135), (0.08, 0.33205919549331037),
                     (0.1, 0.3320592007536827), (0.1, 0.3320592007581807)):
         assert abs(shoot_solve(1.0, ShootConfig(step=step), problem=Problem.BLASIUS).a - a) < 5e-9
@@ -634,14 +688,16 @@ def test_eta_max_12_returns_the_physical_root(monkeypatch):
     # guess, and the stage at 0.01 then returned a reverse-flow root
     # (A = 0.6391764853781349, f' ~ -0.08 at eta = 6). Seeded from the short
     # stage, the middle and coarse stages converge and no stage falls back,
-    # and the probe's seed meets tol at 0.01. The older literals: one chord
-    # iteration from the coarse root, then the root with the short stage at
-    # 0.16 and no middle stage
+    # and the probe's seed meets tol at 0.01. The older literals: the coarse
+    # Newton stage from the middle root in place of one chord step (2e-11
+    # away), then one chord iteration from the coarse root, then the root
+    # with the short stage at 0.16 and no middle stage
     trajectories = _record_trajectories(monkeypatch)
     cfg = ShootConfig(eta_max=12.0)
     res = shoot_solve(1.0, cfg)
-    assert res == SolveResult(0.6421881399191578, -0.5671464739675601, 2.8789232614521762e-09, 0)
-    for a, b in ((0.6421881396682823, -0.567146474069262),
+    assert res == SolveResult(0.6421881399391184, -0.5671464740569134, 2.073746109069082e-09, 0)
+    for a, b in ((0.6421881399191578, -0.5671464739675601),
+                 (0.6421881396682823, -0.567146474069262),
                  (0.6421881396644465, -0.5671464740400749)):
         assert abs(res.a - a) < 5e-9 and abs(res.b - b) < 5e-9
     assert abs(res.a - 0.6391764853781349) > 1e-3
@@ -714,7 +770,10 @@ def test_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch, failing):
     # list (the short stage is handed none), then stops with
     # NonConvergenceError; the next stage starts as if the failing stage had
     # raised at once, with no Jacobian handed on. The coarse stage's first
-    # step meets tol 1e-8, so no stage stops at tol
+    # step meets tol 1e-8, so no stage stops at tol; it runs Newton because
+    # the chord step's trajectory blows up
+    if failing == "coarse":
+        _first_trajectory_raises(monkeypatch, STAGES["coarse"], BlowUpError)
     original = shooting.newton_solve
 
     def stops_after_one_step(residual, x0, cfg, jacobian=None):
@@ -803,52 +862,53 @@ def test_two_stage_root_meets_tol_at_the_requested_step(problem, pr, eta_max, st
 
 
 def _record_stages(monkeypatch) -> list[list]:
-    """[cfg, x0, root] of every Newton stage that shoot_solve runs from here
-    on; root stays None where the stage raises."""
+    """[cfg, x0, root] of every Newton stage and every chord step (the
+    coarse level's and the probe's) that shoot_solve runs from here on, in
+    order; root stays None where the stage raises or the chord fails."""
     stages = []
-    original = shooting.newton_solve
+    solve, chord = shooting.newton_solve, shooting._chord
 
-    def solve(residual, x0, cfg, jacobian=None):
+    def solved(residual, x0, cfg, jacobian=None):
         stage = [cfg, tuple(x0), None]
         stages.append(stage)
-        res = original(residual, x0, cfg, jacobian)
+        res = solve(residual, x0, cfg, jacobian)
         stage[2] = (res.a,) if res.b is None else (res.a, res.b)
         return res
 
-    monkeypatch.setattr(shooting, "newton_solve", solve)
+    def chorded(residual, cfg, x, jac):
+        stage = [cfg, tuple(x), None]
+        stages.append(stage)
+        stage[2] = chord(residual, cfg, x, jac)
+        return stage[2]
+
+    monkeypatch.setattr(shooting, "newton_solve", solved)
+    monkeypatch.setattr(shooting, "_chord", chorded)
     return stages
 
 
-def _record_probes(monkeypatch) -> list:
-    """The residual of every probe from here on; each probe's step counts as singular."""
-    probes = []
-    monkeypatch.setattr(shooting, "_step", lambda jac, r: probes.append(r))
-    return probes
+def _no_probe_ran(stages) -> bool:
+    """No chord step at the probe's step COARSE_STEP / 2 seeded the last stage."""
+    return all(s[0].step != shooting.COARSE_STEP / 2 for s in stages[:-1])
 
 
 def _assert_two_level_seed(stages, step):
-    """The last three stages ran at 0.16, 0.08 and step, and the last
-    started from x(step) = x_c + (x_c - x_m) (step^4 - c^4) / (c^4 - (2c)^4),
+    """The levels at 0.16 and 0.08 gave x_m and x_c, no probe gave a root,
+    and the last stage ran at step from
+    x(step) = x_c + (x_c - x_m) (step^4 - c^4) / (c^4 - (2c)^4),
     c = COARSE_STEP, to within 1e-15 (the probe's seed is ~1e-8 away)."""
-    (_, _, xm), (_, _, xc), (_, x0, _) = stages[-3:]
-    assert [s[0].step for s in stages[-3:]] == [0.16, 0.08, step]
     c = shooting.COARSE_STEP
+    roots = {s[0].step: s[2] for s in stages[:-1]}  # at 0.08, the last to run
+    cfg, x0, _ = stages[-1]
+    assert cfg.step == step and roots.get(c / 2) is None
+    xm, xc = roots[2 * c], roots[c]
     want = [v + (v - u) * ((step**4 - c**4) / (c**4 - (2 * c) ** 4)) for u, v in zip(xm, xc)]
     assert max(abs(u - v) for u, v in zip(x0, want)) < 1e-15
 
 
-def _probe_blows_up(monkeypatch):
-    original = shooting.boundary_residual
-
-    def residual(a, b, pr, cfg):
-        if cfg.step == shooting.COARSE_STEP / 2:
-            raise BlowUpError("probe")
-        return original(a, b, pr, cfg)
-
-    monkeypatch.setattr(shooting, "boundary_residual", residual)
-
-
-@pytest.mark.parametrize("spoil", [_probe_blows_up, _record_probes], ids=["blow-up", "singular"])
+@pytest.mark.parametrize("spoil", [
+    partial(_first_trajectory_raises, stage=(8.0, shooting.COARSE_STEP / 2), error=BlowUpError),
+    partial(_singular_chord, step=shooting.COARSE_STEP / 2),
+], ids=["blow-up", "singular"])
 @pytest.mark.parametrize("pr, step", [(0.5, 0.02), (1.0, 0.01), (0.72, 0.005), (2.0, 0.03)])
 def test_failed_probe_falls_back_to_the_two_level_seed(monkeypatch, spoil, pr, step):
     # a probe that blows up, or whose chord step counts as singular, is
@@ -876,10 +936,9 @@ def test_failed_probe_falls_back_to_the_two_level_seed(monkeypatch, spoil, pr, s
     (Problem.FREE_CONVECTION, 0.5, 0.07),
 ])
 def test_no_probe_for_blasius_or_from_half_the_coarse_step(monkeypatch, problem, pr, step):
-    probes = _record_probes(monkeypatch)
     stages = _record_stages(monkeypatch)
     res = shoot_solve(pr, ShootConfig(step=step), problem=problem)
-    assert probes == []
+    assert _no_probe_ran(stages)
     _assert_two_level_seed(stages, step)
     assert res.residual_norm <= 1e-8
 
@@ -896,13 +955,46 @@ def test_failed_seeding_stage_turns_extrapolation_off(monkeypatch, failing):
         return original(a, b, pr, cfg)
 
     monkeypatch.setattr(shooting, "boundary_residual", stage_fails)
-    probes = _record_probes(monkeypatch)
     stages = _record_stages(monkeypatch)
     shoot_solve(1.0, ShootConfig(eta_max=8.0, step=0.02, tol=1e-8))
-    assert probes == []
+    assert _no_probe_ran(stages)
     converged = [s for s in stages[:-1] if s[2] is not None]
     assert STAGES[failing] not in [(s[0].eta_max, s[0].step) for s in converged]
     assert stages[-1][1] == converged[-1][2]
+
+
+# the roots from the coarse Newton stage, before the coarse level became
+# one chord step, and that stage's trajectories at 0.08: at Pr 1 the
+# chord's root is the same bit for bit; at Pr 3, eta_max 16, step 0.0025
+# the Newton stage took a second iteration (residual, trial, two forward
+# differences, trial), and the chord's root is 1.6e-10 away, the largest
+# move of the 1 020-case sweep
+NEWTON_COARSE_ROOTS = {
+    (1.0, 8.0, 0.02): ((0.642178763965301, -0.5671373995284787, 0), 2),
+    (3.0, 16.0, 0.0025): ((0.5308708056223159, -0.8155449739460507, 0), 5),
+}
+
+
+@pytest.mark.parametrize("spoil", ["blow-up", "no-convergence", "singular"])
+@pytest.mark.parametrize("pr, eta_max, step", list(NEWTON_COARSE_ROOTS))
+def test_failed_coarse_chord_runs_the_newton_stage(monkeypatch, spoil, pr, eta_max, step):
+    # a chord trajectory that raises, or a chord step that counts as
+    # singular, leaves the coarse level to Newton from the middle root with
+    # the middle stage's Jacobian, which returns the coarse Newton stage's root
+    stage = (eta_max, shooting.COARSE_STEP)
+    if spoil == "singular":
+        _singular_chord(monkeypatch, shooting.COARSE_STEP)
+    else:
+        error = BlowUpError if spoil == "blow-up" else NonConvergenceError
+        _first_trajectory_raises(monkeypatch, stage, error)
+    trajectories = _record_trajectories(monkeypatch)
+    stages = _record_stages(monkeypatch)
+    res = shoot_solve(pr, ShootConfig(eta_max=eta_max, step=step))
+    root, newton_trajectories = NEWTON_COARSE_ROOTS[pr, eta_max, step]
+    assert (res.a, res.b, res.iterations) == root
+    chord, newton = [s for s in stages if s[0].step == shooting.COARSE_STEP]
+    assert chord[2] is None and newton[2] is not None and chord[1] == newton[1]
+    assert trajectories.count(stage) == 1 + newton_trajectories
 
 
 @pytest.mark.parametrize("step", [0.005, 0.02, 0.03, 0.05])

@@ -19,8 +19,10 @@ exits 1 when any pair of hashes differs.
 `layers` prints a JSON object shaped like the `micro` blocks of the
 BENCH_*.json files: the best of --repeat rounds, each timing a batch of
 every case on both sides, the side that runs first alternating, of the
-layers that ROADMAP's performance aim names; each pair is [REV, this
-checkout] in microseconds per call.
+layers that ROADMAP's performance aim names, and of the oracle as the
+benchmark drives it (shoot_round_us: shooting.shoot_solve on each request
+of the seed-1 shoot_oracle round); each pair is [REV, this checkout] in
+microseconds per call.
 
 `sweep` calls each side's shooting.shoot_solve from the default guess on
 1 020 cases (Blasius and free convection at Pr 0.1-7; eta_max 5-16; steps
@@ -104,16 +106,21 @@ def _emitted(cli, manifest: dict) -> bytes:
     return buf.getvalue().encode()
 
 
-def identity(sides: dict) -> bool:
+def _first_round(workload: str, seed: int, version: str) -> list[dict]:
+    """The manifests of a workload's first round at seed, as bench/run.py issues them."""
     workloads = _bench("workloads")
+    return next(workloads.rounds(workloads.WORKLOADS[workload], seed, version,
+                                 workloads.load_refs()))
+
+
+def identity(sides: dict) -> bool:
     version = sides["head"]["version"]
-    refs = workloads.load_refs()
     same = True
     print(f"{'workload':16s} {'seed':>5s} {'requests':>8s}  {'REV sha256':16s}  "
           f"{'checkout sha256':16s}")
-    for name, workload in workloads.WORKLOADS.items():
+    for name in _bench("workloads").WORKLOADS:
         for seed in SEEDS:
-            requests = next(workloads.rounds(workload, seed, version, refs))
+            requests = _first_round(name, seed, version)
             digests = {side: hashlib.sha256(b"".join(
                 _emitted(sides[side]["cli"], m) for m in requests)).hexdigest()
                 for side in ("rev", "head")}
@@ -146,6 +153,12 @@ def cases(pkg: dict) -> dict:
     cfg = shooting.ShootConfig()
     out["trajectory_us", "blasius_eta_max_8_step_0.01"] = (
         lambda: shooting.blasius_boundary_residual(0.332, cfg))
+    shoots = [(m["pr"], shooting.ShootConfig(eta_max=m["eta_max"], step=m["step"], tol=m["tol"],
+                                             max_iter=m["max_iter"]),
+               m["guess"], dtm.Problem(m["problem"]))
+              for m in _first_round("shoot_oracle", 1, pkg["version"])]
+    out["shoot_round_us", "seed_1"] = lambda: [
+        shooting.shoot_solve(pr, scfg, x0, problem) for pr, scfg, x0, problem in shoots]
     out["tabulate_profile_us", "grid_0:2:0.01"] = (
         lambda: shooting.tabulate_profile(0.6421, -0.5671, 1.0, grid, cfg))
     out["tabulate_profile_us", "blasius_grid_0:2:0.01"] = (
@@ -187,7 +200,8 @@ def layers(sides: dict, repeat: int, rev: str) -> dict:
                      "free convection at Pr 1 from (A, B) = (0.6421, -0.5671) for "
                      "trajectories and profiles and (0.6, -0.6) for generate, the closure "
                      "residual, its Jacobian and the [n/n] fit of its theta series, "
-                     "Blasius at A = 0.332"}
+                     "Blasius at A = 0.332; shoot_round_us is one call of shoot_solve per "
+                     "request of the seed-1 shoot_oracle round, from its seeded guesses"}
     for fn in [*calls["rev"].values(), *calls["head"].values()]:
         fn()  # untimed, so that no batch is sized by a first call's imports (numpy)
     # every case in every round, so that a slow spell of the host spoils one
