@@ -6,52 +6,51 @@ on the far-boundary mismatch. Infinity is realized as the truncation point
 eta_max, where f'(eta_max) = 0 and theta(eta_max) = 0 (f' = 1 for Blasius)
 are imposed; there is no domain mapping.
 
-Newton runs in up to four stages with one stopping rule, each seeding the
-next (continuation in eta_max, then nested iteration down a ladder of
-halving steps). On a domain longer than SHORT_ETA_MAX, a short stage first
-solves on eta_max = SHORT_ETA_MAX from the caller's guess, at SHORT_STEP or
-the requested step if coarser: f'(eta_max) and theta(eta_max) grow
-exponentially with the error in the guess, over a shorter span there, so
-Newton takes fewer damped trials and blows up less often. On the full
-domain, a middle stage then solves at 2 * COARSE_STEP for a requested step
-below that, and a coarse stage at COARSE_STEP for a requested step below
-that: the damped trials run at the middle stage's 50 RK4 steps per
-trajectory on eta_max = 8. Where the middle stage converged and handed on
-its last Jacobian J, the coarse stage is one chord step: one trajectory
-at COARSE_STEP from the middle root x_m and x_c = x_m - J^-1 r(x_m),
-unverified, as the probe below; where that trajectory blows up or the
-step counts as singular, Newton runs at COARSE_STEP from x_m as before.
-The fine stage last solves at the requested step, so a returned root
-meets tol at that step. For free convection the short stage hands on its
-root alone: its last Jacobian, from eta_max = 6, cost the middle stage
-more trajectories than forward differences; for Blasius it saves one.
-Each later stage's first iteration reuses the previous stage's last
-Jacobian, which differs from its own by discretisation error, in place of
-two forward-difference trajectories (newton_solve falls back to them
-where that step fails).
+shoot_solve seeds its fine stage, Newton at the requested step h, with up
+to four levels, in the order below (continuation in eta_max, then nested
+iteration down a ladder of halving steps; c = COARSE_STEP). Each level
+starts from the last root found before it, or the caller's guess. A level that blows up or does
+not converge hands on neither root nor Jacobian rows, as if it had not run.
+A Newton level's first iteration steps with the rows handed on, which
+differ from its own Jacobian by discretisation error, in place of two
+forward-difference trajectories; newton_solve falls back to them where
+that step fails.
 
-Where the middle and coarse stages both converge, the fine stage starts
-from a Richardson extrapolation instead of the coarse root. A fixed-step
-RK4 root has the global error C h^4 + O(h^5), so the roots x_m at 2c and
-x_c at c (c = COARSE_STEP) predict the root at step h as
-x(h) = x_c + (x_c - x_m) (h^4 - c^4) / (c^4 - (2c)^4). At the benchmark's
-free-convection cases that seed's residual at h is 3.9e-8 to 6.1e-8 (the
-coarse root's 7.9e-7 to 9.8e-7), still above tol = 1e-8.
-Below c / 2, where J (or the coarse Newton stage's last Jacobian)
-predicts a residual |J (x_c - x(h))| above tol, a probe runs one
-trajectory at c / 2 from x(c / 2) and takes one chord step with it,
-unverified; the extrapolation through x_c and the probe point reads
-0.75e-9 to 2.0e-9 at the requested step, so the fine stage runs its
-residual alone. A probe that blows up or whose step counts as singular is
-skipped, leaving the two-level seed. A stage that blows up or does not
-converge hands on neither root nor Jacobian: the next starts from the
-last converged root, or the caller's guess, as if it had not run, and no
-seed is extrapolated.
+1. Short, on a domain longer than SHORT_ETA_MAX: Newton on eta_max =
+   SHORT_ETA_MAX at SHORT_STEP, or h if coarser. f'(eta_max) and
+   theta(eta_max) grow exponentially with the error in the guess, over a
+   shorter span there, so Newton takes fewer damped trials and blows up
+   less often: at Pr 0.5 and 1, 0.32 converges on eta_max = 6 from the
+   default guess, where 0.16 and 0.32 blow up on eta_max = 8. Only Blasius
+   hands on its rows (they save the middle level one trajectory); for
+   free convection, rows from eta_max = 6 cost the middle level more
+   trajectories than forward differences.
+2. Middle, for h below 2c: Newton at 2c on the full domain, so the damped
+   trials run at 50 RK4 steps per trajectory on eta_max = 8.
+3. Coarse, for h below c: where rows J were handed on, one chord step,
+   x_c = x_m - J^-1 r(x_m) from the middle root x_m, one trajectory at c
+   and unverified; otherwise, or where that trajectory raises or the step
+   counts as singular, Newton at c. Without this level the fine stage's
+   chord step from the middle root often misses tol.
+4. Seed and probe, where the middle and coarse levels both gave a root:
+   a fixed-step
+   RK4 root has the global error C h^4 + O(h^5), so x_m at 2c and x_c at c
+   predict the root at h as
+   x(h) = x_c + (x_c - x_m) (h^4 - c^4) / (c^4 - (2c)^4), the fine
+   stage's seed.
+   At the benchmark's free-convection cases its residual at h is 3.9e-8 to
+   6.1e-8 (the coarse root's 7.9e-7 to 9.8e-7), still above tol = 1e-8.
+   So below c / 2, where the last rows J handed on predict a residual
+   |J (x_c - x(h))| above tol, one trajectory at c / 2 from x(c / 2) and
+   one chord step with J, unverified, give the probe point, and the seed
+   is the extrapolation through x_c and it: 0.75e-9 to 2.0e-9 at h. A probe
+   that raises or whose step counts as singular leaves the two-level seed.
 
-From the default guess on eta_max = 8, at steps 0.01 and 0.02, the short,
-middle and coarse stages, the probe and the fine stage run 13-16, 7-10, 1,
-1 and 1 trajectories at Pr 0.5-1 (1 297 to 1 904 RK4 steps per request),
-and 7, 4, 1, none and 1 for Blasius (833 and 1 233 steps).
+The fine stage runs last, from the seed or else the last root, so a
+returned root meets tol at h. From the default guess on eta_max = 8, at
+steps 0.01 and 0.02, the four levels and the fine stage run 13-16, 7-10,
+1, 1 and 1 trajectories at Pr 0.5-1 (1 297 to 1 904 RK4 steps per
+request), and 7, 4, 1, none and 1 for Blasius (833 and 1 233 steps).
 
 Free convection integrates the first-order system of
 (f, f', f'', theta, theta') with
@@ -74,17 +73,10 @@ from .errors import BlowUpError, NonConvergenceError
 from .rootfind import SolveResult, _step, check_signs, check_stopping, initial_guess, newton_solve
 
 _BLOWUP_LIMIT = 1e8
-# the coarse Newton stage runs at COARSE_STEP, and the middle stage at
-# 2 * COARSE_STEP, for every finer requested step. From the default guess
-# the middle stage blows up on eta_max = 8 at Pr 0.5 and 1; seeded by the
-# short stage it converges. Without the coarse stage, the fine stage's
-# chord step from the middle root often misses tol. The probe runs at
-# COARSE_STEP / 2, for requested steps below that
+# the coarse level's step; the middle level runs at twice it and the probe
+# at half it
 COARSE_STEP = 0.08
-# the short stage's domain and finest step, for every longer domain; on
-# eta_max = 6 the step 0.32 converges from the default guess at Pr 0.5 and
-# 1, where 0.16 and 0.32 blow up on eta_max = 8. A coarser requested step
-# runs the short stage at that step
+# the short level's domain and finest step
 SHORT_ETA_MAX = 6.0
 SHORT_STEP = 4 * COARSE_STEP
 # eta_max / step above this is refused, as parse_grid refuses over 10**6
@@ -253,19 +245,13 @@ def shoot_solve(
     x0=None,
     problem: Problem = Problem.FREE_CONVECTION,
 ) -> SolveResult:
-    """Newton on the far-boundary mismatch; returns the oracle (A, B).
+    """Newton on the far-boundary mismatch at cfg; returns the oracle (A, B).
 
-    A short stage on eta_max = SHORT_ETA_MAX, at SHORT_STEP or cfg.step if
-    coarser, runs first whenever cfg.eta_max > SHORT_ETA_MAX; then a middle
-    stage at 2 * COARSE_STEP whenever cfg.step is finer, and a coarse stage
-    at COARSE_STEP whenever cfg.step < COARSE_STEP, one chord step from
-    the middle root where that converged. Each converged stage seeds the
-    next, and each full-domain one (and the Blasius short stage) hands on
-    its last Jacobian; the stage at cfg.step starts from the Richardson
-    extrapolation of the middle and coarse roots where both converged (see
-    the module docstring). The result's iterations count the stage at
-    cfg.step. A root off the signs A > 0, B < 0 warns, as solve_problem's
-    does.
+    x0 (the problem's default guess where None) starts the seeding levels
+    of the module docstring, and they seed the fine stage, Newton at cfg,
+    so a returned root meets cfg.tol at cfg.step. The result's iterations
+    count the fine stage. A root off the signs A > 0, B < 0 warns, as
+    solve_problem's does.
     """
     check_prandtl(pr)
     x = initial_guess(problem, x0)
@@ -274,34 +260,38 @@ def shoot_solve(
     else:
         residual = lambda c: lambda x: boundary_residual(x[0], x[1], pr, c)
     jac = []
-    roots = {}  # step: root of each converged full-domain stage
-    for stage in _stages(cfg):
-        full = stage.eta_max == cfg.eta_max
-        root = _chord(residual, stage, x, jac) if stage.step == COARSE_STEP and jac else None
-        if root is None:
-            try:
-                res = newton_solve(residual(stage), x, stage,
-                                   jac if full or problem is Problem.BLASIUS else None)
-            except (BlowUpError, NonConvergenceError):
-                jac.clear()
-                continue
-            root = (res.a,) if res.b is None else (res.a, res.b)
-        x = root
-        if full:
-            roots[stage.step] = x
-    if len(roots) == 2:
-        x = _richardson_seed(residual, cfg, roots[2 * COARSE_STEP], roots[COARSE_STEP], jac)
-    return check_signs(newton_solve(residual(cfg), x, cfg, jac))
 
+    def newton(level: ShootConfig, x, rows: list | None) -> tuple[float, ...] | None:
+        """The root at level from x, or None with jac emptied where Newton fails."""
+        try:
+            res = newton_solve(residual(level), x, level, rows)
+        except (BlowUpError, NonConvergenceError):
+            jac.clear()
+            return None
+        return (res.a,) if res.b is None else (res.a, res.b)
 
-def _stages(cfg: ShootConfig) -> list[ShootConfig]:
-    """The Newton stages that seed the one at cfg, in the order they run."""
-    stages = []
+    c = COARSE_STEP
+    middle = coarse = None
     if cfg.eta_max > SHORT_ETA_MAX:
-        stages.append(replace(cfg, eta_max=SHORT_ETA_MAX, step=max(SHORT_STEP, cfg.step)))
-    stages += [replace(cfg, step=step) for step in (2 * COARSE_STEP, COARSE_STEP)
-               if cfg.step < step]
-    return stages
+        short = replace(cfg, eta_max=SHORT_ETA_MAX, step=max(SHORT_STEP, cfg.step))
+        x = newton(short, x, jac if problem is Problem.BLASIUS else None) or x
+    if cfg.step < 2 * c:
+        middle = newton(replace(cfg, step=2 * c), x, jac)
+        x = middle or x
+    if cfg.step < c:
+        level = replace(cfg, step=c)
+        coarse = (_chord(residual, level, x, jac) if jac else None) or newton(level, x, jac)
+        x = coarse or x
+    if middle and coarse:
+        x = _extrapolate(coarse, middle, c, cfg.step)
+        shift = [u - v for u, v in zip(coarse, x)]
+        predicted = max((abs(math.fsum(map(mul, row, shift))) for row in jac), default=0.0)
+        if cfg.step < c / 2 and predicted > cfg.tol:
+            half = _extrapolate(coarse, middle, c, c / 2)
+            probe = _chord(residual, replace(cfg, step=c / 2), half, jac)
+            if probe is not None:
+                x = _extrapolate(probe, coarse, c / 2, cfg.step)
+    return check_signs(newton_solve(residual(cfg), x, cfg, jac))
 
 
 def _extrapolate(fine, coarse, step: float, h: float) -> tuple[float, ...]:
@@ -311,21 +301,6 @@ def _extrapolate(fine, coarse, step: float, h: float) -> tuple[float, ...]:
     r = h / step
     w = (1.0 - r * r * r * r) / 15.0
     return tuple(v + (v - u) * w for v, u in zip(fine, coarse))
-
-
-def _richardson_seed(residual, cfg: ShootConfig, middle, coarse, jac: list) -> tuple[float, ...]:
-    """The fine stage's seed from the middle and coarse roots, through a
-    probe at COARSE_STEP / 2 where jac predicts a residual above cfg.tol
-    (see the module docstring)."""
-    c = COARSE_STEP
-    seed = _extrapolate(coarse, middle, c, cfg.step)
-    shift = [u - v for u, v in zip(coarse, seed)]
-    predicted = max((abs(math.fsum(map(mul, row, shift))) for row in jac), default=0.0)
-    if not (cfg.step < c / 2 and predicted > cfg.tol):
-        return seed
-    half = _extrapolate(coarse, middle, c, c / 2)
-    probe = _chord(residual, replace(cfg, step=c / 2), half, jac)
-    return seed if probe is None else _extrapolate(probe, coarse, c / 2, cfg.step)
 
 
 def _chord(residual, cfg: ShootConfig, x, jac: list) -> tuple[float, ...] | None:

@@ -789,6 +789,66 @@ def test_stage_failing_after_a_step_hands_on_no_jacobian(monkeypatch, failing):
     assert (res.a, res.b, res.iterations) == FALLBACK_ROOTS[failing]
 
 
+# the short stage's trajectories before the rest raise: with 3, its first
+# step is accepted and writes one row into the list before it fails
+@pytest.mark.parametrize("before", [0, 3])
+@pytest.mark.parametrize("error", [BlowUpError, NonConvergenceError])
+def test_failing_blasius_short_stage_hands_on_no_rows(monkeypatch, error, before):
+    # the Blasius short stage is the one stage off the full domain that is
+    # handed the list; failing, it empties it, so the middle stage starts
+    # from the guess with forward differences, and the chord step at 0.08
+    # and the fine stage take the middle stage's row
+    original = shooting.blasius_boundary_residual
+    calls, handed = [], {}
+
+    def short_fails(a, cfg):
+        if (cfg.eta_max, cfg.step) == STAGES["short"]:
+            calls.append(a)
+            if len(calls) > before:
+                raise error("short")
+        return original(a, cfg)
+
+    def solve(residual, x0, cfg, jacobian=None):
+        handed[(cfg.eta_max, cfg.step)] = len(jacobian)
+        return newton_solve(residual, x0, cfg, jacobian)
+
+    monkeypatch.setattr(shooting, "blasius_boundary_residual", short_fails)
+    monkeypatch.setattr(shooting, "newton_solve", solve)
+    res = shoot_solve(1.0, ShootConfig(step=0.02), problem=Problem.BLASIUS)
+    assert (res.a, res.iterations) == (0.33205919201042505, 0)
+    assert handed == {(6.0, 0.32): 0, (8.0, 0.16): 0, (8.0, 0.02): 1}
+
+
+def test_middle_stage_converged_at_its_guess_hands_on_no_rows(monkeypatch):
+    # from the middle stage's own root the middle stage takes no step and
+    # writes no rows, so the 0.08 level runs Newton by forward differences
+    # (no chord step) and hands its rows to the probe's chord step at 0.04
+    middle = ShootConfig(eta_max=6.0, step=0.16)
+    x0 = (0.6420045711342044, -0.567039125178548)
+    root = newton_solve(lambda x: boundary_residual(x[0], x[1], 1.0, middle),
+                        DEFAULT_GUESS[Problem.FREE_CONVECTION], middle)
+    assert (root.a, root.b) == x0
+    iterations, chords = {}, []
+    solve, chord = shooting.newton_solve, shooting._chord
+
+    def solved(residual, x, cfg, jacobian=None):
+        rows = len(jacobian)
+        res = solve(residual, x, cfg, jacobian)
+        iterations[(cfg.eta_max, cfg.step)] = (rows, res.iterations)
+        return res
+
+    def chorded(residual, cfg, x, jac):
+        chords.append((cfg.step, len(jac)))
+        return chord(residual, cfg, x, jac)
+
+    monkeypatch.setattr(shooting, "newton_solve", solved)
+    monkeypatch.setattr(shooting, "_chord", chorded)
+    res = shoot_solve(1.0, ShootConfig(eta_max=6.0, step=0.01), x0=x0)
+    assert res == SolveResult(0.6420084744549008, -0.5670375774989788, 7.42404071017708e-10, 0)
+    assert iterations == {(6.0, 0.16): (0, 0), (6.0, 0.08): (0, 1), (6.0, 0.01): (2, 0)}
+    assert chords == [(0.04, 2)]
+
+
 @pytest.mark.parametrize("pr, eta_max, reached", [(7.0, 8.0, 4.87), (0.1, 8.0, 4.75)])
 def test_both_stages_failing_raise_the_one_stage_error(pr, eta_max, reached):
     # each case blew up at this eta with the one-stage Newton at step 0.01;

@@ -32,7 +32,11 @@ error class), the largest root move, the roots that miss tol at their
 step, the totals of RK4 steps and trajectories, and every case whose RK4
 steps rose. Each call of boundary_residual or blasius_boundary_residual is
 one trajectory of bench/tracing.py's rk4_steps RK4 steps, counted up to
-the blow-up point of one that blows up.
+the blow-up point of one that blows up. `sweep` needs no numpy (only the
+Pade fits import it), so it also runs on an interpreter with neither numpy
+nor pytest, such as `python3.13 tools/ab.py sweep --against REV`: the RK4
+trajectories call no sum(), so its totals are the same on CPython 3.10 to
+3.13.
 
 `layers` and `sweep` also print their figures as text on stderr.
 """
