@@ -1,19 +1,24 @@
 import math
+from operator import mul
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from dtmpade import pade
 from dtmpade.dtm import (
     MAX_ORDER,
     DtmSolution,
     Problem,
     ProblemParams,
     RecurrenceMode,
+    _tangent_weights,
     free_convection_tangents,
     generate,
     init_transforms,
 )
+from dtmpade.errors import DegenerateApproximantError
+from dtmpade.rootfind import ClosureConfig, closure_residual
 from dtmpade.series import TruncatedSeries
 
 CORRECTED = RecurrenceMode.CORRECTED
@@ -440,6 +445,86 @@ def test_generate_equals_term_by_term_reference(case, pr, a, b, order):
     params = ProblemParams(problem, pr, a, b, order, mode)
     assert hex_coefficients(generate, params) == hex_coefficients(reference_generate, params)
 
+
+def reference_free_convection_tangents(sol: DtmSolution, pr: float, mode: RecurrenceMode):
+    """dtm.free_convection_tangents in its list-slice form, verbatim: each
+    sum reads its reversed operand as a fresh slice."""
+    f, theta = sol.f_series.coeffs, sol.theta_series.coeffs
+    m = sol.f_series.order
+    desc = tuple(map(float, range(m - 1, 0, -1)))
+    weights = _tangent_weights(m - 1, mode)
+    df, dth = [0j, 0j, 0.5 + 0j], [0j, 1j]
+    for k in range(m - 1):
+        if k + 3 <= m:
+            ds = sum(map(mul, map(mul, weights[k], f[k::-1]), df[2:]))
+            df.append((ds - dth[k]) / ((k + 1) * (k + 2) * (k + 3)))
+        lin = desc[-k - 1:]
+        ds2 = (sum(map(mul, map(mul, lin, theta[k + 1:0:-1]), df))
+               + sum(map(mul, map(mul, lin, f), dth[k + 1:0:-1])))
+        dth.append(-3.0 * pr * ds2 / ((k + 1) * (k + 2)))
+    return df, dth
+
+
+def hex_parts(values):
+    """The hex of each value's real and imaginary part (inf and nan spelled out)."""
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def reference_closure_jacobian(a, b, pr, n, mode):
+    """The closure's Jacobian rows at (a, b), or None where the closure
+    raises: the reference tangents through pade.limit_tangents, which
+    gathers its matching blocks afresh."""
+    cfg = ClosureConfig(pade_degree=n)
+    try:
+        res = closure_residual(a, b, pr, cfg, mode)
+    except (DegenerateApproximantError, OverflowError):
+        return None
+    top = 2 * n + (mode is CORRECTED)
+    sol = generate(ProblemParams(pr=pr, a=a, b=b, order=max(top, 3), mode=mode))
+    fp = [j * c for j, c in enumerate(sol.f_series.coeffs[1:top + 1], 1)] + [0.0] * (1 - top % 2)
+    fits = pade.build_many((TruncatedSeries(fp), sol.theta_series), n, n)
+    df, dtheta = reference_free_convection_tangents(sol, pr, mode)
+    dfp = [j * c for j, c in enumerate(df[1:top + 1], 1)] + [0j] * (1 - top % 2)
+    want = pade.limit_tangents(fits, (fp, sol.theta_series.coeffs), (dfp, dtheta))
+    return [(row, z) for row, z in zip(res.jacobian(), want)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([CORRECTED, FIDELITY]),
+    st.floats(1e-3, 1e3),
+    wall_value,
+    wall_value,
+    st.one_of(st.integers(3, 40), st.integers(3, 301)),
+    # the closure's Jacobian: degree 1-10 at the ladder's Prandtl numbers,
+    # near the default guess (0.6, -0.6)
+    st.tuples(st.integers(1, 10), st.sampled_from([0.72, 1.0, 1.5]),
+              st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+)
+# orders 3 and 4: the last step runs for Theta alone (F under k + 3 <= m)
+@example(CORRECTED, 1.0, 0.6421, -0.5671, 3, (1, 1.0, 0.0, 0.0))
+@example(FIDELITY, 0.72, 0.5506, -0.8654, 4, (10, 0.72, 0.0, 0.0))
+# finite coefficients whose tangents overflow to inf and nan
+@example(CORRECTED, 100.0, -16880900.71341598, 0.0010675948718496023, 123, (5, 1.5, 0.0, 0.0))
+@example(CORRECTED, 100.0, 4.68909445450439e29, 0.004794546132778374, 31, (10, 1.0, 0.1, 0.1))
+@example(FIDELITY, 147.9314644166478, 0.010574471196364232, -6.025601611690269e27, 55,
+         (3, 1.5, -0.1, 0.1))
+def test_tangent_pass_equals_term_by_term_reference(mode, pr, a, b, order, closure):
+    # every dF and dTheta bit for bit, non-finite ones included, against the
+    # slice form; then one closure's Jacobian rows, bit for bit, against
+    # the reference tangents carried through the Pade fits
+    try:
+        sol = generate(ProblemParams(pr=pr, a=a, b=b, order=order, mode=mode))
+    except OverflowError:
+        sol = None
+    if sol is not None:
+        got, want = free_convection_tangents(sol, pr, mode), reference_free_convection_tangents(
+            sol, pr, mode)
+        assert [hex_parts(v) for v in got] == [hex_parts(v) for v in want]
+    n, pr_c, da, db = closure
+    rows = reference_closure_jacobian(0.6 + da, -0.6 + db, pr_c, n, mode)
+    for row, z in rows or ():
+        assert [v.hex() for v in row] == [z.real.hex(), z.imag.hex()]
 
 
 def decimal_recurrence(params: ProblemParams):
