@@ -144,18 +144,26 @@ def free_convection_tangents(
     """
     f, theta = sol.f_series.coeffs, sol.theta_series.coeffs
     m = sol.f_series.order
-    desc = tuple(map(float, range(m - 1, 0, -1)))
     weights = _tangent_weights(m - 1, mode)
     # F(2) = A/2 and Theta(1) = B; the other wall values are constants
     df, dth = [0j, 0j, 0.5 + 0j], [0j, 1j]
+    df2 = df[2:]
+    # at step k: rf = F(k)..F(0), rt1 = j Theta(j) and lin = j for
+    # j = k+1..1, rdth = dTheta(k+1)..dTheta(1)
+    rf, rt1, lin, rdth = [], [], [], [1j]
     for k in range(m - 1):
+        rf.insert(0, f[k])
+        rt1.insert(0, (k + 1) * theta[k + 1])
+        lin.insert(0, float(k + 1))
         if k + 3 <= m:
-            ds = sum(map(mul, map(mul, weights[k], f[k::-1]), df[2:]))
-            df.append((ds - dth[k]) / ((k + 1) * (k + 2) * (k + 3)))
-        lin = desc[-k - 1:]
-        ds2 = (sum(map(mul, map(mul, lin, theta[k + 1:0:-1]), df))
-               + sum(map(mul, map(mul, lin, f), dth[k + 1:0:-1])))
-        dth.append(-3.0 * pr * ds2 / ((k + 1) * (k + 2)))
+            ds = sum(map(mul, map(mul, weights[k], rf), df2))
+            x = (ds - dth[k]) / ((k + 1) * (k + 2) * (k + 3))
+            df.append(x)
+            df2.append(x)
+        ds2 = sum(map(mul, rt1, df)) + sum(map(mul, map(mul, lin, f), rdth))
+        y = -3.0 * pr * ds2 / ((k + 1) * (k + 2))
+        dth.append(y)
+        rdth.insert(0, y)
     return df, dth
 
 
@@ -192,43 +200,50 @@ def generate(params: ProblemParams) -> DtmSolution:
     m = params.order
     isfinite = math.isfinite
     f = list(f_prefix)
-    d2 = [j * (j - 1) * x for j, x in enumerate(f)]
     if params.problem is Problem.BLASIUS:
+        f3, rd2 = [], []  # F(j) and, reversed, j (j-1) F(j) at j = 2 (mod 3)
         for k in range(m - 2):
-            s = sum(map(mul, f[2:k + 1:3], d2[k:1:-3])) if k % 3 == 2 else 0
+            s = 0
+            if k % 3 == 2:
+                f3.append(f[k])
+                rd2.insert(0, k * (k - 1) * f[k])
+                s = sum(map(mul, f3, rd2))
             x = -0.5 * s / ((k + 1) * (k + 2) * (k + 3))
             if not isfinite(x):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
             f.append(x)
-            d2.append((k + 3) * (k + 2) * x)
         return DtmSolution(TruncatedSeries(f), None)
 
     theta = list(theta_prefix)
     d1 = [j * x for j, x in enumerate(f)]
-    t1 = [j * x for j, x in enumerate(theta)]
     paper = params.mode is RecurrenceMode.PAPER_FIDELITY
-    g = [x / _FACTORIALS[j] for j, x in enumerate(f)] if paper else f
+    f2 = f[2:]
+    g2 = [f[2] / _FACTORIALS[2]] if paper else f2
+    rd1, rd2, rt1 = [], [], []
     pr3 = 3.0 * params.pr
     for k in range(m - 1):
+        rd1.insert(0, d1[k])
+        if k >= 2:
+            rd2.insert(0, k * (k - 1) * f[k])
+            rt1.insert(0, (k - 1) * theta[k - 1])
         if k + 3 <= m:  # the last step's F(m+1) would lie past the order
             mid = (k + 3) // 2
-            s1 = 2.0 * sum(map(mul, d1[2:mid], d1[k:k + 2 - mid:-1]))
+            s1 = 2.0 * sum(map(mul, d1[2:mid], rd1))
             if k % 2 == 0:
                 s1 += d1[mid] * d1[mid]
-            s3 = sum(map(mul, g[2:k + 1], d2[k:1:-1]))
+            s3 = sum(map(mul, g2, rd2))
             x = (2.0 * s1 - theta[k] - 3.0 * s3) / ((k + 1) * (k + 2) * (k + 3))
             if not isfinite(x):
                 raise OverflowError(f"non-finite f-coefficient at index {k + 3}")
             f.append(x)
+            f2.append(x)
             d1.append((k + 3) * x)
-            d2.append((k + 3) * (k + 2) * x)
             if paper and k + 3 < len(_FACTORIALS):
-                g.append(x / _FACTORIALS[k + 3])
-        # at k = 0 the F slice is empty and map stops before the t1 slice;
-        # 0.0 - x keeps an exact zero +0.0, where -3.0 * pr * s2 gave -0.0
-        y = 0.0 - pr3 * sum(map(mul, f[2:k + 1], t1[k - 1:0:-1])) / ((k + 1) * (k + 2))
+                g2.append(x / _FACTORIALS[k + 3])
+        # at k = 0, 1 rt1 is empty; 0.0 - x keeps an exact zero +0.0, where
+        # -3.0 * pr * s2 gave -0.0
+        y = 0.0 - pr3 * sum(map(mul, f2, rt1)) / ((k + 1) * (k + 2))
         if not isfinite(y):
             raise OverflowError(f"non-finite theta-coefficient at index {k + 2}")
         theta.append(y)
-        t1.append((k + 2) * y)
     return DtmSolution(TruncatedSeries(f), TruncatedSeries(theta))

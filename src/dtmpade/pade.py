@@ -163,11 +163,12 @@ def _svd_solve(A, rhs) -> list[tuple[float, list[float]] | Exception]:
 def _finish(cc: tuple[float, ...], L: int, M: int, b_tail: list[float]) -> RationalApproximant:
     """The approximant with denominator 1, b_tail; raises unless it is
     finite and matches its series cc."""
-    b = (1.0,) + tuple(b_tail)
-    a = tuple([sum(map(mul, b, cc[i::-1])) for i in range(L + 1)])
-    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
-        raise DegenerateApproximantError(f"[{L}/{M}] approximant coefficients overflow")
-    result = RationalApproximant(a, b)
+    b = [1.0, *b_tail]
+    try:  # the constructor's finiteness check is the only one
+        result = RationalApproximant([sum(map(mul, b, cc[i::-1])) for i in range(L + 1)], b)
+    except ValueError:
+        raise DegenerateApproximantError(
+            f"[{L}/{M}] approximant coefficients overflow") from None
 
     # the condition estimate alone does not guarantee the matching conditions
     # were actually met; verify the expansion against the input and fail loudly
@@ -185,10 +186,11 @@ def _finish(cc: tuple[float, ...], L: int, M: int, b_tail: list[float]) -> Ratio
 def _expand(r: RationalApproximant, order: int) -> list[float]:
     """Taylor coefficients of numerator/denominator up to the given degree."""
     num = list(r.numerator) + [0.0] * (order + 1)
-    den = list(r.denominator[1:]) + [0.0] * (order + 1)  # b1, b2, ... then zeros
+    den = r.denominator[1:]  # b1..bM
     out: list[float] = []
     for k in range(order + 1):
-        # b_j * out[k-j] for j = 1..k, zero-padded b_j included
+        # b_j * out[k-j] for j = 1..min(k, M); the zero b_j past M would add
+        # only zero products, which leave a float sum unchanged
         out.append(num[k] - sum(map(mul, den, reversed(out))))
     return out
 

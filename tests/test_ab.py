@@ -140,3 +140,30 @@ def test_shoot_round_case_solves_the_seed_1_shoot_oracle_round(monkeypatch, tmp_
     results = case()
     assert len(calls) == len(requests) == 11
     assert [dataclasses.asdict(r) for r in results] == [pkg["cli"].execute(m) for m in requests]
+
+
+def test_layer_cases_split_the_closure_into_its_parts(monkeypatch, tmp_path):
+    # generate at the closure's orders and at Blasius', the tangent pass and
+    # the stacked fit on the closure's own series: the fits' limits are the
+    # closure residual's values and the tangents are those of its Jacobian
+    monkeypatch.setattr(ab, "export", _copied)
+    pkg = ab.packages("unused", tmp_path)["head"]
+    dtm, pade, rootfind = (pkg[m] for m in ("dtm", "pade", "rootfind"))
+    calls = ab.cases(pkg)
+    for case, order, blasius in [("order_7", 7, False), ("order_11", 11, False),
+                                 ("order_19", 19, False), ("blasius_order_68", 68, True),
+                                 ("blasius_order_301", 301, True)]:
+        sol = calls["generate_us", case]()
+        assert sol.f_series.order == order and (sol.theta_series is None) is blasius
+    for n in (3, 5, 9):
+        res = rootfind.closure_residual(0.6, -0.6, 1.0, rootfind.ClosureConfig(pade_degree=n))
+        fits = calls["build_many_us", f"n_{n}"]()
+        assert [pade.limit_at_infinity(fit).hex() for fit in fits] == [v.hex() for v in res]
+        df, dtheta = calls["tangents_us", f"n_{n}"]()
+        assert len(df) == len(dtheta) == 2 * n + 2
+        sol = dtm.generate(dtm.ProblemParams(pr=1.0, a=0.6, b=-0.6, order=2 * n + 1))
+        series = ([j * c for j, c in enumerate(sol.f_series.coeffs[1:], 1)],
+                  sol.theta_series.coeffs)
+        dfp = [j * c for j, c in enumerate(df[1:], 1)]
+        rows = pade.limit_tangents(fits, series, (dfp, dtheta))
+        assert [(z.real, z.imag) for z in rows] == res.jacobian()

@@ -261,6 +261,38 @@ mixed = st.one_of(
 )
 
 
+def largest_mismatch(expansion, window):
+    """_finish's match measure: max |expansion - window|, which skips a NaN."""
+    return max(abs(p - q) for p, q in zip(expansion, window))
+
+
+# tails past 1e100, whose expansions overflow within a few terms
+overflowing = st.one_of(mixed, st.builds(lambda sign, e: sign * 10.0**e,
+                                         st.sampled_from([-1.0, 1.0]), st.floats(100, 300)))
+
+
+@given(st.integers(0, 6).flatmap(lambda L: st.integers(1, 6).flatmap(lambda M: st.tuples(
+    st.lists(overflowing, min_size=L + 1, max_size=L + 1),
+    st.lists(overflowing, min_size=M, max_size=M),
+    st.lists(mixed, min_size=L + M + 1, max_size=L + M + 1)))))
+# 1 / (1 + 1e300 x): 1, -1e300, inf, -inf, then inf where the zero-padded
+# form read -inf + 0 * inf = nan
+@example(([1.0], [1e300], [1.0, 0.0]))
+def test_match_check_reads_the_mismatch_of_the_padded_expansion(case):
+    # _expand stops each sum at b_M; the zero-padded reference also adds
+    # 0 * out[k-j] for j > M. Both agree up to the first non-finite entry,
+    # and past it the largest mismatch is the same: inf where that entry is
+    # inf, and where it is nan, b1 makes every later entry nan in both
+    num, tail, window = case
+    r = RationalApproximant(tuple(num), (1.0, *tail))
+    order = len(window) + 2
+    got, want = _expand(r, order), reference_expand(r, order)
+    first = next((k for k, v in enumerate(want) if not math.isfinite(v)), order)
+    assert [v.hex() for v in got[:first + 1]] == [v.hex() for v in want[:first + 1]]
+    window = [*window, 0.0, 0.0, 0.0]
+    assert largest_mismatch(got, window).hex() == largest_mismatch(want, window).hex()
+
+
 @st.composite
 def finish_inputs(draw):
     """(cc, L, M, b_tail): a series and a denominator tail that may or may

@@ -82,7 +82,7 @@ def packages(rev: str, into: Path) -> dict:
     for side, name in (("rev", ALIAS), ("head", "dtmpade")):
         pkg = importlib.import_module(name)
         out[side] = {mod: importlib.import_module(f"{name}.{mod}")
-                     for mod in ("cli", "dtm", "errors", "pade", "rootfind", "shooting")}
+                     for mod in ("cli", "dtm", "errors", "pade", "rootfind", "series", "shooting")}
         out[side]["version"] = pkg.__version__
     head_file = Path(sys.modules["dtmpade"].__file__).resolve()
     if head_file.parent != SRC / "dtmpade":
@@ -173,14 +173,23 @@ def cases(pkg: dict) -> dict:
         result = cli.execute(m)
         out["execute_us", key] = lambda m=m: cli.execute(m)
         out["emit_us", key] = lambda m=m, result=result: cli.emit(m, result, io.StringIO())
-    for order in (101, 301):
-        params = dtm.ProblemParams(pr=1.0, a=0.6, b=-0.6, order=order)
-        out["generate_us", f"order_{order}"] = lambda params=params: dtm.generate(params)
+    for key, params in [
+        *((f"order_{m}", dtm.ProblemParams(pr=1.0, a=0.6, b=-0.6, order=m))
+          for m in (7, 11, 19, 101, 301)),
+        *((f"blasius_order_{m}", dtm.ProblemParams(dtm.Problem.BLASIUS, a=0.332, order=m))
+          for m in (68, 301))]:
+        out["generate_us", key] = lambda params=params: dtm.generate(params)
     for n in (3, 5, 9):
         ccfg = rootfind.ClosureConfig(pade_degree=n)
-        # the series that the closure fits theta to: order 2n + 1, corrected mode
+        # the series that the closure fits: order 2n + 1, corrected mode
         sol = dtm.generate(dtm.ProblemParams(pr=1.0, a=0.6, b=-0.6, order=2 * n + 1))
+        fp = pkg["series"].TruncatedSeries(
+            [j * c for j, c in enumerate(sol.f_series.coeffs[1:], 1)])
         out["pade_build_us", f"theta_n_{n}"] = lambda n=n, s=sol.theta_series: pade.build(s, n, n)
+        out["build_many_us", f"n_{n}"] = (
+            lambda n=n, pair=(fp, sol.theta_series): pade.build_many(pair, n, n))
+        out["tangents_us", f"n_{n}"] = (
+            lambda sol=sol: dtm.free_convection_tangents(sol, 1.0, dtm.RecurrenceMode.CORRECTED))
         out["closure_residual_us", f"n_{n}"] = (
             lambda ccfg=ccfg: rootfind.closure_residual(0.6, -0.6, 1.0, ccfg))
         out["closure_jacobian_us", f"n_{n}"] = (
@@ -203,7 +212,9 @@ def layers(sides: dict, repeat: int, rev: str) -> dict:
                      f"alternating; {rev} imported as {ALIAS}; "
                      "free convection at Pr 1 from (A, B) = (0.6421, -0.5671) for "
                      "trajectories and profiles and (0.6, -0.6) for generate, the closure "
-                     "residual, its Jacobian and the [n/n] fit of its theta series, "
+                     "residual, its Jacobian, its tangent pass (free_convection_tangents "
+                     "on its order-2n+1 series), the stacked [n/n] fit of its f' and theta "
+                     "series (build_many) and the fit of its theta series alone, "
                      "Blasius at A = 0.332; shoot_round_us is one call of shoot_solve per "
                      "request of the seed-1 shoot_oracle round, from its seeded guesses"}
     for fn in [*calls["rev"].values(), *calls["head"].values()]:
