@@ -137,10 +137,14 @@ def free_convection_tangents(
     The recurrence in forward mode over the steps generate took for sol (F
     and Theta to its order m, F under the same k + 3 <= m rule), reading its
     values: a step's F derivative is one dot product over dF(s) F(k+2-s),
-    and its Theta derivative the two of s2. The derivatives are real-linear
-    in the tangents, so one complex pass carries both: d/dA in the real
-    part, d/dB in the imaginary part. Returns the lists dF and dTheta; a
-    derivative past the float range reads inf or NaN instead of raising.
+    and its Theta derivative the two of s2. As in generate, each sum reads
+    whole lists, the reversed operand kept in the order the sum reads it and
+    grown by one insert at its front per step; the products and their order
+    are those of the same sums over slices, so every derivative keeps its
+    bits. The derivatives are real-linear in the tangents, so one complex
+    pass carries both: d/dA in the real part, d/dB in the imaginary part.
+    Returns the lists dF and dTheta; a derivative past the float range reads
+    inf or NaN instead of raising.
     """
     f, theta = sol.f_series.coeffs, sol.theta_series.coeffs
     m = sol.f_series.order
@@ -167,24 +171,31 @@ def free_convection_tangents(
     return df, dth
 
 
-# generate keeps the coefficients in lists next to scaled copies that carry
-# the derivative weights, so that every sum is a plain Cauchy product:
+# generate keeps the coefficients next to scaled copies that carry the
+# derivative weights, so that every sum is a plain Cauchy product:
 # d1[j] = j F(j), d2[j] = j (j-1) F(j), t1[j] = j Theta(j), and g[j] = F(j)/j!
 # in paper-fidelity mode (up to j = 170; past it j! exceeds every float and
 # the summand is taken as 0), F itself in corrected mode.
 #
-# Each sum is one dot product that map and sum run in C over the scaled
-# lists: s3 = sum g[r] d2[k+2-r] and s2 = sum F(r) t1[k+1-r] for r = 2..k in
-# that order, the terms r = 0, 1 being exact zeros (F(0) = F(1) = 0). s1 =
-# sum d1[r+1] d1[k-r+1] is symmetric in r <-> k-r, so it is twice the sum
-# over r+1 < k-r+1 plus, for even k, the middle square d1[k/2+1]^2: half the
-# products. In paper mode, g stops at j = 170 and map stops with it.
+# Each sum is one dot product that map and sum run in C over whole lists:
+# a forward one from index 2 (f2, g2) and a reversed one that holds its
+# operand in the order the sum reads it (rd1, rd2, rt1), grown by one
+# insert(0, x) per step, a memmove of pointers where a slice copied and
+# counted a reference to each of its items. map stops at the shorter list.
+# s3 = sum g[r] d2[k+2-r] and s2 = sum F(r) t1[k+1-r] for r = 2..k in that
+# order, the terms r = 0, 1 being exact zeros (F(0) = F(1) = 0): rd2 holds
+# d2[k]..d2[2] and rt1 t1[k-1]..t1[1]. s1 = sum d1[r+1] d1[k-r+1] is
+# symmetric in r <-> k-r, so it is twice the sum over r+1 < k-r+1 plus, for
+# even k, the middle square d1[k/2+1]^2: half the products, whose range is
+# the one slice left. In paper mode, g2 stops at j = 170 and map with it.
+# The sums take the products of the slice form in its order, bit for bit.
 # Blasius' F(j) is an exact zero unless j = 2 (mod 3), so a summand
 # F(r) d2[k+2-r] of its sum is nonzero only when r and k+2-r are both 2
-# (mod 3), that is, on the steps k = 2 (mod 3) at r = 2, 5, ..., k. The
-# strided dot product over those equals the full sum bit for bit: the zero
-# summands it skips leave a float sum unchanged; on the other steps the sum
-# 0 gives the -0.0 that the full sum of zeros gave.
+# (mod 3), that is, on the steps k = 2 (mod 3) at r = 2, 5, ..., k, over
+# F(2), F(5), .., F(k) and d2[k], d2[k-3], .., d2[2]. That dot product
+# equals the full sum bit for bit: the zero summands it skips leave a float
+# sum unchanged; on the other steps the sum 0 gives the -0.0 that the full
+# sum of zeros gave.
 
 
 def generate(params: ProblemParams) -> DtmSolution:

@@ -189,8 +189,10 @@ def _expand(r: RationalApproximant, order: int) -> list[float]:
     den = r.denominator[1:]  # b1..bM
     out: list[float] = []
     for k in range(order + 1):
-        # b_j * out[k-j] for j = 1..min(k, M); the zero b_j past M would add
-        # only zero products, which leave a float sum unchanged
+        # b_j * out[k-j] for j = 1..min(k, M): the zero b_j past M add zero
+        # products, which leave a finite sum unchanged; past an entry that
+        # overflows, one may read inf where 0 * inf made nan, and _finish's
+        # largest mismatch is the same either way
         out.append(num[k] - sum(map(mul, den, reversed(out))))
     return out
 

@@ -19,10 +19,12 @@ exits 1 when any pair of hashes differs.
 `layers` prints a JSON object shaped like the `micro` blocks of the
 BENCH_*.json files: the best of --repeat rounds, each timing a batch of
 every case on both sides, the side that runs first alternating, of the
-layers that ROADMAP's performance aim names, and of the oracle as the
-benchmark drives it (shoot_round_us: shooting.shoot_solve on each request
-of the seed-1 shoot_oracle round); each pair is [REV, this checkout] in
-microseconds per call.
+layers that ROADMAP's performance aim names, of the closure residual's
+parts (generate at its orders, the tangent pass, the stacked f'/theta fit
+of pade.build_many), and of the oracle as the benchmark drives it
+(shoot_round_us: shooting.shoot_solve on each request of the seed-1
+shoot_oracle round); each pair is [REV, this checkout] in microseconds per
+call.
 
 `sweep` calls each side's shooting.shoot_solve from the default guess on
 1 020 cases (Blasius and free convection at Pr 0.1-7; eta_max 5-16; steps
@@ -173,12 +175,12 @@ def cases(pkg: dict) -> dict:
         result = cli.execute(m)
         out["execute_us", key] = lambda m=m: cli.execute(m)
         out["emit_us", key] = lambda m=m, result=result: cli.emit(m, result, io.StringIO())
-    for key, params in [
-        *((f"order_{m}", dtm.ProblemParams(pr=1.0, a=0.6, b=-0.6, order=m))
-          for m in (7, 11, 19, 101, 301)),
-        *((f"blasius_order_{m}", dtm.ProblemParams(dtm.Problem.BLASIUS, a=0.332, order=m))
-          for m in (68, 301))]:
-        out["generate_us", key] = lambda params=params: dtm.generate(params)
+    for order in (7, 11, 19, 101, 301):  # the first three are the closure's at n = 3, 5, 9
+        params = dtm.ProblemParams(pr=1.0, a=0.6, b=-0.6, order=order)
+        out["generate_us", f"order_{order}"] = lambda params=params: dtm.generate(params)
+    for order in (68, 301):  # 68 is the [11/11] Blasius closure's
+        params = dtm.ProblemParams(dtm.Problem.BLASIUS, a=0.332, order=order)
+        out["generate_us", f"blasius_order_{order}"] = lambda params=params: dtm.generate(params)
     for n in (3, 5, 9):
         ccfg = rootfind.ClosureConfig(pade_degree=n)
         # the series that the closure fits: order 2n + 1, corrected mode
