@@ -126,7 +126,7 @@ def test_criterion_6_series_vs_integrator():
     sol = generate(ProblemParams(a=oracle.a, b=oracle.b, order=14,
                                  mode=RecurrenceMode.CORRECTED))
     grid = [0.05 * k for k in range(1, 11)]
-    prof = tabulate_profile(oracle.a, oracle.b, 1.0, grid, ShootConfig(step=0.005))
+    prof = tabulate_profile(oracle.a, oracle.b, 1.0, grid, 0.005)
     worst = 0.0
     for eta, f, _, theta in prof:
         worst = max(worst,

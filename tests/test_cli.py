@@ -30,7 +30,7 @@ from dtmpade.cli import (
     run,
 )
 from dtmpade.rootfind import ClosureConfig, blasius_closure_residual
-from dtmpade.shooting import ShootConfig
+from dtmpade.shooting import ShootConfig, boundary_residual
 
 
 def run_json(capsys, argv):
@@ -470,8 +470,28 @@ def test_profile_non_finite_wall_value_is_a_usage_error(capsys, source, wall):
     assert capsys.readouterr().err == "error: initial derivatives a, b must be finite\n"
 
 
-def test_profile_grid_outside_domain(capsys):
-    assert run(["profile", "--a", "0.6", "--grid", "0:9:1"]) == EXIT_USAGE
+@pytest.mark.parametrize("grid, message", [
+    ("0:1e9:1e8", "at most 10,000,000 RK4 steps"),
+    ("-1:1:0.5", "grid must start at eta >= 0"),
+])
+def test_profile_grid_outside_domain(capsys, grid, message):
+    # a grid past 10**7 RK4 steps is refused before any step runs
+    start = time.perf_counter()
+    assert run(["profile", "--a", "0.6", "--b=-0.5", f"--grid={grid}"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_profile_runs_to_the_end_of_its_grid(capsys):
+    # past the oracle's eta_max = 8, and on a grid inside the oracle's far
+    # field: each row is the oracle's trajectory on eta_max at the same step
+    code, payload = run_json(capsys, ["profile", "--a", "0.6421881644", "--b=-0.5671465085",
+                                      "--grid", "0:12:4"])
+    assert code == EXIT_OK
+    for eta, _, fp, theta in payload["result"]["rows"][2:]:
+        cfg = ShootConfig(eta_max=eta)
+        assert [fp, theta] == list(boundary_residual(0.6421881644, -0.5671465085, 1.0, cfg))
+    assert run(["profile", "--a", "0.55", "--b", "-0.86", "--grid", "0:1:0.5"]) == EXIT_OK
 
 
 def test_profile_blow_up_exit_code(capsys):
@@ -720,7 +740,8 @@ def test_blasius_solve_and_shoot(capsys):
 
 def test_profile_has_no_newton_flags(capsys):
     # profile runs no Newton, so it takes no Newton tolerance or iteration limit
-    for flag, value in (("--tol", "1e-8"), ("--max-iter", "5")):
+    # and marches to its grid's end, so it takes no oracle domain either
+    for flag, value in (("--tol", "1e-8"), ("--max-iter", "5"), ("--eta-max", "8")):
         assert run(["profile", "--a", "0.6", flag, value]) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -752,9 +773,10 @@ def test_profile_manifest_with_legacy_newton_keys(capsys):
     ])
     assert code == EXIT_OK
     manifest = payload["manifest"]
-    assert "tol" not in manifest and "max_iter" not in manifest
-    legacy = dict(manifest, tol=1e-8, max_iter=50)
-    assert execute(legacy)["rows"] == execute(manifest)["rows"] == payload["result"]["rows"]
+    assert not {"tol", "max_iter", "eta_max"} & manifest.keys()
+    for eta_max in (8.0, 3.0):
+        legacy = dict(manifest, tol=1e-8, max_iter=50, eta_max=eta_max)
+        assert execute(legacy)["rows"] == execute(manifest)["rows"] == payload["result"]["rows"]
 
 
 def test_execute_unknown_subcommand():

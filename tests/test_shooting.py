@@ -141,7 +141,7 @@ def test_step_halving_error_ratio_on_problem():
 
 def test_trajectory_exists_and_theta_decays():
     grid = [round(0.01 * k, 10) for k in range(801)]
-    prof = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, grid, ShootConfig())
+    prof = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, grid)
     thetas = [row[3] for row in prof]
     assert thetas[0] == 1.0
     assert all(b <= a + 1e-12 for a, b in zip(thetas, thetas[1:]))
@@ -680,7 +680,7 @@ def test_eta_max_6_roots_pinned_bit_for_bit():
 def _min_f_prime(res, pr, cfg) -> float:
     """min f' of the root's profile on a 0.05 grid over [0, eta_max]."""
     grid = [round(0.05 * i, 12) for i in range(round(cfg.eta_max / 0.05) + 1)]
-    return min(row[2] for row in tabulate_profile(res.a, res.b, pr, grid, cfg))
+    return min(row[2] for row in tabulate_profile(res.a, res.b, pr, grid, cfg.step))
 
 
 def test_eta_max_12_returns_the_physical_root(monkeypatch):
@@ -1091,13 +1091,16 @@ def test_tabulate_blow_up_matches_boundary_residual():
 
 
 def test_residuals_and_profile_share_one_trajectory():
-    # 8 is not a multiple of 0.03: both entry points must take the same equal sub-steps
-    cfg = ShootConfig(step=0.03)
-    r1, r2 = boundary_residual(OSTRACH_A, OSTRACH_B, 1.0, cfg)
-    (row,) = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, [8.0], cfg)
-    assert (r1, r2) == (row[2], row[3])
-    (row,) = tabulate_profile(0.332, 0.0, 1.0, [8.0], cfg, problem=Problem.BLASIUS)
-    assert blasius_boundary_residual(0.332, cfg) == row[2] - 1.0
+    # 8 is not a multiple of 0.03: both entry points must take the same equal
+    # sub-steps. A profile is not bounded by the oracle's eta_max: its row at
+    # 12 is the trajectory on eta_max = 12
+    for eta_max in (8.0, 12.0):
+        cfg = ShootConfig(eta_max=eta_max, step=0.03)
+        r1, r2 = boundary_residual(OSTRACH_A, OSTRACH_B, 1.0, cfg)
+        (row,) = tabulate_profile(OSTRACH_A, OSTRACH_B, 1.0, [eta_max], cfg.step)
+        assert (r1, r2) == (row[2], row[3])
+        (row,) = tabulate_profile(0.332, 0.0, 1.0, [eta_max], cfg.step, problem=Problem.BLASIUS)
+        assert blasius_boundary_residual(0.332, cfg) == row[2] - 1.0
 
 
 def test_shoot_reproduces_reference_values():
@@ -1138,16 +1141,30 @@ def test_tabulate_profile_shape():
     assert all(b <= a for a, b in zip(thetas, thetas[1:]))
 
 
-def test_tabulate_rejects_out_of_domain():
-    with pytest.raises(ValueError):
-        tabulate_profile(0.5, -0.5, 1.0, [0.0, 9.0])
+def test_tabulate_rejects_out_of_domain(monkeypatch):
+    # a profile marches from 0 to its grid's end, at most 10**7 RK4 steps
+    # of a finite positive step, checked before any step runs
+    marched = []
+    monkeypatch.setattr(shooting, "_march", lambda *args: marched.append(args) or [])
+    for problem in Problem:
+        tabulate_profile(0.5, -0.5, 1.0, [0.0, 10.0], 1e-6, problem=problem)
+        with pytest.raises(ValueError, match="at most 10,000,000 RK4 steps"):
+            tabulate_profile(0.5, -0.5, 1.0, [0.0, 10.0], 9.9e-7, problem=problem)
+        with pytest.raises(ValueError, match="at most 10,000,000 RK4 steps"):
+            tabulate_profile(0.5, -0.5, 1.0, [0.0, 1e9], problem=problem)
+        for step in (0.0, -0.01, math.inf, math.nan):
+            with pytest.raises(ValueError, match="step must be finite and positive"):
+                tabulate_profile(0.5, -0.5, 1.0, [0.0, 1.0], step, problem=problem)
+        with pytest.raises(ValueError, match="grid must start at eta >= 0"):
+            tabulate_profile(0.5, -0.5, 1.0, [-1.0, 1.0], problem=problem)
+    assert len(marched) == len(Problem)
 
 
 def test_series_matches_integrator_inside_radius():
     res = shoot_solve(1.0, ShootConfig())
     sol = generate(ProblemParams(a=res.a, b=res.b, order=14, mode=RecurrenceMode.CORRECTED))
     grid = [0.1 * k for k in range(1, 11)]
-    prof = tabulate_profile(res.a, res.b, 1.0, grid, ShootConfig(step=0.005))
+    prof = tabulate_profile(res.a, res.b, 1.0, grid, 0.005)
     for (eta, f, _, theta) in prof:
         if eta > 1.0 + 1e-9:
             continue
