@@ -166,9 +166,8 @@ def _series_profile_columns(m: dict, grid: list[float]) -> tuple:
 
 
 def _integrator_profile_columns(m: dict, grid: list[float]) -> tuple:
-    # profile runs no Newton; the tol/max_iter keys of older manifests are ignored
-    cfg = ShootConfig(eta_max=m["eta_max"], step=m["step"])
-    rows = tabulate_profile(m["a"], m["b"], m["pr"], grid, cfg, problem=Problem(m["problem"]))
+    # no Newton, no far field: older manifests' eta_max, tol and max_iter are ignored
+    rows = tabulate_profile(m["a"], m["b"], m["pr"], grid, m["step"], Problem(m["problem"]))
     return tuple(zip(*rows))[1:]
 
 
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("profile", help="tabulate (eta, f, f', theta) on a grid")
     _add_common(p)
     _add_mode(p)
-    _add_domain(p)
+    p.add_argument("--step", type=float, default=ShootConfig.step)
     p.add_argument("--source", default="integrator",
                    choices=["series", "integrator", "both"])
     p.add_argument("--a", type=float, required=True)

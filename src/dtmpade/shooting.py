@@ -79,9 +79,18 @@ COARSE_STEP = 0.08
 # the short level's domain and finest step
 SHORT_ETA_MAX = 6.0
 SHORT_STEP = 4 * COARSE_STEP
-# eta_max / step above this is refused, as parse_grid refuses over 10**6
-# points: at ~1 us per RK4 step, a trajectory would take 10 s or more
+# eta_max / step, or a profile's grid end / step, above this is refused, as
+# parse_grid refuses over 10**6 points: at ~1 us per step, 10 s or more
 MAX_RK4_STEPS = 10**7
+
+
+def check_march(end: float, step: float, name: str) -> None:
+    """ValueError unless step is finite and positive and end / step is at most MAX_RK4_STEPS."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and positive")
+    if end / step > MAX_RK4_STEPS:
+        raise ValueError(
+            f"{name} / step must be at most {MAX_RK4_STEPS:,} RK4 steps per trajectory")
 
 
 @dataclass(frozen=True)
@@ -97,11 +106,7 @@ class ShootConfig:
         if not (math.isfinite(self.eta_max) and self.eta_max >= 5):
             raise ValueError(
                 "eta_max must be finite and >= 5; the far field is unconverged below that")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be finite and positive")
-        if self.eta_max / self.step > MAX_RK4_STEPS:
-            raise ValueError(
-                f"eta_max / step must be at most {MAX_RK4_STEPS:,} RK4 steps per trajectory")
+        check_march(self.eta_max, self.step, "eta_max")
         check_stopping(self.tol, self.max_iter)
 
 
@@ -319,28 +324,27 @@ def tabulate_profile(
     b: float,
     pr: float,
     grid,
-    cfg: ShootConfig | None = None,
+    step: float = ShootConfig.step,
     problem: Problem = Problem.FREE_CONVECTION,
 ) -> tuple[tuple[float, float, float, float | None], ...]:
     """(eta, f, f', theta) rows at exactly the requested eta values; theta is None for Blasius.
 
-    One march integrates each inter-grid interval with a whole number of
-    sub-steps no larger than cfg.step, so grid points are hit without
-    interpolation.
-    """
+    One march from 0 integrates each inter-grid interval with a whole number
+    of sub-steps no larger than step, so grid points are hit without
+    interpolation. A grid that starts below 0 or ends past MAX_RK4_STEPS steps raises."""
     check_prandtl(pr)
     check_wall_values(a, b)
-    cfg = cfg or ShootConfig()
     grid = list(map(float, grid))
     if any(map(le, grid[1:], grid)):
         raise ValueError("grid must be strictly increasing")
-    if grid and (grid[0] < 0 or grid[-1] > cfg.eta_max + 1e-12):
-        raise ValueError(f"grid must lie within [0, eta_max = {cfg.eta_max}]")
+    if grid and grid[0] < 0:
+        raise ValueError("grid must start at eta >= 0")
+    check_march(grid[-1] if grid else 0.0, step, "the grid's end")
 
     if problem is Problem.BLASIUS:
-        states = _march(_advance_blasius, [0.0, 0.0, a], grid, cfg.step)
+        states = _march(_advance_blasius, [0.0, 0.0, a], grid, step)
         theta = repeat(None)
     else:
-        states = _march(_advance_free_convection, [0.0, 0.0, a, 1.0, b], grid, cfg.step, pr)
+        states = _march(_advance_free_convection, [0.0, 0.0, a, 1.0, b], grid, step, pr)
         theta = map(itemgetter(3), states)
     return tuple(zip(grid, map(itemgetter(0), states), map(itemgetter(1), states), theta))

@@ -142,6 +142,30 @@ def test_shoot_round_case_solves_the_seed_1_shoot_oracle_round(monkeypatch, tmp_
     assert [dataclasses.asdict(r) for r in results] == [pkg["cli"].execute(m) for m in requests]
 
 
+def test_profile_cases_pass_each_side_what_its_tabulate_profile_takes(monkeypatch, tmp_path):
+    # a side whose tabulate_profile takes the oracle's ShootConfig, as before
+    # the profile took its own step, is given one; this checkout's the step
+    monkeypatch.setattr(ab, "export", _copied)
+    sides = ab.packages("unused", tmp_path)
+    rev, head = sides["rev"]["shooting"], sides["head"]["shooting"]
+    given = []
+
+    def tabulate_profile(a, b, pr, grid, cfg=None, problem=None):
+        given.append(cfg)
+
+    monkeypatch.setattr(rev, "tabulate_profile", tabulate_profile)
+    keys = [("tabulate_profile_us", "grid_0:2:0.01"),
+            ("tabulate_profile_us", "blasius_grid_0:2:0.01")]
+    calls = {side: ab.cases(pkg) for side, pkg in sides.items()}
+    for key in keys:
+        calls["rev"][key]()
+    assert given == [rev.ShootConfig()] * 2
+    grid = sides["head"]["cli"].parse_grid("0:2:0.01")
+    assert calls["head"][keys[0]]() == head.tabulate_profile(0.6421, -0.5671, 1.0, grid, 0.01)
+    assert calls["head"][keys[1]]() == head.tabulate_profile(
+        0.332, 0.0, 1.0, grid, 0.01, sides["head"]["dtm"].Problem.BLASIUS)
+
+
 def test_layer_cases_split_the_closure_into_its_parts(monkeypatch, tmp_path):
     # generate at the closure's orders and at Blasius', the tangent pass and
     # the stacked fit on the closure's own series: the fits' limits are the

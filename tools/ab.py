@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import inspect
 import io
 import itertools
 import json
@@ -165,10 +166,12 @@ def cases(pkg: dict) -> dict:
               for m in _first_round("shoot_oracle", 1, pkg["version"])]
     out["shoot_round_us", "seed_1"] = lambda: [
         shooting.shoot_solve(pr, scfg, x0, problem) for pr, scfg, x0, problem in shoots]
+    # a tabulate_profile that takes cfg predates the profile's own step argument
+    step = cfg if "cfg" in inspect.signature(shooting.tabulate_profile).parameters else cfg.step
     out["tabulate_profile_us", "grid_0:2:0.01"] = (
-        lambda: shooting.tabulate_profile(0.6421, -0.5671, 1.0, grid, cfg))
+        lambda: shooting.tabulate_profile(0.6421, -0.5671, 1.0, grid, step))
     out["tabulate_profile_us", "blasius_grid_0:2:0.01"] = (
-        lambda: shooting.tabulate_profile(0.332, 0.0, 1.0, grid, cfg, problem=dtm.Problem.BLASIUS))
+        lambda: shooting.tabulate_profile(0.332, 0.0, 1.0, grid, step, dtm.Problem.BLASIUS))
     for key, m in (("both_grid_0:2:0.01", PROFILE), ("blasius_both_grid_0:2:0.01",
                                                      BLASIUS_PROFILE)):
         m = dict(m, version=pkg["version"])
