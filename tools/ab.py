@@ -140,6 +140,7 @@ def identity(sides: dict) -> bool:
 
 # ------------------------------------------------------------------ layers
 
+# eta_max is read by the profile of commits before it took its own step
 PROFILE = {"subcommand": "profile", "version": None, "a": 0.6421, "b": -0.5671, "digits": 10,
            "eta_max": 8.0, "format": "json", "grid": "0:2:0.01", "mode": "corrected",
            "order": 40, "pr": 1.0, "problem": "free-convection", "source": "both",
